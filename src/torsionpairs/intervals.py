@@ -11,9 +11,11 @@ Hom and Ext spaces between intervals are 0- or 1-dimensional.  Hom is
 nonzero exactly when the map "quotient then include" exists (c <= a <= d
 <= b for [a,b] -> [c,d]); Ext is computed by AR duality,
 Ext^1(X, Y) = Hom(Y, tau X), which also covers the overlap extensions
-whose middle terms decompose.  Both closed forms are cross-checked
-against the Euler form on construction and against explicit matrix
-representations in the test suite.
+whose middle terms decompose.  Both are closed forms in the positions of
+the interval ends, evaluated on every call; no table is kept.  Every
+model checks them against the Euler form on all ordered pairs when it is
+built, and the test suite checks them against explicit matrix
+representations.
 """
 
 from __future__ import annotations
@@ -47,37 +49,36 @@ class Interval:
 class LinearModel:
     """Finite category model of the interval modules over an A-type quiver.
 
-    Precomputes the full hom/ext tables; all values are immutable, so one
-    model may be shared freely.
+    Stores the N interval objects and the quiver's vertex positions, O(N)
+    in all; hom, ext and euler are O(1) closed forms in those positions.
+    Construction checks hom - ext = euler on all N^2 ordered pairs of
+    objects, O(1) each, through the same hom and ext that serve callers.
+    All values are immutable, so one model may be shared freely.
     """
 
     def __init__(self, q: Quiver):
         if not q.is_linear_type:
             raise ValueError("interval modules require a linear-type quiver")
         self.quiver = q
+        self._position = q.position
         objs = []
         for comp in q.components:
             for i in range(len(comp)):
                 for j in range(i, len(comp)):
                     objs.append(Interval(comp[i], comp[j]))
         self.objects: tuple[Interval, ...] = tuple(sorted(objs))
-        self._hom: dict[tuple[Interval, Interval], int] = {}
-        self._ext: dict[tuple[Interval, Interval], int] = {}
+        hom, ext, euler = self.hom, self.ext, self.euler
         for X in self.objects:
             for Y in self.objects:
-                h = self._hom_rule(X, Y)
-                e = self._ext_rule(X, Y)
-                if h - e != self._euler(X, Y):
+                if hom(X, Y) - ext(X, Y) != euler(X, Y):
                     raise ModelDefectError(
                         f"hom/ext rules disagree with the Euler form at ({X}, {Y})"
                     )
-                self._hom[X, Y] = h
-                self._ext[X, Y] = e
 
     # -- bookkeeping -------------------------------------------------
 
     def _pos(self, v: int) -> tuple[int, int]:
-        return self.quiver.position[v]
+        return self._position[v]
 
     def check_interval(self, X: Interval) -> None:
         pos = self.quiver.position
@@ -107,35 +108,41 @@ class LinearModel:
         return X.b
 
     # -- hom / ext ---------------------------------------------------
-
-    def _hom_rule(self, X: Interval, Y: Interval) -> int:
-        (cx, pa), (_, pb) = self._pos(X.a), self._pos(X.b)
-        (cy, pc), (_, pd) = self._pos(Y.a), self._pos(Y.b)
-        if cx != cy:
-            return 0
-        # quotient of X to [a, d], then inclusion into Y: c <= a <= d <= b
-        return 1 if pc <= pa <= pd <= pb else 0
-
-    def _ext_rule(self, X: Interval, Y: Interval) -> int:
-        # AR duality: Ext^1(X, Y) = Hom(Y, tau X); projectives have no tau
-        nb = self.quiver.succ.get(X.b)
-        if nb is None:
-            return 0
-        return self._hom_rule(Y, Interval(self.quiver.succ[X.a], nb))
-
-    def _euler(self, X: Interval, Y: Interval) -> int:
-        dx, dy = self.dim_vector(X), self.dim_vector(Y)
-        idx = {v: i for i, v in enumerate(self.quiver.vertices)}
-        total = sum(a * b for a, b in zip(dx, dy))
-        for s, t in self.quiver.arrows:
-            total -= dx[idx[s]] * dy[idx[t]]
-        return total
+    #
+    # X = [a, b] and Y = [c, d] sit on components cx, cy at offsets
+    # pa <= pb and pc <= pd; modules on different components are
+    # orthogonal.
 
     def hom(self, X: Interval, Y: Interval) -> int:
-        return self._hom[X, Y]
+        pos = self._position
+        (cx, pa), (_, pb) = pos[X.a], pos[X.b]
+        (cy, pc), (_, pd) = pos[Y.a], pos[Y.b]
+        # quotient of X to [a, d], then inclusion into Y: c <= a <= d <= b
+        return 1 if cx == cy and pc <= pa <= pd <= pb else 0
 
     def ext(self, X: Interval, Y: Interval) -> int:
-        return self._ext[X, Y]
+        # AR duality: Ext^1(X, Y) = Hom(Y, tau X) with tau X at offsets
+        # pa+1, pb+1.  pb + 1 <= pd keeps tau X on the component, so a
+        # projective X (socle at the sink) has no extensions.
+        pos = self._position
+        (cx, pa), (_, pb) = pos[X.a], pos[X.b]
+        (cy, pc), (_, pd) = pos[Y.a], pos[Y.b]
+        return 1 if cx == cy and pa < pc <= pb + 1 <= pd else 0
+
+    def euler(self, X: Interval, Y: Interval) -> int:
+        """<dim X, dim Y>: shared support minus arrows from supp X into supp Y.
+
+        An arrow leaves offset p for p + 1, so the arrows counted are the
+        offsets of [pa, pb] that fall in [pc - 1, pd - 1].
+        """
+        pos = self._position
+        (cx, pa), (_, pb) = pos[X.a], pos[X.b]
+        (cy, pc), (_, pd) = pos[Y.a], pos[Y.b]
+        if cx != cy:
+            return 0
+        shared = max(0, min(pb, pd) - max(pa, pc) + 1)
+        arrows = max(0, min(pb, pd - 1) - max(pa, pc - 1) + 1)
+        return shared - arrows
 
     # -- uniserial structure ------------------------------------------
 

@@ -146,38 +146,52 @@ def tube_pair_from_obj(obj: Any) -> TubeTorsionPair:
     kind_name = STRONG_ONE if kind == 1 else STRONG_TWO
     partition = PartPartition((delta,) + tail, kind_name, complete=True)
     try:
-        return partition_to_tube_tp(partition, kind)
+        return partition_to_tube_tp(partition, kind, rank)
     except ValueError as exc:
         raise CertificateError(f"bad tube certificate: {exc}") from exc
 
 
+_PAYLOAD_FIELDS = {"rank": "tube", "parts": "ntp", "torsion": "pair", "free": "pair"}
+
+
 def certificate_kind(obj: Any) -> str:
-    """One of "pair", "ntp", "tube" based on the fields present."""
+    """One of "pair", "ntp", "tube" based on the fields present.
+
+    Fields of more than one kind make the certificate ambiguous.
+    """
     if not isinstance(obj, dict):
         raise CertificateError("certificate must be a JSON object")
     if obj.get("schema") != SCHEMA:
         raise CertificateError(f"certificate schema must be {SCHEMA!r}")
-    if "rank" in obj:
-        return "tube"
-    if "parts" in obj:
-        return "ntp"
-    if "torsion" in obj and "free" in obj:
-        return "pair"
-    raise CertificateError("certificate carries none of the known payloads")
+    kinds = sorted({kind for field, kind in _PAYLOAD_FIELDS.items() if field in obj})
+    if len(kinds) > 1:
+        raise CertificateError(f"certificate is ambiguous: it carries {' and '.join(kinds)} payloads")
+    if not kinds or (kinds == ["pair"] and not ("torsion" in obj and "free" in obj)):
+        raise CertificateError("certificate carries none of the known payloads")
+    return kinds[0]
+
+
+def _interval_category(obj: Any) -> Quiver:
+    q = quiver_from_obj(obj.get("category"))
+    if not q.is_linear_type:
+        raise CertificateError(f"a {q.shape} category has no interval modules")
+    return q
 
 
 def pair_from_obj(obj: Any) -> tuple[Quiver, TorsionPair]:
-    q = quiver_from_obj(obj.get("category"))
+    q = _interval_category(obj)
     tp = TorsionPair(intervals_from_obj(obj["torsion"]), intervals_from_obj(obj["free"]))
     return q, tp
 
 
 def ntp_from_obj(obj: Any) -> tuple[Quiver, NTorsionPair]:
-    q = quiver_from_obj(obj.get("category"))
+    q = _interval_category(obj)
     try:
         parts = tuple(intervals_from_obj(part) for part in obj["parts"])
     except (KeyError, TypeError) as exc:
         raise CertificateError(f"bad parts list: {exc}") from exc
+    if not parts:
+        raise CertificateError("an n-torsion pair needs at least one part")
     return q, NTorsionPair(parts)
 
 

@@ -190,13 +190,15 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     return unique
 
 
-def partition_to_tube_tp(S: PartPartition, kind: int) -> TubeTorsionPair:
+def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -> TubeTorsionPair:
     """Torsion pair of a complete strong partition of the cycle with
     nonempty leading part.
 
     Kind 1 takes a strong 1-type partition; the tail, read with an empty
     leading stage, is a partition of the residual segments whose pair is
-    cotilting-induced.  Kind 2 is the mirror.
+    cotilting-induced.  Kind 2 is the mirror.  The cycle has `rank`
+    vertices, by default as many as the partition covers; the partition
+    must cover exactly 1..rank.
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
@@ -207,7 +209,11 @@ def partition_to_tube_tp(S: PartPartition, kind: int) -> TubeTorsionPair:
         raise ValueError("the leading part must be nonempty")
     if not S.complete:
         raise ValueError("the partition must be complete")
-    rank = len(S.support)
+    if rank is None:
+        rank = len(S.support)
+    # the size test first keeps a huge claimed rank from building its range
+    if len(S.support) != rank or S.support != frozenset(range(1, rank + 1)):
+        raise ValueError(f"the partition must cover the vertices 1..{rank} of the cycle")
     cycle = cyclic_an(rank)
     from .quiver import validate_partition
 

@@ -250,3 +250,75 @@ class TestExport:
         code = main(["export", "--an", "2", "--dot", "ar", "--out", str(out_file)])
         assert code == 0
         assert out_file.read_text().startswith("digraph")
+
+
+class TestCertificateBoundary:
+    """Bad input ends in its documented exit code with a one-line message."""
+
+    @staticmethod
+    def cli(*argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import torsionpairs
+
+        src = str(Path(torsionpairs.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionpairs", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr, proc.stderr
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def verify(self, tmp_path, cert):
+        return self.cli("verify", write_cert(tmp_path, cert))
+
+    def test_tube_partition_must_cover_its_rank(self, tmp_path):
+        cert = {"schema": "torsion/1", "rank": 5, "kind": 1, "delta": [1], "residual_partition": [[2, 3]]}
+        code, out, err = self.verify(tmp_path, cert)
+        assert (code, out) == (3, "")
+        assert err.startswith("certificate error:")
+
+    def test_huge_tube_rank_is_exit_3(self, tmp_path):
+        cert = {"schema": "torsion/1", "rank": 10**12, "kind": 1, "delta": [1], "residual_partition": []}
+        code, _, err = self.verify(tmp_path, cert)
+        assert code == 3
+        assert err.startswith("certificate error:")
+
+    def test_empty_parts_is_exit_3(self, tmp_path):
+        cert = {"schema": "torsion/1", "category": {"shape": "linearA", "n": 2}, "parts": []}
+        code, _, err = self.verify(tmp_path, cert)
+        assert code == 3
+        assert err.startswith("certificate error:")
+
+    def test_cyclic_category_on_a_pair_is_exit_3(self, tmp_path):
+        cert = {
+            "schema": "torsion/1",
+            "category": {"shape": "cyclicA", "n": 2},
+            "torsion": [],
+            "free": [[1, 1]],
+        }
+        code, _, err = self.verify(tmp_path, cert)
+        assert code == 3
+        assert err.startswith("certificate error:")
+
+    def test_pair_and_parts_together_are_ambiguous(self, tmp_path):
+        cert = {
+            "schema": "torsion/1",
+            "category": {"shape": "linearA", "n": 2},
+            "torsion": [[1, 1], [1, 2], [2, 2]],
+            "free": [],
+            "parts": [[[1, 1], [1, 2], [2, 2]], []],
+        }
+        code, out, err = self.verify(tmp_path, cert)
+        assert (code, out) == (3, "")
+        assert "ambiguous" in err
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = self.cli("count", "--an", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write {target}")

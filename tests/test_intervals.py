@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from torsionpairs import oracle
 from torsionpairs.intervals import (
     Interval,
+    LinearModel,
+    ModelDefectError,
     cogen_closure,
     ext_dim,
     extension_closure,
@@ -20,10 +24,39 @@ from torsionpairs.intervals import (
     tau,
     tau_inv,
 )
-from torsionpairs.quiver import cyclic_an, linear_an, subquiver
+from torsionpairs.quiver import LINEAR, LINEAR_UNION, Quiver, cyclic_an, linear_an, subquiver
 
 A2 = linear_an(2)
 A3 = linear_an(3)
+
+
+def linear_union(*components):
+    vertices = tuple(sorted(v for comp in components for v in comp))
+    arrows = tuple((c[i], c[i + 1]) for c in components for i in range(len(c) - 1))
+    return Quiver(vertices, arrows, LINEAR_UNION)
+
+
+# paths, every proper support subquiver of a small cycle (wrapped,
+# non-monotone labels, as in tube residuals) and two shuffled-label
+# unions; cycles of different rank share some subquivers, kept once
+MODEL_QUIVERS = list(dict.fromkeys(
+    [linear_an(n) for n in range(1, 7)]
+    + [
+        subquiver(cyclic_an(r), keep)
+        for r in range(2, 6)
+        for k in range(1, r)
+        for keep in combinations(range(1, r + 1), k)
+    ]
+    + [
+        linear_union((7, 2, 9, 4), (10, 1, 5), (3, 8, 6)),
+        linear_union((6, 3, 10, 1, 8, 2), (9, 5, 4, 7)),
+    ]
+))
+
+
+def model_id(q):
+    """n for the n-vertex path, the quiver's repr otherwise."""
+    return str(len(q.vertices)) if q.shape == LINEAR else repr(q)
 
 
 def iv(a, b):
@@ -66,23 +99,33 @@ class TestHomExt:
         # middle term [1,3] + [2,2]; caught only by AR duality, not by gluing
         assert ext_dim(A3, iv(1, 2), iv(2, 3)) == 1
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_agrees_with_matrix_oracle(self, n):
-        q = linear_an(n)
+    @pytest.mark.parametrize("q", MODEL_QUIVERS, ids=model_id)
+    def test_agrees_with_matrix_oracle(self, q):
         m = model_for(q)
         for X in m.objects:
             for Y in m.objects:
-                assert m.hom(X, Y) == oracle.hom_dim_matrix(X, Y, q)
-                assert m.ext(X, Y) == oracle.ext_dim_matrix(X, Y, q)
+                assert m.hom(X, Y) == oracle.hom_dim_matrix(X, Y, q), (X, Y)
+                assert m.ext(X, Y) == oracle.ext_dim_matrix(X, Y, q), (X, Y)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_euler_identity(self, n):
-        q = linear_an(n)
+    @pytest.mark.parametrize("q", MODEL_QUIVERS, ids=model_id)
+    def test_euler_identity(self, q):
         m = model_for(q)
         for X in m.objects:
             for Y in m.objects:
                 lhs = m.hom(X, Y) - m.ext(X, Y)
-                assert lhs == oracle.euler_form(m.dim_vector(X), m.dim_vector(Y), q)
+                assert lhs == oracle.euler_form(m.dim_vector(X), m.dim_vector(Y), q), (X, Y)
+
+    @pytest.mark.parametrize("q", MODEL_QUIVERS, ids=model_id)
+    def test_closed_form_euler_matches_dimension_vectors(self, q):
+        m = model_for(q)
+        for X in m.objects:
+            for Y in m.objects:
+                assert m.euler(X, Y) == oracle.euler_form(m.dim_vector(X), m.dim_vector(Y), q), (X, Y)
+
+    def test_construction_check_reads_the_served_ext(self, monkeypatch):
+        monkeypatch.setattr(LinearModel, "ext", lambda self, X, Y: 0)
+        with pytest.raises(ModelDefectError):
+            LinearModel(A3)
 
 
 class TestUniserialStructure:

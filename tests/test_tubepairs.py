@@ -143,6 +143,12 @@ class TestPartitionIndexing:
         with pytest.raises(ValueError):
             partition_to_tube_tp(S, 1)
 
+    def test_partition_must_cover_the_given_rank(self):
+        S = PartPartition(parts({1}, {2, 3}), STRONG_ONE, complete=True)
+        assert partition_to_tube_tp(S, 1, 3).rank == 3
+        with pytest.raises(ValueError):
+            partition_to_tube_tp(S, 1, 5)
+
     def test_wrong_kind_rejected(self):
         S = PartPartition(parts({1}), STRONG_TWO, complete=True)
         with pytest.raises(ValueError):
