@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import torsionpairs
 from torsionpairs import jsonio
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
@@ -257,18 +262,10 @@ class TestCertificateBoundary:
 
     @staticmethod
     def cli(*argv):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import torsionpairs
-
         src = str(Path(torsionpairs.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "torsionpairs", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
         assert "Traceback" not in proc.stderr, proc.stderr
         return proc.returncode, proc.stdout, proc.stderr

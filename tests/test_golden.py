@@ -9,7 +9,6 @@ with `src` on the path) and paste them into GOLDEN.
 
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -146,4 +145,4 @@ if __name__ == "__main__":
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
                 code = main(_argv(case, pathlib.Path(tmp)))
-            print(f"    {' '.join(case)!r}: ({code}, {_digest(buffer.getvalue())!r}),", file=sys.stdout)
+            print(f"    {' '.join(case)!r}: ({code}, {_digest(buffer.getvalue())!r}),")
