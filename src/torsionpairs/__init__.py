@@ -95,6 +95,7 @@ from .tubepairs import (
     TubeTorsionPair,
     check_l_r,
     combine_components,
+    count_tube_tps,
     enumerate_tube_tps,
     partition_to_tube_tp,
     tube_membership,

@@ -21,10 +21,10 @@ from .decompose import (
 from .intervals import model_for
 from .jsonio import CertificateError
 from .oracle import BoundExceededError
-from .quiver import STRONG_ONE, enumerate_partitions, linear_an
+from .quiver import linear_an
 from .torsion import is_ntp, is_torsion_pair
 from .tube import all_tube_modules, tau_inv_tube
-from .tubepairs import enumerate_tube_tps, truncated_check
+from .tubepairs import count_tube_tps, enumerate_tube_tps, truncated_check
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,12 +80,23 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _certificate_model(q, modules):
+    """Model of q, once every interval the certificate names is a segment of q."""
+    model = model_for(q)
+    for X in modules:
+        try:
+            model.check_interval(X)
+        except ValueError as exc:
+            raise CertificateError(str(exc)) from exc
+    return model
+
+
 def cmd_decompose(args) -> int:
     obj = _load_certificate(args.certificate)
     if jsonio.certificate_kind(obj) != "pair":
         raise CertificateError("decompose needs a torsion pair certificate")
     q, tp = jsonio.pair_from_obj(obj)
-    check = is_torsion_pair(model_for(q), tp.torsion, tp.free)
+    check = is_torsion_pair(_certificate_model(q, tp.torsion | tp.free), tp.torsion, tp.free)
     if not check:
         raise CertificateError(f"certificate fails the torsion pair axioms: {check.reason}")
     payload: dict = {}
@@ -106,10 +117,10 @@ def cmd_verify(args) -> int:
     kind = jsonio.certificate_kind(obj)
     if kind == "pair":
         q, tp = jsonio.pair_from_obj(obj)
-        check = is_torsion_pair(model_for(q), tp.torsion, tp.free)
+        check = is_torsion_pair(_certificate_model(q, tp.torsion | tp.free), tp.torsion, tp.free)
     elif kind == "ntp":
         q, ntp = jsonio.ntp_from_obj(obj)
-        check = is_ntp(model_for(q), ntp.parts)
+        check = is_ntp(_certificate_model(q, frozenset().union(*ntp.parts)), ntp.parts)
     else:
         data = jsonio.tube_pair_from_obj(obj)
         _check_bound(args.cap, args.max_cap, "cap")
@@ -127,22 +138,7 @@ def cmd_count(args) -> int:
         value = count_torsion_pairs(args.an, check=args.check)
     else:
         _check_bound(args.tube, args.max_n, "rank")
-        data = enumerate_tube_tps(args.tube)
-        if args.check:
-            from .quiver import STRONG_TWO, cyclic_an
-
-            cycle = cyclic_an(args.tube)
-            by_partition = sum(
-                1
-                for kind in (STRONG_ONE, STRONG_TWO)
-                for S in enumerate_partitions(cycle, kind, complete=True)
-                if S.parts[0]
-            )
-            if by_partition != len(data):
-                raise RuntimeError(
-                    f"partition count {by_partition} disagrees with {len(data)}"
-                )
-        value = len(data)
+        value = count_tube_tps(args.tube, check=args.check)
     _emit(args, str(value))
     return EXIT_OK
 

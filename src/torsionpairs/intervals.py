@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .quiver import Quiver
+from .torsion import extension_closure as _closure
 
 
 class ModelDefectError(RuntimeError):
@@ -49,8 +50,10 @@ class Interval:
 class LinearModel:
     """Finite category model of the interval modules over an A-type quiver.
 
-    Stores the N interval objects and the quiver's vertex positions, O(N)
-    in all; hom, ext and euler are O(1) closed forms in those positions.
+    Stores the N interval objects, the quiver's vertex positions and, per
+    object, its submodule and quotient chains as tuples of those same
+    objects, O(N n) references in all for n vertices; hom, ext and euler
+    are O(1) closed forms in the positions.
     Construction checks hom - ext = euler on all N^2 ordered pairs of
     objects, O(1) each, through the same hom and ext that serve callers.
     All values are immutable, so one model may be shared freely.
@@ -62,11 +65,18 @@ class LinearModel:
         self.quiver = q
         self._position = q.position
         objs = []
+        self._submodules: dict[Interval, tuple[Interval, ...]] = {}
+        self._quotients: dict[Interval, tuple[Interval, ...]] = {}
         for comp in q.components:
-            for i in range(len(comp)):
-                for j in range(i, len(comp)):
-                    objs.append(Interval(comp[i], comp[j]))
+            # rows[i][k] = [comp[i], comp[i + k]]: the intervals with top comp[i]
+            rows = [[Interval(a, b) for b in comp[i:]] for i, a in enumerate(comp)]
+            for i, row in enumerate(rows):
+                for k, X in enumerate(row):
+                    objs.append(X)
+                    self._quotients[X] = tuple(row[: k + 1])
+                    self._submodules[X] = tuple(rows[i + k - m][m] for m in range(k + 1))
         self.objects: tuple[Interval, ...] = tuple(sorted(objs))
+        self.object_set: frozenset[Interval] = frozenset(objs)
         hom, ext, euler = self.hom, self.ext, self.euler
         for X in self.objects:
             for Y in self.objects:
@@ -156,25 +166,28 @@ class LinearModel:
         return Interval(comp[pb - hi + 1], comp[pb - lo])
 
     def submodules(self, X: Interval) -> tuple[Interval, ...]:
-        """Nonzero submodules [c, b], shortest first."""
-        return tuple(self.slice(X, 0, h) for h in range(1, self.length(X) + 1))
+        """Nonzero submodules [c, b], shortest first (built with the model)."""
+        return self._submodules[X]
 
     def quotients(self, X: Interval) -> tuple[Interval, ...]:
-        """Nonzero quotients [a, c], shortest first."""
-        n = self.length(X)
-        return tuple(self.slice(X, n - h, n) for h in range(1, n + 1))
+        """Nonzero quotients [a, c], shortest first (built with the model)."""
+        return self._quotients[X]
 
     def glue(self, bottom: Interval, top: Interval) -> Interval | None:
         """Indecomposable stack of `top` on `bottom`, if the ends abut.
 
         Overlap extensions have decomposable middle terms whose summands
-        are reached by gluing quotients instead, so the gluing fixpoint
+        are reached by gluing quotients instead, so the gluing closure
         still computes extension closures of quotient-closed classes and
         of part unions of valid tuples.
         """
         if self.quiver.succ.get(top.b) == bottom.a:
             return Interval(top.a, bottom.b)
         return None
+
+    def glue_ends(self, X: Interval) -> tuple[int, int | None]:
+        """Top vertex of X and the vertex after its socle (None at a sink)."""
+        return X.a, self.quiver.succ.get(X.b)
 
     # -- projectives, injectives, AR translation ----------------------
 
@@ -197,8 +210,9 @@ class LinearModel:
         return Interval(pa, self.quiver.pred[X.b])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def model_for(q: Quiver) -> LinearModel:
+    """Shared model of q; the bound holds every subquiver of a 10-vertex path."""
     return LinearModel(q)
 
 
@@ -279,18 +293,7 @@ def cogen_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]
 
 def extension_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:
     """Least set containing the input and closed under end-to-end gluing."""
-    m = model_for(q)
-    out = set(modules)
-    grew = True
-    while grew:
-        grew = False
-        for top in list(out):
-            for bottom in list(out):
-                glued = m.glue(bottom, top)
-                if glued is not None and glued not in out:
-                    out.add(glued)
-                    grew = True
-    return frozenset(out)
+    return _closure(model_for(q), modules)
 
 
 def restrict_support(q: Quiver, modules: Iterable[Interval], keep: Iterable[int]) -> frozenset[Interval]:

@@ -122,7 +122,8 @@ def _hom_system(q: Quiver, repX, repY) -> int:
     return _nullity(rows, nvars)
 
 
-@lru_cache(maxsize=None)
+# holds every pair of a length-capped tube of up to 90 modules (cap 15 at rank 6)
+@lru_cache(maxsize=8192)
 def _hom_dim_matrix_cached(q: Quiver | None, X, Y) -> int:
     if isinstance(X, TubeModule):
         if X.rank != Y.rank:

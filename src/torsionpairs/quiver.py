@@ -16,7 +16,7 @@ vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -82,6 +82,10 @@ class Quiver:
                     return True
                 seen.add(v)
         return False
+
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(self.vertices)
 
     @cached_property
     def succ(self) -> dict[int, int]:
@@ -160,13 +164,22 @@ def cyclic_an(n: int) -> Quiver:
 
 
 def subquiver(q: Quiver, keep: Iterable[int]) -> Quiver:
-    """Full subquiver on `keep`, retaining arrows with both ends kept."""
+    """Full subquiver on `keep`, retaining arrows with both ends kept.
+
+    Keeping every vertex returns q itself; proper subquivers are memoised,
+    so repeated stage walks share one quiver and its cached properties.
+    """
     keep = frozenset(keep)
-    if not keep <= set(q.vertices):
-        raise ValueError("keep must be a subset of the vertex set")
-    if keep == set(q.vertices):
+    if keep == q.vertex_set:
         return q
-    vertices = tuple(v for v in sorted(keep))
+    return _proper_subquiver(q, keep)
+
+
+@lru_cache(maxsize=2048)
+def _proper_subquiver(q: Quiver, keep: frozenset[int]) -> Quiver:
+    if not keep <= q.vertex_set:
+        raise ValueError("keep must be a subset of the vertex set")
+    vertices = tuple(sorted(keep))
     arrows = tuple((s, t) for s, t in q.arrows if s in keep and t in keep)
     return Quiver(vertices=vertices, arrows=arrows, shape=LINEAR_UNION)
 

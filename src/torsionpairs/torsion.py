@@ -1,11 +1,16 @@
 """Torsion pair calculus over a finite category model.
 
 A model is any object exposing `objects` (a tuple of uniserial
-indecomposables), `hom(X, Y)`, `ext(X, Y)`, `length(X)`,
-`slice(X, lo, hi)` (the subquotient between two socle heights) and
-`glue(bottom, top)` (the indecomposable middle term of a nonsplit
-extension, if any).  Both the interval model and the truncated tube model
-qualify.
+indecomposables), `object_set` (the same objects as a frozenset, the
+default ambient), `hom(X, Y)`, `ext(X, Y)`, `length(X)`,
+`slice(X, lo, hi)` (the subquotient between two socle heights),
+`submodules(X)` and `quotients(X)` (the nonzero submodules and quotients,
+shortest first, so entry h - 1 has length h), `glue(bottom, top)` (the
+indecomposable middle term of a nonsplit extension, if any) and
+`glue_ends(X)` (the top vertex of X and the vertex after its socle, or
+None where the socle has no successor: `glue(bottom, top)` can only
+succeed when the second end of `top` is the first end of `bottom`).
+Both the interval model and the truncated tube model qualify.
 
 Subcategories are frozensets of indecomposables; additive closure is
 implicit and the zero module is handled out of band (no object encodes
@@ -19,6 +24,7 @@ between the two presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -91,7 +97,13 @@ class Filtration:
 
 
 def _ambient(model, ambient):
-    return frozenset(model.objects) if ambient is None else frozenset(ambient)
+    return model.object_set if ambient is None else frozenset(ambient)
+
+
+@lru_cache(maxsize=256)
+def _witness_order(amb: frozenset) -> tuple:
+    """Ambient objects in the order checks search them for a witness."""
+    return tuple(sorted(amb, key=repr))
 
 
 def perp_left(model, D: Iterable, ambient=None) -> frozenset:
@@ -107,22 +119,34 @@ def perp_right(model, D: Iterable, ambient=None) -> frozenset:
 
 
 def extension_closure(model, modules: Iterable) -> frozenset:
-    """Least superset closed under stacking (gluing fixpoint).
+    """Least superset closed under stacking (gluing worklist).
 
     A uniserial object filtered by members arises from iterated gluings,
     so on the classes occurring here (unions of parts of a valid tuple,
     quotient-closed classes) this equals the closure under extensions.
+    Each member is glued, both ways round, only against the members
+    already indexed (itself included) whose ends meet it, found through
+    two indexes: members by top vertex and by the vertex after the socle.
     """
     out = set(modules)
-    grew = True
-    while grew:
-        grew = False
-        for top in list(out):
-            for bottom in list(out):
-                glued = model.glue(bottom, top)
-                if glued is not None and glued not in out:
-                    out.add(glued)
-                    grew = True
+    work = list(out)
+    by_top: dict = {}
+    by_next: dict = {}
+    glue, ends = model.glue, model.glue_ends
+
+    def add(glued) -> None:
+        if glued is not None and glued not in out:
+            out.add(glued)
+            work.append(glued)
+
+    for X in work:  # also visits the members appended while it runs
+        top, nxt = ends(X)
+        by_top.setdefault(top, []).append(X)
+        by_next.setdefault(nxt, []).append(X)
+        for bottom in by_top.get(nxt, ()):
+            add(glue(bottom, X))
+        for upper in by_next.get(top, ()):
+            add(glue(X, upper))
     return frozenset(out)
 
 
@@ -131,8 +155,9 @@ def extension_closure(model, modules: Iterable) -> frozenset:
 
 def _torsion_height(model, T: frozenset, X) -> int:
     """Largest socle height h with the height-h submodule of X in T (0 if none)."""
-    for h in range(model.length(X), 0, -1):
-        if model.slice(X, 0, h) in T:
+    subs = model.submodules(X)
+    for h in range(len(subs), 0, -1):
+        if subs[h - 1] in T:
             return h
     return 0
 
@@ -159,9 +184,11 @@ def is_torsion_pair(model, torsion: Iterable, free: Iterable, ambient=None) -> C
         for Y in F:
             if model.hom(X, Y) != 0:
                 return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0")
-    for X in sorted(amb, key=repr):
+    for X in _witness_order(amb):
         h = _torsion_height(model, T, X)
-        if h < model.length(X) and model.slice(X, h, model.length(X)) not in F:
+        quots = model.quotients(X)
+        # the quotient by the height-h submodule has length len(X) - h
+        if h < len(quots) and quots[len(quots) - h - 1] not in F:
             return CheckResult(False, X, f"no canonical sequence for {X}")
     return CheckResult(True)
 
@@ -236,7 +263,7 @@ def is_ntp(model, parts: Sequence[frozenset], ambient=None) -> CheckResult:
                 for Y in parts[j]:
                     if model.hom(X, Y) != 0:
                         return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0 across parts")
-    for X in sorted(amb, key=repr):
+    for X in _witness_order(amb):
         stages = _filtration_heights(model, parts, X)
         if model.length(X) not in stages[-1]:
             return CheckResult(False, X, f"no ordered filtration for {X}")

@@ -194,6 +194,7 @@ class TubeModel:
         self.rank = rank
         self.cap = cap
         self.objects: tuple[TubeModule, ...] = all_tube_modules(rank, cap)
+        self.object_set: frozenset[TubeModule] = frozenset(self.objects)
 
     def length(self, X: TubeModule) -> int:
         return X.length
@@ -229,3 +230,7 @@ class TubeModel:
         if top.socle == norm_vertex(bottom.socle - bottom.length, self.rank):
             return TubeModule(bottom.socle, bottom.length + top.length, self.rank)
         return None
+
+    def glue_ends(self, X: TubeModule) -> tuple[int, int]:
+        """Top vertex of X and the vertex after its socle."""
+        return X.top, norm_vertex(X.socle + 1, self.rank)

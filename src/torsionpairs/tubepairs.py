@@ -16,6 +16,7 @@ turns the remainder into a partition of the residual segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -34,6 +35,7 @@ from .quiver import (
     PartPartition,
     Quiver,
     cyclic_an,
+    enumerate_partitions,
     subquiver,
 )
 from .torsion import TorsionPair
@@ -188,6 +190,32 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
         unique.append(datum)
     unique.sort(key=TubeTorsionPair.sort_key)
     return unique
+
+
+def count_tube_tps(rank: int, check: bool = False) -> int:
+    """Number of torsion pairs on the tube of the given rank, by classification.
+
+    With check=True the count is compared against the closed form
+    binom(2 rank, rank) (Baur-Buan-Marsh, "Torsion pairs and rigid objects
+    in tubes", 2014) and against the complete strong partitions of the
+    cycle with nonempty leading part.
+    """
+    value = len(enumerate_tube_tps(rank))
+    if check:
+        cycle = cyclic_an(rank)
+        by_partition = sum(
+            1
+            for kind in (STRONG_ONE, STRONG_TWO)
+            for S in enumerate_partitions(cycle, kind, complete=True)
+            if S.parts[0]
+        )
+        closed = math.comb(2 * rank, rank)
+        if not closed == by_partition == value:
+            raise RuntimeError(
+                f"count mismatch at rank={rank}: formula {closed}, "
+                f"partitions {by_partition}, classification {value}"
+            )
+    return value
 
 
 def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -> TubeTorsionPair:

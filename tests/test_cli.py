@@ -319,3 +319,15 @@ class TestCertificateBoundary:
         code, out, err = self.cli("count", "--an", "2", "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: cannot write {target}")
+
+    def test_pair_interval_off_the_quiver_is_exit_3(self, tmp_path):
+        cert = {"schema": "torsion/1", "category": {"shape": "linearA", "n": 3}, "torsion": [[9, 9]], "free": []}
+        code, out, err = self.verify(tmp_path, cert)
+        assert (code, out) == (3, "")
+        assert err.startswith("certificate error:") and "[9,9]" in err
+
+    def test_parts_interval_against_the_arrows_is_exit_3(self, tmp_path):
+        cert = {"schema": "torsion/1", "category": {"shape": "linearA", "n": 3}, "parts": [[[3, 1]], []]}
+        code, out, err = self.verify(tmp_path, cert)
+        assert (code, out) == (3, "")
+        assert err.startswith("certificate error:") and "[3,1]" in err

@@ -44,8 +44,10 @@ def _cases():
     for n in range(1, 7):
         for fmt in ("json", "text"):
             cases.append(("enumerate", "--an", str(n), "--format", fmt))
+    cases.append(("enumerate", "--an", "7", "--max-n", "7", "--format", "json"))
     for r in range(1, 5):
         cases.append(("enumerate", "--tube", str(r)))
+    cases.append(("enumerate", "--tube", "5", "--format", "json"))
     for n in range(1, 7):
         cases.append(("count", "--an", str(n), "--check"))
     for r in range(1, 5):
@@ -74,10 +76,12 @@ GOLDEN = {
     'enumerate --an 5 --format text': (0, 'd7f4e3a2d7d9057f3234eadb225cce6641e039b7aa2f1441cbf621340d3ad06a'),
     'enumerate --an 6 --format json': (0, '29fd2ddee7638793451670a135c2ca5879540a387f1ec92f1d2144d5b19e87a5'),
     'enumerate --an 6 --format text': (0, 'd19cb04d99a6deb2f67da287a70a7d20352d26ef7d61942cf35f75a24dfd27a3'),
+    'enumerate --an 7 --max-n 7 --format json': (0, '839fab590fe34f0e412f6b2ab756c68c40d1d9def2bffa785f2396815474f3ca'),
     'enumerate --tube 1': (0, 'd7a71058da461128c6e3e225e6d3f8024dce94406614df893c3a27c71e8927c4'),
     'enumerate --tube 2': (0, '3f2b6981dba33242cacd9823665e5caa8b7cd0e22411380aa696e370355f3af9'),
     'enumerate --tube 3': (0, '59d64883e1ea7093a5458bd333b58cd4f586f6909afa52fd7fed44bbb622e87a'),
     'enumerate --tube 4': (0, '69726aab54b9132fc9ff7608409c66b2cf21fcb1982efca977412aff83ce363e'),
+    'enumerate --tube 5 --format json': (0, 'f8b0294dc5f35215dad3b74bebce7dc554e5782e80e055c0b5c99c7e0caafa74'),
     'count --an 1 --check': (0, '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3'),
     'count --an 2 --check': (0, 'f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06'),
     'count --an 3 --check': (0, '9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25'),
