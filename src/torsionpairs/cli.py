@@ -201,6 +201,9 @@ def cmd_export(args) -> int:
         _check_bound(args.tube, args.max_n, "rank")
         if args.dot == "lattice":
             raise ValueError("lattice export is only available for linear quivers")
+        if args.cap < 1:
+            raise ValueError("cap must be at least 1")
+        _check_bound(args.cap, args.max_cap, "cap")
         text = _dot_ar_tube(args.tube, args.cap)
     _emit(args, text)
     return EXIT_OK
@@ -249,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_target(p)
     p.add_argument("--dot", choices=("ar", "lattice"), required=True)
     p.add_argument("--cap", type=int, default=4, help="tube truncation cap")
+    p.add_argument("--max-cap", type=int, default=DEFAULT_CAP, help="cap bound")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_export)
 

@@ -50,9 +50,10 @@ class Interval:
 class LinearModel:
     """Finite category model of the interval modules over an A-type quiver.
 
-    Stores the N interval objects, the quiver's vertex positions and, per
-    object, its submodule and quotient chains as tuples of those same
-    objects, O(N n) references in all for n vertices; hom, ext and euler
+    Stores the N interval objects, the quiver's vertex positions, the
+    sorted projectives and injectives and, per object, its submodule and
+    quotient chains, all as tuples of those same objects, O(N n)
+    references in all for n vertices; hom, ext and euler
     are O(1) closed forms in the positions.
     Construction checks hom - ext = euler on all N^2 ordered pairs of
     objects, O(1) each, through the same hom and ext that serve callers.
@@ -65,17 +66,22 @@ class LinearModel:
         self.quiver = q
         self._position = q.position
         objs = []
+        projectives, injectives = [], []
         self._submodules: dict[Interval, tuple[Interval, ...]] = {}
         self._quotients: dict[Interval, tuple[Interval, ...]] = {}
         for comp in q.components:
             # rows[i][k] = [comp[i], comp[i + k]]: the intervals with top comp[i]
             rows = [[Interval(a, b) for b in comp[i:]] for i, a in enumerate(comp)]
+            projectives.extend(row[-1] for row in rows)  # [v, sink]
+            injectives.extend(rows[0])  # [source, v]
             for i, row in enumerate(rows):
                 for k, X in enumerate(row):
                     objs.append(X)
                     self._quotients[X] = tuple(row[: k + 1])
                     self._submodules[X] = tuple(rows[i + k - m][m] for m in range(k + 1))
         self.objects: tuple[Interval, ...] = tuple(sorted(objs))
+        self._projectives: tuple[Interval, ...] = tuple(sorted(projectives))
+        self._injectives: tuple[Interval, ...] = tuple(sorted(injectives))
         self.object_set: frozenset[Interval] = frozenset(objs)
         hom, ext, euler = self.hom, self.ext, self.euler
         for X in self.objects:
@@ -192,10 +198,12 @@ class LinearModel:
     # -- projectives, injectives, AR translation ----------------------
 
     def projectives(self) -> tuple[Interval, ...]:
-        return tuple(sorted(Interval(v, comp[-1]) for comp in self.quiver.components for v in comp))
+        """The intervals [v, sink], sorted (built with the model)."""
+        return self._projectives
 
     def injectives(self) -> tuple[Interval, ...]:
-        return tuple(sorted(Interval(comp[0], v) for comp in self.quiver.components for v in comp))
+        """The intervals [source, v], sorted (built with the model)."""
+        return self._injectives
 
     def tau(self, X: Interval) -> Interval | None:
         nb = self.quiver.succ.get(X.b)

@@ -17,6 +17,7 @@ predicate; explicit sets are always truncations by length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 FINITE = "finite"
@@ -155,11 +156,26 @@ def l_r_sets(desc: TubeSubcatDescriptor) -> tuple[frozenset[int], frozenset[int]
     return frozenset(), frozenset()
 
 
+@lru_cache(maxsize=256)
 def all_tube_modules(rank: int, cap: int) -> tuple[TubeModule, ...]:
-    """Every indecomposable of length at most cap, ordered by (length, socle)."""
+    """Every indecomposable of length at most cap, ordered by (length, socle).
+
+    Shared: the tuple and its modules are immutable.
+    """
     return tuple(
         TubeModule(s, l, rank) for l in range(1, cap + 1) for s in range(1, rank + 1)
     )
+
+
+@lru_cache(maxsize=256)
+def _families(rank: int, cap: int) -> tuple[tuple[frozenset[TubeModule], ...], ...]:
+    """Modules of length at most cap with top v (the coray families) and
+    with socle v (the ray families), each indexed by v - 1."""
+    members = all_tube_modules(rank, cap)
+    vertices = range(1, rank + 1)
+    by_top = tuple(frozenset(X for X in members if X.top == v) for v in vertices)
+    by_socle = tuple(frozenset(X for X in members if X.socle == v) for v in vertices)
+    return by_top, by_socle
 
 
 def truncate(
@@ -167,17 +183,26 @@ def truncate(
     cap: int,
     rank: int | None = None,
 ) -> tuple[TubeModule, ...]:
-    """Members of the descriptor (or raw predicate) with length <= cap."""
+    """Members of the descriptor (or raw predicate) with length <= cap,
+    ordered by (length, socle).
+
+    A descriptor is read directly: the coray or ray families of its delta
+    plus the short modules of its finite part.  A raw predicate is tested
+    on every module of length <= cap.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if isinstance(desc, TubeSubcatDescriptor):
-        rank = desc.rank
-        member = desc.contains
-    else:
-        if rank is None:
-            raise ValueError("a raw predicate needs an explicit rank")
-        member = desc
-    return tuple(X for X in all_tube_modules(rank, cap) if member(X))
+        members = {X for X in desc.finite_part if X.length <= cap}
+        if desc.kind != FINITE:
+            by_top, by_socle = _families(desc.rank, cap)
+            family = by_top if desc.kind == CORAY_FINITE else by_socle
+            for v in desc.delta:
+                members |= family[v - 1]
+        return tuple(sorted(members, key=TubeModule.sort_key))
+    if rank is None:
+        raise ValueError("a raw predicate needs an explicit rank")
+    return tuple(X for X in all_tube_modules(rank, cap) if desc(X))
 
 
 class TubeModel:

@@ -11,20 +11,24 @@ Kind 1 pairs have an infinite torsion class and kind 2 pairs a finite
 one, so the two families never overlap.  Both are also indexed by the
 complete strong part partitions of the cycle whose leading part is
 nonempty: dropping the leading part Delta and prepending an empty stage
-turns the remainder into a partition of the residual segments.
+turns the remainder into a partition of the residual segments.  The
+classification is built from this bijection, one pair per partition
+(Baur-Buan-Marsh, "Torsion pairs and rigid objects in tubes", 2014), so
+there are binom(2n, n) pairs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .decompose import (
     assemble,
+    catalan,
     decompose,
-    enumerate_torsion_pairs,
     is_cotilting_induced,
     is_tilting_induced,
 )
@@ -156,30 +160,38 @@ def _nonempty_subsets(vertices: Sequence[int]):
 
 
 def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
-    """All torsion pairs on the tube of the given rank.
+    """All torsion pairs on the tube of the given rank, in `sort_key` order.
 
-    Kind collisions are impossible (finite versus infinite torsion class)
-    but membership fingerprints are still compared and any collision is
-    reported as a defect.
+    Built from the bijection: for each kind, every complete strong
+    partition of the cycle with nonempty leading part gives one pair
+    through `partition_to_tube_tp`, whose `assemble` validates the
+    residual partition and checks the torsion pair axioms.  Each pair is
+    then checked to be of its kind (kind 1 residuals cotilting-induced,
+    kind 2 tilting-induced, both characterisations compared), and the
+    membership fingerprints of all pairs are compared: kind collisions
+    are impossible (finite versus infinite torsion class), so any
+    collision is reported as a defect.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
     cycle = cyclic_an(rank)
     data: list[TubeTorsionPair] = []
-    for kind in (1, 2):
-        for delta in _nonempty_subsets(cycle.vertices):
-            residual = subquiver(cycle, frozenset(cycle.vertices) - delta)
-            for tp in enumerate_torsion_pairs(residual):
-                wanted = (
-                    is_cotilting_induced(residual, tp)
-                    if kind == 1
-                    else is_tilting_induced(residual, tp)
-                )
-                if wanted:
-                    data.append(TubeTorsionPair(rank, kind, delta, residual, tp))
+    for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
+        for S in enumerate_partitions(cycle, name, complete=True):
+            if not S.parts[0]:
+                continue
+            datum = partition_to_tube_tp(S, kind, rank)
+            residual, tp = datum.residual_quiver, datum.residual_pair
+            induced = (
+                is_cotilting_induced(residual, tp)
+                if kind == 1
+                else is_tilting_induced(residual, tp)
+            )
+            if not induced:
+                raise ClassificationDefectError(f"partition {S} gives no kind {kind} pair")
+            data.append(datum)
     cap = 2 * rank + 2
     seen: dict[tuple, TubeTorsionPair] = {}
-    unique: list[TubeTorsionPair] = []
     for datum in data:
         fp = datum.fingerprint(cap)
         if fp in seen:
@@ -187,20 +199,27 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
                 f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"
             )
         seen[fp] = datum
-        unique.append(datum)
-    unique.sort(key=TubeTorsionPair.sort_key)
-    return unique
+    data.sort(key=TubeTorsionPair.sort_key)
+    return data
 
 
 def count_tube_tps(rank: int, check: bool = False) -> int:
     """Number of torsion pairs on the tube of the given rank, by classification.
 
-    With check=True the count is compared against the closed form
-    binom(2 rank, rank) (Baur-Buan-Marsh, "Torsion pairs and rigid objects
-    in tubes", 2014) and against the complete strong partitions of the
-    cycle with nonempty leading part.
+    With check=True three more legs must agree with it:
+      - formula: the closed form binom(2 rank, rank) (Baur-Buan-Marsh,
+        "Torsion pairs and rigid objects in tubes", 2014);
+      - partitions: the number of complete strong partitions of the
+        cycle with nonempty leading part, of both kinds;
+      - tally: for each kind and each nonempty delta, the number of
+        classified pairs equals the number of tilting modules on the
+        residual segments, the product of Catalan(|C|) over its
+        components C.  The classification is built from the same
+        partitions as the second leg; this leg checks it independently,
+        one (kind, delta) at a time.
     """
-    value = len(enumerate_tube_tps(rank))
+    data = enumerate_tube_tps(rank)
+    value = len(data)
     if check:
         cycle = cyclic_an(rank)
         by_partition = sum(
@@ -215,6 +234,16 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
                 f"count mismatch at rank={rank}: formula {closed}, "
                 f"partitions {by_partition}, classification {value}"
             )
+        tally = Counter((d.kind, d.delta) for d in data)
+        for delta in _nonempty_subsets(cycle.vertices):
+            residual = subquiver(cycle, cycle.vertex_set - delta)
+            want = math.prod(catalan(len(comp)) for comp in residual.components)
+            for kind in (1, 2):
+                if tally[kind, delta] != want:
+                    raise RuntimeError(
+                        f"count mismatch at rank={rank}, kind {kind}, delta "
+                        f"{sorted(delta)}: {tally[kind, delta]} pairs, {want} tilting modules"
+                    )
     return value
 
 

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import torsionpairs
-from torsionpairs import jsonio
+from torsionpairs import cli, jsonio
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
 from torsionpairs.quiver import linear_an
@@ -249,6 +251,36 @@ class TestExport:
 
     def test_tube_lattice_unsupported(self, capsys):
         assert main(["export", "--tube", "2", "--dot", "lattice"]) == 2
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_tube_cap_below_one_is_exit_2(self, capsys, cap):
+        code = main(["export", "--tube", "2", "--dot", "ar", "--cap", cap])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("usage error:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--cap", "9"],
+        ["--cap", str(10**12)],
+        ["--cap", "5", "--max-cap", "4"],
+    ])
+    def test_tube_cap_above_max_cap_is_exit_4(self, capsys, monkeypatch, argv):
+        # the bound is checked before any module is built
+        def refuse(rank, cap):
+            raise AssertionError(f"built the modules up to cap {cap}")
+
+        monkeypatch.setattr(cli, "all_tube_modules", refuse)
+        code = main(["export", "--tube", "2", "--dot", "ar", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.startswith("bound exceeded: cap")
+        assert "Traceback" not in captured.err
+
+    def test_tube_cap_bound_can_be_raised(self, capsys):
+        code, out = run(capsys, "export", "--tube", "1", "--dot", "ar", "--cap", "9", "--max-cap", "9")
+        assert code == 0
+        assert '"U(1,8)" -> "U(1,9)"' in out
 
     def test_output_file(self, tmp_path, capsys):
         out_file = tmp_path / "g.dot"

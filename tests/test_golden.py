@@ -9,6 +9,7 @@ with `src` on the path) and paste them into GOLDEN.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,13 +49,20 @@ def _cases():
     for r in range(1, 5):
         cases.append(("enumerate", "--tube", str(r)))
     cases.append(("enumerate", "--tube", "5", "--format", "json"))
+    cases.append(("enumerate", "--tube", "5", "--format", "text"))
+    for fmt in ("json", "text"):
+        cases.append(("enumerate", "--tube", "6", "--format", fmt))
     for n in range(1, 7):
         cases.append(("count", "--an", str(n), "--check"))
-    for r in range(1, 5):
+    for r in range(1, 7):
         cases.append(("count", "--tube", str(r), "--check"))
     for n in range(1, 6):
         for dot in ("ar", "lattice"):
             cases.append(("export", "--an", str(n), "--dot", dot))
+    cases.append(("export", "--tube", "3", "--dot", "ar"))
+    for cap in range(1, 9):
+        cases.append(("export", "--tube", "3", "--dot", "ar", "--cap", str(cap)))
+    cases.append(("export", "--tube", "6", "--dot", "ar", "--cap", "8"))
     for name in CERTIFICATES:
         cases.append(("verify", f"@{name}"))
         cases.append(("decompose", f"@{name}", "--side", "both"))
@@ -82,6 +90,9 @@ GOLDEN = {
     'enumerate --tube 3': (0, '59d64883e1ea7093a5458bd333b58cd4f586f6909afa52fd7fed44bbb622e87a'),
     'enumerate --tube 4': (0, '69726aab54b9132fc9ff7608409c66b2cf21fcb1982efca977412aff83ce363e'),
     'enumerate --tube 5 --format json': (0, 'f8b0294dc5f35215dad3b74bebce7dc554e5782e80e055c0b5c99c7e0caafa74'),
+    'enumerate --tube 5 --format text': (0, 'df08fed3f219da1e7cf0cdcca5943b126be574a3b6dd301ad6af5b4bd3d90f53'),
+    'enumerate --tube 6 --format json': (0, '24d66b4bb415776f1852a5c6a2fe01aba3348ea0a310edc1a9d1eab5f8af5147'),
+    'enumerate --tube 6 --format text': (0, 'f85295d5655d6380826bf84b74c41e32a190507a9a772f29f0737790213f0c68'),
     'count --an 1 --check': (0, '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3'),
     'count --an 2 --check': (0, 'f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06'),
     'count --an 3 --check': (0, '9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25'),
@@ -92,6 +103,8 @@ GOLDEN = {
     'count --tube 2 --check': (0, '06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7'),
     'count --tube 3 --check': (0, '5378796307535df3ec8d8b15a2e2dc5641419c3d3060cfe32238c0fa973f7aa3'),
     'count --tube 4 --check': (0, '6442bc26a7c562f5afe6467dab36365c709909f6a81afcecfc0c25cff0f1bab0'),
+    'count --tube 5 --check': (0, 'd5c6c5db0511989f8b2db87038d1fc6952a2f828e46aef7f3836d4a5d457b775'),
+    'count --tube 6 --check': (0, '16d89bcc46ed3bd2db9661fba091edeaa897e8bd53bebd37299fbc7db4686384'),
     'export --an 1 --dot ar': (0, '94582958a616cd977a19158cc27ee9bd8465012148232246d1a2fe64c1240483'),
     'export --an 1 --dot lattice': (0, '56e4d30eaec13593d2d30ed0e1f8910393648a11ab1adb230303978bed82f894'),
     'export --an 2 --dot ar': (0, '63bbb51ed15131a245ff5d7af7b533af6b06e2f6bb60e61035e0429e8a43b5e0'),
@@ -102,6 +115,16 @@ GOLDEN = {
     'export --an 4 --dot lattice': (0, '04865910b79e773435306cd051b374c3b743fc4ee6d018c6121c48ea6307bf54'),
     'export --an 5 --dot ar': (0, 'd150104df7820ad85192b07d205eb812a63ede436cb7eee6ec284f0a221553e9'),
     'export --an 5 --dot lattice': (0, 'ecb78f51f70c711673b59ba2ba1c2cbd23f041f38d1c4d43d3e993de6043df86'),
+    'export --tube 3 --dot ar': (0, '02c4a98afa490f3c59f92a594acf565f292e1547cd9d6365e553f159449a7bb4'),
+    'export --tube 3 --dot ar --cap 1': (0, 'e8bf8408e68e70baf01dc4041728eed560315b2cc2c83b53aa5f63b9c80d11bc'),
+    'export --tube 3 --dot ar --cap 2': (0, '5f951db78d165858a017bce3d6093c55aae17698664f31ec2722a367a0badae8'),
+    'export --tube 3 --dot ar --cap 3': (0, 'e33dbf6cfb4cfae0e94bd6a84975a4dc0055346d15c3f0424a0bc0e59266f7ee'),
+    'export --tube 3 --dot ar --cap 4': (0, '02c4a98afa490f3c59f92a594acf565f292e1547cd9d6365e553f159449a7bb4'),
+    'export --tube 3 --dot ar --cap 5': (0, '633abdc3a42092fdd1eca792a06497e7384a20ec15f9b6c7fbfe23d4a9093fb0'),
+    'export --tube 3 --dot ar --cap 6': (0, '2d502f0b542b33504dbc3844271bb61928da0f1206afb3e5127fdc0ef8d33c51'),
+    'export --tube 3 --dot ar --cap 7': (0, 'cb64e96a36c52140717dbb1d8aca82538a3fc787c4376a3bcb425f618fb5da97'),
+    'export --tube 3 --dot ar --cap 8': (0, 'b08d0c66f73442bd8639b372df5c98230504f7307f7ebc0b83b0f662a5cb21ea'),
+    'export --tube 6 --dot ar --cap 8': (0, '282e627b58a081186cc239048dcb5947783d4e6b72b52e9ef3991dd0fdd28bf8'),
     'verify @a4-pair': (0, 'c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431'),
     'decompose @a4-pair --side both': (0, '5e7e0c3c4fffb37a9069f3a1a3a952793f228cdc9bbcdd73e2a87532fdc04288'),
     'verify @union-pair': (0, 'c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431'),
@@ -136,6 +159,15 @@ def test_stdout_matches_golden(case, tmp_path, capsys):
 
 def test_every_case_has_a_golden_value():
     assert sorted(GOLDEN) == sorted(" ".join(case) for case in CASES)
+
+
+def test_goldens_agree_with_the_benchmark_digests():
+    # the benchmark pins some of the same commands; both must hold the same bytes
+    digests = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+    shared = sorted(set(GOLDEN) & set(digests))
+    assert len(shared) >= 7
+    for command in shared:
+        assert GOLDEN[command] == (0, digests[command]), command
 
 
 if __name__ == "__main__":

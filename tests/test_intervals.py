@@ -163,6 +163,21 @@ class TestProjectivesInjectives:
         assert projs == set(projectives(q))
         assert injs == set(injectives(q))
 
+    @pytest.mark.parametrize("q", MODEL_QUIVERS, ids=model_id)
+    def test_prebuilt_tuples_match_the_sorted_rule(self, q):
+        # built once with the model, equal to sorting [v, sink] and
+        # [source, v] over the components, and the same object every call
+        m = model_for(q)
+        assert m.projectives() == tuple(
+            sorted(Interval(v, comp[-1]) for comp in q.components for v in comp)
+        )
+        assert m.injectives() == tuple(
+            sorted(Interval(comp[0], v) for comp in q.components for v in comp)
+        )
+        assert m.projectives() is m.projectives()
+        assert m.injectives() is m.injectives()
+        assert all(P in m.object_set for P in m.projectives() + m.injectives())
+
 
 class TestTau:
     def test_examples(self):

@@ -14,7 +14,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from torsionpairs import intervals, oracle, quiver, torsion
+from torsionpairs import intervals, oracle, quiver, torsion, tube
 from torsionpairs.intervals import model_for
 from torsionpairs.quiver import cyclic_an, linear_an, subquiver
 from torsionpairs.torsion import extension_closure
@@ -133,13 +133,20 @@ class TestSubquiverMemo:
 
 @pytest.mark.parametrize(
     "cached",
-    [intervals.model_for, oracle._hom_dim_matrix_cached, quiver._proper_subquiver, torsion._witness_order],
+    [
+        intervals.model_for,
+        oracle._hom_dim_matrix_cached,
+        quiver._proper_subquiver,
+        torsion._witness_order,
+        tube.all_tube_modules,
+        tube._families,
+    ],
     ids=lambda f: f.__wrapped__.__name__,
 )
 def test_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("rank", range(1, 5))
+@pytest.mark.parametrize("rank", range(1, 7))
 def test_tube_count_check_meets_the_closed_form(rank):
     assert count_tube_tps(rank, check=True) == math.comb(2 * rank, rank)

@@ -1,5 +1,15 @@
+import math
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
+from torsionpairs.decompose import (
+    catalan,
+    enumerate_torsion_pairs,
+    is_cotilting_induced,
+    is_tilting_induced,
+)
 from torsionpairs.intervals import Interval
 from torsionpairs.quiver import (
     STRONG_ONE,
@@ -7,15 +17,18 @@ from torsionpairs.quiver import (
     PartPartition,
     cyclic_an,
     enumerate_partitions,
+    subquiver,
 )
 from torsionpairs.torsion import TorsionPair
-from torsionpairs.tube import TubeModule, truncate
+from torsionpairs.tube import TubeModule, all_tube_modules, coray, ray, truncate
 from torsionpairs.tubepairs import (
     ClassificationDefectError,
     CombinedTorsionPair,
+    TubeTorsionPair,
     check_l_r,
     combine_components,
     count_combinations,
+    count_tube_tps,
     enumerate_tube_tps,
     partition_to_tube_tp,
     tube_membership,
@@ -83,6 +96,93 @@ class TestEnumerate:
             d for d in enumerate_tube_tps(2) if d.kind == 2 and d.delta == {1, 2}
         )
         assert check_l_r(kind2_full) == (frozenset(), {1, 2})
+
+
+def generate_and_filter(rank):
+    """Oracle: every torsion pair on the residual of every nonempty delta,
+    kept when it is cotilting-induced (kind 1) or tilting-induced (kind 2),
+    with the fingerprint collision scan, sorted like the classification."""
+    cycle = cyclic_an(rank)
+    deltas = [
+        frozenset(combo)
+        for k in range(1, rank + 1)
+        for combo in combinations(cycle.vertices, k)
+    ]
+    data = []
+    for kind in (1, 2):
+        induced = is_cotilting_induced if kind == 1 else is_tilting_induced
+        for delta in deltas:
+            residual = subquiver(cycle, frozenset(cycle.vertices) - delta)
+            for tp in enumerate_torsion_pairs(residual):
+                if induced(residual, tp):
+                    data.append(TubeTorsionPair(rank, kind, delta, residual, tp))
+    prints = [d.fingerprint(2 * rank + 2) for d in data]
+    assert len(set(prints)) == len(prints), "kind collision in the oracle"
+    return sorted(data, key=TubeTorsionPair.sort_key)
+
+
+def catalan_tally(rank):
+    """Tilting modules on the residual of each (kind, delta): the product
+    of Catalan(|C|) over its components C."""
+    cycle = cyclic_an(rank)
+    tally = {}
+    for k in range(1, rank + 1):
+        for combo in combinations(cycle.vertices, k):
+            delta = frozenset(combo)
+            residual = subquiver(cycle, frozenset(cycle.vertices) - delta)
+            count = math.prod(catalan(len(comp)) for comp in residual.components)
+            tally[1, delta] = tally[2, delta] = count
+    return tally
+
+
+class TestAgainstGenerateAndFilter:
+    """The constructive classification against the route it replaced."""
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_equal_to_the_oracle(self, rank):
+        assert enumerate_tube_tps(rank) == generate_and_filter(rank)
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_pairs_per_delta_count_the_tilting_modules(self, rank):
+        data = enumerate_tube_tps(rank)
+        assert Counter((d.kind, d.delta) for d in data) == catalan_tally(rank)
+        assert len(data) == math.comb(2 * rank, rank)
+
+    def test_count_check_catches_a_pair_moved_between_deltas(self, monkeypatch):
+        # same length, so only the per-(kind, delta) tally leg can see it
+        from torsionpairs import tubepairs
+
+        real = enumerate_tube_tps(3)
+        lone = next(d for d in real if d.kind == 1 and d.delta == {1, 2, 3})
+        moved = [d for d in real if d is not lone] + [real[0]]
+        monkeypatch.setattr(tubepairs, "enumerate_tube_tps", lambda rank: moved)
+        with pytest.raises(RuntimeError, match="tilting modules"):
+            count_tube_tps(3, check=True)
+
+
+def filter_truncate(desc, cap):
+    """Reference: test every module of length <= cap for membership."""
+    return tuple(X for X in all_tube_modules(desc.rank, cap) if desc.contains(X))
+
+
+class TestTruncateFastPath:
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_classified_descriptors(self, rank):
+        caps = sorted({1, 2, rank, 2 * rank + 2})
+        for d in enumerate_tube_tps(rank):
+            for desc in (d.torsion_descriptor, d.free_descriptor):
+                for cap in caps:
+                    assert truncate(desc, cap) == filter_truncate(desc, cap), (desc, cap)
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    @pytest.mark.parametrize("family", [ray, coray])
+    def test_ray_and_coray_empty_and_full(self, rank, family):
+        for delta in (frozenset(), frozenset(range(1, rank + 1))):
+            desc = family(delta, rank)
+            for cap in sorted({1, 2, rank, 2 * rank + 2}):
+                got = truncate(desc, cap)
+                assert got == filter_truncate(desc, cap)
+                assert len(got) == (rank * cap if delta else 0)
 
 
 class TestMembership:
@@ -243,6 +343,19 @@ class TestCombine:
 
 
 class TestDefects:
+    @pytest.mark.parametrize("check", ["is_cotilting_induced", "is_tilting_induced"])
+    def test_pair_not_of_its_kind_is_a_defect(self, monkeypatch, check):
+        from torsionpairs import tubepairs
+
+        monkeypatch.setattr(tubepairs, check, lambda q, tp: False)
+        with pytest.raises(ClassificationDefectError):
+            enumerate_tube_tps(2)
+
+    def test_fingerprint_collision_is_a_defect(self, monkeypatch):
+        monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: ())
+        with pytest.raises(ClassificationDefectError, match="same pair"):
+            enumerate_tube_tps(2)
+
     def test_finite_finite_is_a_defect(self):
         d = enumerate_tube_tps(2)[0]
         broken = TubeTorsionPairLike(d)
