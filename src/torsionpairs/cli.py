@@ -21,7 +21,7 @@ from .decompose import (
 from .intervals import model_for
 from .jsonio import CertificateError
 from .oracle import BoundExceededError
-from .quiver import linear_an
+from .quiver import LINEAR_UNION, linear_an
 from .torsion import is_ntp, is_torsion_pair
 from .tube import all_tube_modules, tau_inv_tube
 from .tubepairs import count_tube_tps, enumerate_tube_tps, truncated_check
@@ -33,6 +33,7 @@ EXIT_CERTIFICATE = 3
 EXIT_BOUND = 4
 
 DEFAULT_MAX_N = 6
+DEFAULT_CERTIFICATE_MAX_N = 40
 DEFAULT_CAP = 8
 
 
@@ -50,6 +51,30 @@ def _load_certificate(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise CertificateError(f"{path} is not valid JSON: {exc}") from exc
     jsonio.certificate_kind(obj)
+    return obj
+
+
+def _certificate_vertices(obj: dict) -> int | None:
+    """Vertices of the certificate's quiver, read from the raw JSON: `n`
+    or the component lengths summed.  None for a tube certificate (its
+    partition must cover 1..rank) or a malformed category, which decoding
+    then reports."""
+    category = obj.get("category")
+    try:
+        if category.get("shape") == LINEAR_UNION:
+            return sum(len(c) for c in category["components"])
+        return int(category["n"])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+
+
+def _load_bounded_certificate(args) -> dict:
+    """The certificate, once its size is within `--max-n`, before any
+    quiver or model is built."""
+    obj = _load_certificate(args.certificate)
+    vertices = _certificate_vertices(obj)
+    if vertices is not None:
+        _check_bound(vertices, args.max_n, "certificate size")
     return obj
 
 
@@ -92,7 +117,7 @@ def _certificate_model(q, modules):
 
 
 def cmd_decompose(args) -> int:
-    obj = _load_certificate(args.certificate)
+    obj = _load_bounded_certificate(args)
     if jsonio.certificate_kind(obj) != "pair":
         raise CertificateError("decompose needs a torsion pair certificate")
     q, tp = jsonio.pair_from_obj(obj)
@@ -113,7 +138,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = _load_certificate(args.certificate)
+    obj = _load_bounded_certificate(args)
     kind = jsonio.certificate_kind(obj)
     if kind == "pair":
         q, tp = jsonio.pair_from_obj(obj)
@@ -180,7 +205,7 @@ def _dot_lattice(n: int) -> str:
     )
 
     def label(T) -> str:
-        return "{" + ",".join(f"[{X.a},{X.b}]" for X in sorted(T)) + "}"
+        return "{" + ",".join(f"[{a},{b}]" for a, b in jsonio.intervals_to_obj(T)) + "}"
 
     lines = ["digraph lattice {"]
     for T in classes:
@@ -232,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="peel a torsion pair certificate")
     p.add_argument("certificate")
     p.add_argument("--side", choices=("left", "right", "both"), default="left")
+    p.add_argument("--max-n", type=int, default=DEFAULT_CERTIFICATE_MAX_N, help="vertex bound")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_decompose)
 
@@ -239,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate")
     p.add_argument("--cap", type=int, default=6, help="tube truncation cap")
     p.add_argument("--max-cap", type=int, default=DEFAULT_CAP, help="cap bound")
+    p.add_argument("--max-n", type=int, default=DEFAULT_CERTIFICATE_MAX_N, help="vertex bound")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_verify)
 

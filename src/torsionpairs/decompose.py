@@ -35,10 +35,13 @@ from .quiver import (
 from .torsion import (
     NTorsionPair,
     TorsionPair,
+    bit_indices,
     ext_injectives_in,
     ext_projectives_in,
-    is_torsion_pair,
     filtration,
+    is_torsion_pair,
+    mask_of,
+    objects_of,
 )
 
 PROJECTIVE = "projective"
@@ -66,6 +69,14 @@ def _require_torsion_pair(q: Quiver, tp: TorsionPair) -> None:
         raise ValueError(f"not a torsion pair: {check.reason}")
 
 
+def _restrict(mask: int, vertex_masks: tuple[int, ...], gone: int) -> int:
+    """Drop the objects whose support meets the vertices in `gone`."""
+    for i in bit_indices(mask):
+        if vertex_masks[i] & gone:
+            mask ^= 1 << i
+    return mask
+
+
 def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionResult:
     """Peel a torsion pair into a part partition plus a residual pair.
 
@@ -77,8 +88,10 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_torsion_pair(q, tp)
+    full = model_for(q)
+    index, vertex_masks = full.index, full.vertex_masks
     support = set(q.vertices)
-    torsion, free = set(tp.torsion), set(tp.free)
+    torsion, free = mask_of(full, tp.torsion), mask_of(full, tp.free)
     parts: list[frozenset[int]] = []
     trace: list[TraceStage] = []
     stage = 0
@@ -87,23 +100,24 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
         model = model_for(sub)
         projective_turn = (stage % 2 == 0) == (side == "left")
         if projective_turn:
-            found = frozenset(P.a for P in model.projectives() if P in torsion)
+            found = frozenset(P.a for P in model.projectives() if torsion >> index[P] & 1)
             taken = TraceStage(stage, PROJECTIVE, found)
         else:
-            found = frozenset(I.b for I in model.injectives() if I in free)
+            found = frozenset(I.b for I in model.injectives() if free >> index[I] & 1)
             taken = TraceStage(stage, INJECTIVE, found)
         if stage > 0 and not found:
             break
         parts.append(found)
         trace.append(taken)
         support -= found
-        torsion = {X for X in torsion if set(model_for(q).support(X)) <= support}
-        free = {X for X in free if set(model_for(q).support(X)) <= support}
+        gone = sum(1 << k for k, v in enumerate(q.vertices) if v in found)
+        torsion = _restrict(torsion, vertex_masks, gone)
+        free = _restrict(free, vertex_masks, gone)
         stage += 1
         if not support:
             break
     residual_quiver = subquiver(q, support)
-    residual = TorsionPair(frozenset(torsion), frozenset(free))
+    residual = TorsionPair(objects_of(full, torsion), objects_of(full, free))
     kind = STRONG_ONE if side == "left" else STRONG_TWO
     partition = PartPartition(tuple(parts), kind, complete=not support)
     if not validate_partition(q, partition):
@@ -159,19 +173,26 @@ def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None =
     if not _residual_in_e(residual_quiver, residual):
         raise ValueError("residual pair must avoid residual projectives and injectives")
     left = partition.kind in (STRONG_ONE, "1")
-    torsion = set(residual.torsion)
-    free = set(residual.free)
+    model = model_for(q)
+    index = model.index
+    torsion, free = mask_of(model, residual.torsion), mask_of(model, residual.free)
     for j, part in enumerate(partition.parts):
         stage_model = model_for(subquiver(q, supports[j]))
         projective_turn = (j % 2 == 0) == left
+        # the stage generators' quotients (submodules) generate the piece
         if projective_turn:
-            gens = [P for P in stage_model.projectives() if P.a in part]
-            torsion |= gen_closure(q, gens)
+            for P in stage_model.projectives():
+                if P.a in part:
+                    torsion |= model.quot_masks[index[P]]
         else:
-            cogens = [I for I in stage_model.injectives() if I.b in part]
-            free |= cogen_closure(q, cogens)
-    pair = TorsionPair(extension_closure(q, torsion), extension_closure(q, free))
-    check = is_torsion_pair(model_for(q), pair.torsion, pair.free)
+            for I in stage_model.injectives():
+                if I.b in part:
+                    free |= model.sub_masks[index[I]]
+    pair = TorsionPair(
+        extension_closure(q, objects_of(model, torsion)),
+        extension_closure(q, objects_of(model, free)),
+    )
+    check = is_torsion_pair(model, pair.torsion, pair.free)
     if not check:
         raise RuntimeError(f"assembly produced a non torsion pair: {check.reason}")
     return pair

@@ -12,8 +12,9 @@ nonzero exactly when the map "quotient then include" exists (c <= a <= d
 <= b for [a,b] -> [c,d]); Ext is computed by AR duality,
 Ext^1(X, Y) = Hom(Y, tau X), which also covers the overlap extensions
 whose middle terms decompose.  Both are closed forms in the positions of
-the interval ends, evaluated on every call; no table is kept.  Every
-model checks them against the Euler form on all ordered pairs when it is
+the interval ends, evaluated on every call; the one Hom table kept is a
+bitmask row per object, filled from those values.  Every model
+checks them against the Euler form on all ordered pairs when it is
 built, and the test suite checks them against explicit matrix
 representations.
 """
@@ -21,11 +22,11 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .quiver import Quiver
-from .torsion import extension_closure as _closure
+from .torsion import extension_closure as _closure, objects_of
 
 
 class ModelDefectError(RuntimeError):
@@ -50,13 +51,17 @@ class Interval:
 class LinearModel:
     """Finite category model of the interval modules over an A-type quiver.
 
-    Stores the N interval objects, the quiver's vertex positions, the
-    sorted projectives and injectives and, per object, its submodule and
-    quotient chains, all as tuples of those same objects, O(N n)
-    references in all for n vertices; hom, ext and euler
-    are O(1) closed forms in the positions.
-    Construction checks hom - ext = euler on all N^2 ordered pairs of
-    objects, O(1) each, through the same hom and ext that serve callers.
+    Objects are the N intervals in sorted order; `index` maps each to its
+    position, and every per-object table below is a tuple in that order:
+    `hom_rows` (bit j set iff Hom(X, objects[j]) != 0), `sub_chains` and
+    `quot_chains` (the indices of the nonzero submodules and quotients,
+    shortest first), `sub_masks` and `quot_masks` (the same sets as
+    bitmasks), `vertex_masks` (bit k set iff the k-th vertex of the quiver
+    lies in the support) and `glue_chains` (see `torsion`), O(N n)
+    ints in all for n vertices.  hom, ext and euler are O(1) closed forms
+    in the vertex positions.  Construction checks hom - ext = euler on all
+    N^2 ordered pairs, O(1) each, through the same hom and ext that serve
+    callers, and builds `hom_rows` from those served hom values.
     All values are immutable, so one model may be shared freely.
     """
 
@@ -65,33 +70,57 @@ class LinearModel:
             raise ValueError("interval modules require a linear-type quiver")
         self.quiver = q
         self._position = q.position
-        objs = []
-        projectives, injectives = [], []
-        self._submodules: dict[Interval, tuple[Interval, ...]] = {}
-        self._quotients: dict[Interval, tuple[Interval, ...]] = {}
-        for comp in q.components:
-            # rows[i][k] = [comp[i], comp[i + k]]: the intervals with top comp[i]
-            rows = [[Interval(a, b) for b in comp[i:]] for i, a in enumerate(comp)]
-            projectives.extend(row[-1] for row in rows)  # [v, sink]
-            injectives.extend(rows[0])  # [source, v]
-            for i, row in enumerate(rows):
-                for k, X in enumerate(row):
-                    objs.append(X)
-                    self._quotients[X] = tuple(row[: k + 1])
-                    self._submodules[X] = tuple(rows[i + k - m][m] for m in range(k + 1))
-        self.objects: tuple[Interval, ...] = tuple(sorted(objs))
-        self._projectives: tuple[Interval, ...] = tuple(sorted(projectives))
-        self._injectives: tuple[Interval, ...] = tuple(sorted(injectives))
-        self.object_set: frozenset[Interval] = frozenset(objs)
+        # grid[c][p][k] = [comp[p], comp[p + k]] on component c
+        grid = [
+            [[Interval(a, b) for b in comp[p:]] for p, a in enumerate(comp)]
+            for comp in q.components
+        ]
+        self.objects: tuple[Interval, ...] = tuple(sorted(X for g in grid for row in g for X in row))
+        self.index: dict[Interval, int] = {X: i for i, X in enumerate(self.objects)}
+        self._projectives = tuple(sorted(row[-1] for g in grid for row in g))  # [v, sink]
+        self._injectives = tuple(sorted(X for g in grid for X in g[0]))  # [source, v]
+        n_obj = len(self.objects)
+        subs, quots, vmasks = [()] * n_obj, [()] * n_obj, [0] * n_obj
+        before, same_socle = [None] * n_obj, [0] * n_obj
+        vertex_bit = {v: 1 << k for k, v in enumerate(q.vertices)}
+        for comp, g in zip(q.components, grid):
+            rows = [[self.index[X] for X in row] for row in g]
+            for p, row in enumerate(rows):
+                for k, i in enumerate(row):
+                    quots[i] = tuple(row[: k + 1])
+                    subs[i] = tuple(rows[p + k - m][m] for m in range(k + 1))
+                    vmasks[i] = sum(vertex_bit[v] for v in comp[p : p + k + 1])
+                    # [0, p-1] and [0, p+k] by offsets
+                    if p > 0:
+                        before[i] = rows[0][p - 1]
+                    same_socle[i] = rows[0][p + k]
+        self.sub_chains: tuple[tuple[int, ...], ...] = tuple(subs)
+        self.quot_chains: tuple[tuple[int, ...], ...] = tuple(quots)
+        self.sub_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in subs)
+        self.quot_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in quots)
+        self.vertex_masks: tuple[int, ...] = tuple(vmasks)
+        self.glue_chains = (tuple(before), tuple(same_socle))
         hom, ext, euler = self.hom, self.ext, self.euler
+        rows = []
         for X in self.objects:
-            for Y in self.objects:
-                if hom(X, Y) - ext(X, Y) != euler(X, Y):
+            row = 0
+            for j, Y in enumerate(self.objects):
+                h = hom(X, Y)
+                if h - ext(X, Y) != euler(X, Y):
                     raise ModelDefectError(
                         f"hom/ext rules disagree with the Euler form at ({X}, {Y})"
                     )
+                if h:
+                    row |= 1 << j
+            rows.append(row)
+        self.hom_rows: tuple[int, ...] = tuple(rows)
 
     # -- bookkeeping -------------------------------------------------
+
+    @cached_property
+    def object_set(self) -> frozenset[Interval]:
+        """The objects as a frozenset, built on first use (witness searches)."""
+        return frozenset(self.objects)
 
     def _pos(self, v: int) -> tuple[int, int]:
         return self._position[v]
@@ -149,16 +178,16 @@ class LinearModel:
         """<dim X, dim Y>: shared support minus arrows from supp X into supp Y.
 
         An arrow leaves offset p for p + 1, so the arrows counted are the
-        offsets of [pa, pb] that fall in [pc - 1, pd - 1].
+        offsets of [pa, pb] that fall in [pc - 1, pd - 1].  That window is
+        [pc, pd] less pd plus pc - 1, so the difference is whether pd lies
+        in [pa, pb] less whether pc - 1 does.
         """
         pos = self._position
         (cx, pa), (_, pb) = pos[X.a], pos[X.b]
         (cy, pc), (_, pd) = pos[Y.a], pos[Y.b]
         if cx != cy:
             return 0
-        shared = max(0, min(pb, pd) - max(pa, pc) + 1)
-        arrows = max(0, min(pb, pd - 1) - max(pa, pc - 1) + 1)
-        return shared - arrows
+        return (pa <= pd <= pb) - (pa < pc <= pb + 1)
 
     # -- uniserial structure ------------------------------------------
 
@@ -172,12 +201,12 @@ class LinearModel:
         return Interval(comp[pb - hi + 1], comp[pb - lo])
 
     def submodules(self, X: Interval) -> tuple[Interval, ...]:
-        """Nonzero submodules [c, b], shortest first (built with the model)."""
-        return self._submodules[X]
+        """Nonzero submodules [c, b], shortest first (read off `sub_chains`)."""
+        return tuple(map(self.objects.__getitem__, self.sub_chains[self.index[X]]))
 
     def quotients(self, X: Interval) -> tuple[Interval, ...]:
-        """Nonzero quotients [a, c], shortest first (built with the model)."""
-        return self._quotients[X]
+        """Nonzero quotients [a, c], shortest first (read off `quot_chains`)."""
+        return tuple(map(self.objects.__getitem__, self.quot_chains[self.index[X]]))
 
     def glue(self, bottom: Interval, top: Interval) -> Interval | None:
         """Indecomposable stack of `top` on `bottom`, if the ends abut.
@@ -284,19 +313,19 @@ def dim_vector(q: Quiver, X: Interval) -> tuple[int, ...]:
 def gen_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:
     """Closure under quotients: all top-preserving shortenings of members."""
     m = model_for(q)
-    out: set[Interval] = set()
-    for X in modules:
-        out.update(m.quotients(X))
-    return frozenset(out)
+    out = 0
+    for i in map(m.index.__getitem__, modules):
+        out |= m.quot_masks[i]
+    return objects_of(m, out)
 
 
 def cogen_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:
     """Closure under submodules: all socle-preserving shortenings of members."""
     m = model_for(q)
-    out: set[Interval] = set()
-    for X in modules:
-        out.update(m.submodules(X))
-    return frozenset(out)
+    out = 0
+    for i in map(m.index.__getitem__, modules):
+        out |= m.sub_masks[i]
+    return objects_of(m, out)
 
 
 def extension_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:

@@ -7,6 +7,7 @@ emitted in sorted order so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Any
 
 from .decompose import DecompositionResult
@@ -93,8 +94,11 @@ def partition_from_obj(obj: Any) -> PartPartition:
         raise CertificateError(f"bad partition object: {exc}") from exc
 
 
+_ENDS = attrgetter("a", "b")
+
+
 def intervals_to_obj(modules) -> list[list[int]]:
-    return [[X.a, X.b] for X in sorted(modules)]
+    return [[X.a, X.b] for X in sorted(modules, key=_ENDS)]
 
 
 def intervals_from_obj(obj: Any) -> frozenset[Interval]:

@@ -1,15 +1,25 @@
 """Torsion pair calculus over a finite category model.
 
-A model is any object exposing `objects` (a tuple of uniserial
-indecomposables), `object_set` (the same objects as a frozenset, the
-default ambient), `hom(X, Y)`, `ext(X, Y)`, `length(X)`,
-`slice(X, lo, hi)` (the subquotient between two socle heights),
-`submodules(X)` and `quotients(X)` (the nonzero submodules and quotients,
-shortest first, so entry h - 1 has length h), `glue(bottom, top)` (the
-indecomposable middle term of a nonsplit extension, if any) and
-`glue_ends(X)` (the top vertex of X and the vertex after its socle, or
-None where the socle has no successor: `glue(bottom, top)` can only
-succeed when the second end of `top` is the first end of `bottom`).
+A model is any object exposing
+  - `objects` (a tuple of uniserial indecomposables), `object_set` (the
+    same objects as a frozenset, the default ambient) and `index` (each
+    object's position in `objects`);
+  - `hom(X, Y)`, `ext(X, Y)`, `length(X)`, `slice(X, lo, hi)` (the
+    subquotient between two socle heights), `submodules(X)` and
+    `quotients(X)` (the nonzero submodules and quotients, shortest first,
+    so entry h - 1 has length h), `glue(bottom, top)` (the indecomposable
+    middle term of a nonsplit extension, if any) and `glue_ends(X)` (the
+    top vertex of X and the vertex after its socle, or None where the
+    socle has no successor: `glue(bottom, top)` can only succeed when the
+    second end of `top` is the first end of `bottom`);
+  - per object, in the order of `objects`: `hom_rows` (an int with bit j
+    set iff Hom(X, objects[j]) != 0), `sub_chains` and `quot_chains`
+    (the indices of `submodules(X)` and `quotients(X)`), `sub_masks` and
+    `quot_masks` (the same sets as bitmasks), `vertex_masks` (bit k set
+    iff the k-th vertex of the quiver lies in the support of X) and
+    `glue_chains` (two such tuples: the indices of the longest objects
+    ending right before the top of X, None where there is no such
+    vertex, and ending at its socle).
 Both the interval model and the truncated tube model qualify.
 
 Subcategories are frozensets of indecomposables; additive closure is
@@ -19,12 +29,23 @@ an exact sequence 0 -> t(X) -> X -> X/t(X) -> 0 with ends in T and F.
 An n-torsion pair is an (n+1)-tuple of parts refining a nested chain of
 torsion pairs; the maps `series_to_ntp` / `ntp_to_series` translate
 between the two presentations.
+
+The checks, closures and perpendiculars convert their arguments once to
+bitmasks over `objects` (bit i for objects[i]; an ambient must consist
+of objects of the model) and then work on bits: orthogonality is
+`hom_rows[i] & mask`, a torsion submodule is a bit test along a
+submodule chain, and the middle terms of the extensions of one class by
+another come from `glue_chains`.  Only once a test has failed do they
+walk the caller's sets, in the caller's own iteration order and in
+`_witness_order`, so a failure returns the same witness as an
+object-by-object search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -93,11 +114,49 @@ class Filtration:
         return tuple((i + 1, f) for i, f in enumerate(self.factors) if f is not None)
 
 
-# -- perpendicular categories --------------------------------------------
+# -- subcategories as bitmasks ---------------------------------------------
 
 
-def _ambient(model, ambient):
-    return model.object_set if ambient is None else frozenset(ambient)
+def mask_of(model, objs: Iterable) -> int:
+    """Bitmask of the given objects, bit i for `model.objects[i]`."""
+    index = model.index
+    mask = 0
+    for i in map(index.__getitem__, objs):
+        mask |= 1 << i
+    return mask
+
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, lowest first."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
+    return list(compress(range(len(digits)), digits))
+
+
+def objects_of(model, mask: int) -> frozenset:
+    """The objects whose bits are set in the mask."""
+    # copied from a set: on the classes of the path route this allocates
+    # less than growing the frozenset one insert at a time (424 against
+    # 496 bytes a class over the 4862 pairs at n = 8)
+    return frozenset(set(map(model.objects.__getitem__, bit_indices(mask))))
+
+
+def _ambient(model, ambient) -> tuple[frozenset, int]:
+    if ambient is None:
+        return model.object_set, (1 << len(model.objects)) - 1
+    amb = frozenset(ambient)
+    return amb, mask_of(model, amb)
+
+
+def _mask_within(model, objs: Iterable, within: int) -> int | None:
+    """Bitmask of the objects, or None if one lies outside `within`."""
+    try:
+        mask = mask_of(model, objs)
+    except KeyError:
+        return None
+    return None if mask & ~within else mask
 
 
 @lru_cache(maxsize=256)
@@ -106,16 +165,71 @@ def _witness_order(amb: frozenset) -> tuple:
     return tuple(sorted(amb, key=repr))
 
 
+def _hom_witness(model, earlier: Iterable, later: Iterable):
+    """First (X, Y) in the sets' own iteration order with Hom(X, Y) != 0."""
+    rows, index = model.hom_rows, model.index
+    for X in earlier:
+        row = rows[index[X]]
+        for Y in later:
+            if row >> index[Y] & 1:
+                return X, Y
+    return None
+
+
+def _first_uncovered(model, amb: frozenset, covered: int) -> object:
+    """First ambient object, in witness order, whose bit is not in `covered`."""
+    index = model.index
+    return next(X for X in _witness_order(amb) if not covered >> index[X] & 1)
+
+
+# -- perpendicular categories --------------------------------------------
+
+
 def perp_left(model, D: Iterable, ambient=None) -> frozenset:
     """{X : Hom(X, d) = 0 for all d in D}, within the ambient objects."""
-    D = tuple(D)
-    return frozenset(X for X in _ambient(model, ambient) if all(model.hom(X, d) == 0 for d in D))
+    _, am = _ambient(model, ambient)
+    dm, rows = mask_of(model, D), model.hom_rows
+    out = 0
+    for i in bit_indices(am):
+        if not rows[i] & dm:
+            out |= 1 << i
+    return objects_of(model, out)
 
 
 def perp_right(model, D: Iterable, ambient=None) -> frozenset:
     """{Y : Hom(d, Y) = 0 for all d in D}, within the ambient objects."""
-    D = tuple(D)
-    return frozenset(Y for Y in _ambient(model, ambient) if all(model.hom(d, Y) == 0 for d in D))
+    _, am = _ambient(model, ambient)
+    rows, hit = model.hom_rows, 0
+    for d in bit_indices(mask_of(model, D)):
+        hit |= rows[d]
+    return objects_of(model, am & ~hit)
+
+
+def _gluings(model, bottoms: int, tops: int) -> int:
+    """Mask of the gluings of a member of `tops` on top of a member of
+    `bottoms`, by `glue_chains`: what glues on top of X are the submodules
+    of the longest object ending right before X's top, and the results are
+    the submodules longer than X of the longest object ending at its socle.
+    """
+    subs, sub_masks = model.sub_chains, model.sub_masks
+    before, same_socle = model.glue_chains
+    out = 0
+    for b in bit_indices(bottoms):
+        u = before[b]
+        if u is not None and sub_masks[u] & tops:
+            for t, g in zip(subs[u], subs[same_socle[b]][len(subs[b]):]):
+                if tops >> t & 1:
+                    out |= 1 << g
+    return out
+
+
+def _closure_mask(model, mask: int) -> int:
+    """Gluing closure on masks; each round glues only the pairs with a new member."""
+    new = _gluings(model, mask, mask) & ~mask
+    while new:
+        mask |= new
+        new = (_gluings(model, new, mask) | _gluings(model, mask, new)) & ~mask
+    return mask
 
 
 def extension_closure(model, modules: Iterable) -> frozenset:
@@ -124,49 +238,32 @@ def extension_closure(model, modules: Iterable) -> frozenset:
     A uniserial object filtered by members arises from iterated gluings,
     so on the classes occurring here (unions of parts of a valid tuple,
     quotient-closed classes) this equals the closure under extensions.
-    Each member is glued, both ways round, only against the members
-    already indexed (itself included) whose ends meet it, found through
-    two indexes: members by top vertex and by the vertex after the socle.
     """
-    out = set(modules)
-    work = list(out)
-    by_top: dict = {}
-    by_next: dict = {}
-    glue, ends = model.glue, model.glue_ends
-
-    def add(glued) -> None:
-        if glued is not None and glued not in out:
-            out.add(glued)
-            work.append(glued)
-
-    for X in work:  # also visits the members appended while it runs
-        top, nxt = ends(X)
-        by_top.setdefault(top, []).append(X)
-        by_next.setdefault(nxt, []).append(X)
-        for bottom in by_top.get(nxt, ()):
-            add(glue(bottom, X))
-        for upper in by_next.get(top, ()):
-            add(glue(X, upper))
-    return frozenset(out)
+    mask = mask_of(model, modules)
+    closed = _closure_mask(model, mask)
+    if closed == mask and type(modules) is frozenset:
+        return modules
+    return objects_of(model, closed)
 
 
 # -- torsion pairs ---------------------------------------------------------
 
 
-def _torsion_height(model, T: frozenset, X) -> int:
-    """Largest socle height h with the height-h submodule of X in T (0 if none)."""
-    subs = model.submodules(X)
-    for h in range(len(subs), 0, -1):
-        if subs[h - 1] in T:
+def _torsion_height(model, tm: int, i: int) -> int:
+    """Largest socle height h with the height-h submodule of object i in
+    the class `tm` (0 if none)."""
+    chain = model.sub_chains[i]
+    for h in range(len(chain), 0, -1):
+        if tm >> chain[h - 1] & 1:
             return h
     return 0
 
 
 def torsion_submodule(model, T: Iterable, X):
     """Maximal submodule of the uniserial X lying in T, or None for zero."""
-    T = frozenset(T)
-    h = _torsion_height(model, T, X)
-    return None if h == 0 else model.slice(X, 0, h)
+    i = model.index[X]
+    h = _torsion_height(model, mask_of(model, T), i)
+    return None if h == 0 else model.objects[model.sub_chains[i][h - 1]]
 
 
 def is_torsion_pair(model, torsion: Iterable, free: Iterable, ambient=None) -> CheckResult:
@@ -174,35 +271,38 @@ def is_torsion_pair(model, torsion: Iterable, free: Iterable, ambient=None) -> C
 
     The torsion submodule is the largest chain submodule lying in the
     torsion class; under orthogonality this is equivalent to asking for any
-    witness submodule.
+    witness submodule.  So an object has its sequence exactly when it lies
+    in T or in F or is a gluing of a member of F on top of a member of T.
     """
     T, F = frozenset(torsion), frozenset(free)
-    amb = _ambient(model, ambient)
-    if not T <= amb or not F <= amb:
+    amb, am = _ambient(model, ambient)
+    tm, fm = _mask_within(model, T, am), _mask_within(model, F, am)
+    if tm is None or fm is None:
         return CheckResult(False, None, "classes leave the ambient subcategory")
-    for X in T:
-        for Y in F:
-            if model.hom(X, Y) != 0:
-                return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0")
-    for X in _witness_order(amb):
-        h = _torsion_height(model, T, X)
-        quots = model.quotients(X)
-        # the quotient by the height-h submodule has length len(X) - h
-        if h < len(quots) and quots[len(quots) - h - 1] not in F:
-            return CheckResult(False, X, f"no canonical sequence for {X}")
+    rows = model.hom_rows
+    for i in bit_indices(tm):
+        if rows[i] & fm:
+            X, Y = _hom_witness(model, T, F)
+            return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0")
+    covered = tm | fm | _gluings(model, tm, fm)
+    if am & ~covered:
+        X = _first_uncovered(model, amb, covered)
+        return CheckResult(False, X, f"no canonical sequence for {X}")
     return CheckResult(True)
 
 
 def decompose_along(model, tp: TorsionPair, D: Iterable) -> tuple[frozenset, frozenset]:
     """Torsion submodules and torsion-free quotients of the members of D."""
-    subs, quots = set(), set()
-    for X in D:
-        h = _torsion_height(model, tp.torsion, X)
+    tm = mask_of(model, tp.torsion)
+    subs = quots = 0
+    for i in map(model.index.__getitem__, D):
+        chain = model.sub_chains[i]
+        h = _torsion_height(model, tm, i)
         if h > 0:
-            subs.add(model.slice(X, 0, h))
-        if h < model.length(X):
-            quots.add(model.slice(X, h, model.length(X)))
-    return frozenset(subs), frozenset(quots)
+            subs |= 1 << chain[h - 1]
+        if h < len(chain):
+            quots |= 1 << model.quot_chains[i][len(chain) - h - 1]
+    return objects_of(model, subs), objects_of(model, quots)
 
 
 # -- n-torsion pairs -------------------------------------------------------
@@ -234,39 +334,31 @@ def ntp_to_series(model, ntp: NTorsionPair, ambient=None) -> TorsionPairSeries:
     return TorsionPairSeries(tuple(pairs))
 
 
-def _filtration_heights(model, parts: Sequence[frozenset], X) -> list[set[int]]:
-    """Reachable socle heights after placing a factor in each part, in order."""
-    n = model.length(X)
-    reach = {0}
-    stages = []
-    for part in parts:
-        nxt = set(reach)
-        for h in reach:
-            for h2 in range(h + 1, n + 1):
-                if model.slice(X, h, h2) in part:
-                    nxt.add(h2)
-        stages.append(nxt)
-        reach = nxt
-    return stages
-
-
 def is_ntp(model, parts: Sequence[frozenset], ambient=None) -> CheckResult:
     """Pairwise Hom-orthogonality plus a factor-in-order filtration for all objects."""
     parts = tuple(frozenset(p) for p in parts)
-    amb = _ambient(model, ambient)
-    for p in parts:
-        if not p <= amb:
-            return CheckResult(False, None, "a part leaves the ambient subcategory")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for X in parts[i]:
-                for Y in parts[j]:
-                    if model.hom(X, Y) != 0:
-                        return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0 across parts")
-    for X in _witness_order(amb):
-        stages = _filtration_heights(model, parts, X)
-        if model.length(X) not in stages[-1]:
-            return CheckResult(False, X, f"no ordered filtration for {X}")
+    amb, am = _ambient(model, ambient)
+    pms = [_mask_within(model, p, am) for p in parts]
+    if None in pms:
+        return CheckResult(False, None, "a part leaves the ambient subcategory")
+    rows, suffix = model.hom_rows, [0] * (len(parts) + 1)
+    for k in range(len(parts) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | pms[k]
+    for k in range(len(parts)):
+        if any(rows[i] & suffix[k + 1] for i in bit_indices(pms[k])):
+            for j in range(k + 1, len(parts)):
+                witness = _hom_witness(model, parts[k], parts[j])
+                if witness is not None:
+                    X, Y = witness
+                    return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0 across parts")
+    # filtered by the first k parts in order: the objects filtered by the
+    # first k - 1, part k itself, and gluings of part k on top of the former
+    reach = 0
+    for pm in pms:
+        reach |= pm | _gluings(model, reach, pm)
+    if am & ~reach:
+        X = _first_uncovered(model, amb, reach)
+        return CheckResult(False, X, f"no ordered filtration for {X}")
     return CheckResult(True)
 
 
@@ -277,21 +369,23 @@ def filtration(model, ntp: NTorsionPair, X) -> Filtration:
     i parts, so the factors are forced.
     """
     parts = ntp.parts
-    n = model.length(X)
+    i = model.index[X]
+    sub, quots, objs = model.sub_chains[i], model.quot_chains, model.objects
     heights = [0]
-    for i in range(1, len(parts)):
-        Ti = extension_closure(model, frozenset().union(*parts[:i]))
-        h = _torsion_height(model, Ti, X)
+    prefix = 0
+    for part in parts[:-1]:
+        prefix |= mask_of(model, part)
+        h = _torsion_height(model, _closure_mask(model, prefix), i)
         heights.append(max(h, heights[-1]))
-    heights.append(n)
+    heights.append(len(sub))
     chain = [None]
     factors = []
     for lo, hi in zip(heights, heights[1:]):
-        chain.append(None if hi == 0 else model.slice(X, 0, hi))
+        chain.append(None if hi == 0 else objs[sub[hi - 1]])
         if hi == lo:
             factors.append(None)
         else:
-            factor = model.slice(X, lo, hi)
+            factor = objs[quots[sub[hi - 1]][hi - lo - 1]]
             if factor not in parts[len(factors)]:
                 raise ValueError(f"factor {factor} escapes part {len(factors) + 1}")
             factors.append(factor)
@@ -338,13 +432,12 @@ def complete_defect(model, parts: Sequence[frozenset], ambient=None) -> NTorsion
     this is the only n-torsion pair containing the parts.
     """
     parts = tuple(frozenset(p) for p in parts)
-    amb = _ambient(model, ambient)
+    amb, _ = _ambient(model, ambient)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            for X in parts[i]:
-                for Y in parts[j]:
-                    if model.hom(X, Y) != 0:
-                        raise ValueError(f"parts are not orthogonal at ({X},{Y})")
+            witness = _hom_witness(model, parts[i], parts[j])
+            if witness is not None:
+                raise ValueError(f"parts are not orthogonal at ({witness[0]},{witness[1]})")
     fs = [amb]
     ts = []
     for i in range(1, len(parts)):

@@ -17,7 +17,7 @@ predicate; explicit sets are always truncations by length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 FINITE = "finite"
@@ -156,6 +156,12 @@ def l_r_sets(desc: TubeSubcatDescriptor) -> tuple[frozenset[int], frozenset[int]
     return frozenset(), frozenset()
 
 
+def module_index(socle: int, length: int, rank: int) -> int:
+    """Position of U(socle, length) in `all_tube_modules(rank, cap)`, for
+    every cap of at least `length`; the socle is taken mod rank."""
+    return (length - 1) * rank + norm_vertex(socle, rank) - 1
+
+
 @lru_cache(maxsize=256)
 def all_tube_modules(rank: int, cap: int) -> tuple[TubeModule, ...]:
     """Every indecomposable of length at most cap, ordered by (length, socle).
@@ -210,7 +216,9 @@ class TubeModel:
 
     Exposes the same interface as the interval model so the torsion pair
     calculus can run on it; gluings that would leave the truncation are
-    reported as absent.
+    reported as absent.  U(s, l) sits at `module_index(s, l, rank)` of
+    `objects`, and the per-object tables are built from that arithmetic,
+    `hom_rows` from `hom_dim_tube`; vertex v is bit v - 1 of a vertex mask.
     """
 
     def __init__(self, rank: int, cap: int):
@@ -219,7 +227,37 @@ class TubeModel:
         self.rank = rank
         self.cap = cap
         self.objects: tuple[TubeModule, ...] = all_tube_modules(rank, cap)
-        self.object_set: frozenset[TubeModule] = frozenset(self.objects)
+        self.index: dict[TubeModule, int] = {X: i for i, X in enumerate(self.objects)}
+        objs = self.objects
+
+        def at(socle: int, length: int) -> int:
+            return module_index(socle, length, rank)
+
+        self.hom_rows = tuple(
+            sum(1 << j for j, Y in enumerate(objs) if hom_dim_tube(X, Y)) for X in objs
+        )
+        # submodules keep the socle; the length-h quotient has socle s - (l - h)
+        self.sub_chains = tuple(
+            tuple(at(X.socle, h) for h in range(1, X.length + 1)) for X in objs
+        )
+        self.quot_chains = tuple(
+            tuple(at(X.socle - X.length + h, h) for h in range(1, X.length + 1)) for X in objs
+        )
+        self.sub_masks = tuple(sum(1 << j for j in c) for c in self.sub_chains)
+        self.quot_masks = tuple(sum(1 << j for j in c) for c in self.quot_chains)
+        self.vertex_masks = tuple(
+            sum(1 << norm_vertex(X.socle - k, rank) - 1 for k in range(min(X.length, rank)))
+            for X in objs
+        )
+        # the longest modules with socle before the top, and with the same socle
+        self.glue_chains = (
+            tuple(at(X.socle - X.length, cap) for X in objs),
+            tuple(at(X.socle, cap) for X in objs),
+        )
+
+    @cached_property
+    def object_set(self) -> frozenset[TubeModule]:
+        return frozenset(self.objects)
 
     def length(self, X: TubeModule) -> int:
         return X.length
@@ -243,10 +281,10 @@ class TubeModel:
         return TubeModule(norm_vertex(X.socle - lo, X.rank), hi - lo, X.rank)
 
     def submodules(self, X: TubeModule) -> tuple[TubeModule, ...]:
-        return tuple(self.slice(X, 0, h) for h in range(1, X.length + 1))
+        return tuple(map(self.objects.__getitem__, self.sub_chains[self.index[X]]))
 
     def quotients(self, X: TubeModule) -> tuple[TubeModule, ...]:
-        return tuple(self.slice(X, X.length - h, X.length) for h in range(1, X.length + 1))
+        return tuple(map(self.objects.__getitem__, self.quot_chains[self.index[X]]))
 
     def glue(self, bottom: TubeModule, top: TubeModule) -> TubeModule | None:
         """Middle term of a nonsplit extension of `top` by `bottom`, capped."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -49,7 +50,9 @@ from .tube import (
     RAY_FINITE,
     TubeModule,
     TubeSubcatDescriptor,
+    all_tube_modules,
     l_r_sets,
+    module_index,
     truncate,
 )
 
@@ -63,8 +66,13 @@ class ClassificationDefectError(RuntimeError):
 
 
 def _interval_to_tube(q: Quiver, rank: int, X: Interval) -> TubeModule:
-    """Reread an interval on a residual segment as a tube module."""
-    return TubeModule(X.b, model_for(q).length(X), rank)
+    """Reread an interval on a residual segment as a tube module.
+
+    A residual segment is shorter than the cycle, so the module is one of
+    `all_tube_modules(rank, rank)`; the shared instance is returned, since
+    the classified pairs keep their descriptors.
+    """
+    return all_tube_modules(rank, rank)[module_index(X.b, model_for(q).length(X), rank)]
 
 
 def _tube_to_interval(q: Quiver, U: TubeModule) -> Interval | None:
@@ -100,14 +108,14 @@ class TubeTorsionPair:
             _interval_to_tube(self.residual_quiver, self.rank, X) for X in intervals
         )
 
-    @property
+    @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:
         finite = self._finite_side(self.residual_pair.torsion)
         if self.kind == 1:
             return TubeSubcatDescriptor(CORAY_FINITE, self.rank, self.delta, finite)
         return TubeSubcatDescriptor(FINITE, self.rank, frozenset(), finite)
 
-    @property
+    @cached_property
     def free_descriptor(self) -> TubeSubcatDescriptor:
         finite = self._finite_side(self.residual_pair.free)
         if self.kind == 2:
@@ -191,9 +199,14 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
                 raise ClassificationDefectError(f"partition {S} gives no kind {kind} pair")
             data.append(datum)
     cap = 2 * rank + 2
-    seen: dict[tuple, TubeTorsionPair] = {}
+    seen: dict[tuple[int, int], TubeTorsionPair] = {}
     for datum in data:
-        fp = datum.fingerprint(cap)
+        # each side as a bitmask over the truncation: the same comparison,
+        # without keeping two module sets per pair
+        fp = tuple(
+            sum(1 << module_index(X.socle, X.length, rank) for X in side)
+            for side in datum.fingerprint(cap)
+        )
         if fp in seen:
             raise ClassificationDefectError(
                 f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"

@@ -289,6 +289,41 @@ class TestExport:
         assert out_file.read_text().startswith("digraph")
 
 
+class TestCertificateSizeBound:
+    """`verify` and `decompose` check the certificate's vertex count on the
+    raw JSON, before any quiver or model is built."""
+
+    @staticmethod
+    def refuse_building(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a quiver or a model past the size bound")
+
+        for name in ("linear_an", "cyclic_an", "Quiver"):
+            monkeypatch.setattr(jsonio, name, refuse)
+        monkeypatch.setattr(cli, "model_for", refuse)
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    @pytest.mark.parametrize("category,argv", [
+        ({"shape": "linearA", "n": 41}, []),
+        ({"shape": "linearA", "n": 10**9}, []),
+        ({"shape": "linearA", "n": 5}, ["--max-n", "4"]),
+        ({"shape": "linearUnion", "components": [[1, 2], [3, 4, 5]]}, ["--max-n", "4"]),
+    ], ids=["n41", "n1e9", "lowered", "union-lowered"])
+    def test_over_the_bound_is_exit_4(self, tmp_path, capsys, monkeypatch, command, category, argv):
+        self.refuse_building(monkeypatch)
+        cert = {"schema": "torsion/1", "category": category, "torsion": [], "free": []}
+        code = main([command, write_cert(tmp_path, cert), *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.startswith("bound exceeded: certificate size")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_at_the_bound_is_admitted(self, tmp_path, capsys, command):
+        cert = jsonio.pair_certificate(linear_an(5), enumerate_torsion_pairs(linear_an(5))[3])
+        assert main([command, write_cert(tmp_path, cert), "--max-n", "5"]) == 0
+
+
 class TestCertificateBoundary:
     """Bad input ends in its documented exit code with a one-line message."""
 

@@ -219,6 +219,27 @@ class TestMembership:
             tube_membership(d, U(1, 1, 2))
 
 
+class TestCachedDescriptors:
+    @pytest.mark.parametrize("rank", range(1, 5))
+    def test_membership_agrees_with_the_fingerprint(self, rank):
+        cap = 2 * rank + 2
+        for d in enumerate_tube_tps(rank):
+            torsion, free = d.fingerprint(cap)
+            for X in all_tube_modules(rank, cap):
+                want = "torsion" if X in torsion else "free" if X in free else "neither"
+                assert d.membership(X) == want, (d, X)
+
+    def test_repeated_access_returns_the_same_descriptor(self):
+        for d in enumerate_tube_tps(3):
+            assert d.torsion_descriptor is d.torsion_descriptor
+            assert d.free_descriptor is d.free_descriptor
+
+    def test_caching_leaves_equality_and_hash_alone(self):
+        fresh, used = enumerate_tube_tps(3)[5], enumerate_tube_tps(3)[5]
+        used.fingerprint(8)
+        assert fresh == used and hash(fresh) == hash(used)
+
+
 class TestPartitionIndexing:
     def test_rank_one_kind_one(self):
         S = PartPartition(parts({1}), STRONG_ONE, complete=True)
