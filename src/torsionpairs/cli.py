@@ -55,12 +55,16 @@ def _load_certificate(path: str) -> dict:
 
 
 def _certificate_vertices(obj: dict) -> int | None:
-    """Vertices of the certificate's quiver, read from the raw JSON: `n`
-    or the component lengths summed.  None for a tube certificate (its
-    partition must cover 1..rank) or a malformed category, which decoding
-    then reports."""
+    """Vertices of the certificate's quiver, read from the raw JSON: `n`,
+    the component lengths summed, or a tube's `rank`.  A tube partition
+    must cover 1..rank, so one naming fewer vertices is bounded by that
+    count and left for decoding to reject.  None for a malformed category
+    or tube payload, which decoding then reports."""
     category = obj.get("category")
     try:
+        if "rank" in obj:
+            named = len(obj["delta"]) + sum(len(p) for p in obj["residual_partition"])
+            return min(int(obj["rank"]), named)
         if category.get("shape") == LINEAR_UNION:
             return sum(len(c) for c in category["components"])
         return int(category["n"])

@@ -9,6 +9,11 @@ the residual pair is always empty, the recorded vertex sets form a
 complete strong part partition, and the peeling is a bijection onto those
 partitions; this yields the Catalan count of torsion pairs, canonical
 generator sets, and the tilting/cotilting criteria.
+
+Peeling and assembly share one stage walk: a stage is a vertex set of the
+home quiver, whose projectives or injectives `_stage_generators` reads
+off the home quiver's arrows, with no subquiver or model per stage.
+`generators` and `trace_ntp` read the generators `decompose` records.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from .quiver import (
     STRONG_TWO,
     PartPartition,
     Quiver,
+    enumerate_partitions,
     linear_an,
+    projective_stage,
     subquiver,
     validate_partition,
 )
@@ -50,9 +57,14 @@ INJECTIVE = "injective"
 
 @dataclass(frozen=True)
 class TraceStage:
+    """One peeling stage: the vertices it took and their stage projectives
+    (side "projective") or stage injectives (side "injective"), which lie
+    in the torsion (free) class."""
+
     index: int
     side: str
     vertices: frozenset[int]
+    generators: frozenset[Interval]
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,22 @@ def _require_torsion_pair(q: Quiver, tp: TorsionPair) -> None:
     check = is_torsion_pair(model_for(q), tp.torsion, tp.free)
     if not check:
         raise ValueError(f"not a torsion pair: {check.reason}")
+
+
+def _stage_generators(
+    q: Quiver, support: frozenset[int], vertices: frozenset[int], projective: bool
+) -> dict[int, Interval]:
+    """Each of `vertices` with its projective [v, w] (injective [u, v]) of the
+    full subquiver on `support`, as an interval of q: w is the last vertex
+    reached from v inside `support` (u the first reaching v)."""
+    step = q.succ if projective else q.pred
+    out = {}
+    for v in vertices:
+        w = v
+        while step.get(w) in support:
+            w = step[w]
+        out[v] = Interval(v, w) if projective else Interval(w, v)
+    return out
 
 
 def _restrict(mask: int, vertex_masks: tuple[int, ...], gone: int) -> int:
@@ -88,37 +116,39 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_torsion_pair(q, tp)
+    kind = STRONG_ONE if side == "left" else STRONG_TWO
     full = model_for(q)
-    index, vertex_masks = full.index, full.vertex_masks
-    support = set(q.vertices)
+    index = full.index
+    support = q.vertex_set
     torsion, free = mask_of(full, tp.torsion), mask_of(full, tp.free)
     parts: list[frozenset[int]] = []
     trace: list[TraceStage] = []
     stage = 0
     while True:
-        sub = subquiver(q, support)
-        model = model_for(sub)
-        projective_turn = (stage % 2 == 0) == (side == "left")
-        if projective_turn:
-            found = frozenset(P.a for P in model.projectives() if torsion >> index[P] & 1)
-            taken = TraceStage(stage, PROJECTIVE, found)
-        else:
-            found = frozenset(I.b for I in model.injectives() if free >> index[I] & 1)
-            taken = TraceStage(stage, INJECTIVE, found)
+        projective = projective_stage(kind, stage)
+        # a stage generator lies inside the support, so the classes need
+        # no restriction before the membership test
+        members = torsion if projective else free
+        taken = {
+            v: X
+            for v, X in _stage_generators(q, support, support, projective).items()
+            if members >> index[X] & 1
+        }
+        found = frozenset(taken)
         if stage > 0 and not found:
             break
         parts.append(found)
-        trace.append(taken)
+        side_name = PROJECTIVE if projective else INJECTIVE
+        trace.append(TraceStage(stage, side_name, found, frozenset(taken.values())))
         support -= found
-        gone = sum(1 << k for k, v in enumerate(q.vertices) if v in found)
-        torsion = _restrict(torsion, vertex_masks, gone)
-        free = _restrict(free, vertex_masks, gone)
         stage += 1
         if not support:
             break
+    gone = sum(1 << k for k, v in enumerate(q.vertices) if v not in support)
+    torsion = _restrict(torsion, full.vertex_masks, gone)
+    free = _restrict(free, full.vertex_masks, gone)
     residual_quiver = subquiver(q, support)
     residual = TorsionPair(objects_of(full, torsion), objects_of(full, free))
-    kind = STRONG_ONE if side == "left" else STRONG_TWO
     partition = PartPartition(tuple(parts), kind, complete=not support)
     if not validate_partition(q, partition):
         raise RuntimeError(f"peeling produced an invalid partition {partition}")
@@ -147,16 +177,6 @@ def _residual_in_e(q: Quiver, residual: TorsionPair) -> bool:
     return True
 
 
-def _stage_supports(q: Quiver, partition: PartPartition) -> list[frozenset[int]]:
-    supports = []
-    current = frozenset(q.vertices)
-    for part in partition.parts:
-        supports.append(current)
-        current -= part
-    supports.append(current)
-    return supports
-
-
 def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None = None) -> TorsionPair:
     """Rebuild the torsion pair from a partition and a residual pair.
 
@@ -166,28 +186,24 @@ def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None =
     """
     if not validate_partition(q, partition):
         raise ValueError(f"invalid partition {partition}")
-    supports = _stage_supports(q, partition)
-    residual_quiver = subquiver(q, supports[-1])
+    support = q.vertex_set
+    residual_quiver = subquiver(q, support - partition.support)
     if residual is None:
         residual = TorsionPair(frozenset(), frozenset())
     if not _residual_in_e(residual_quiver, residual):
         raise ValueError("residual pair must avoid residual projectives and injectives")
-    left = partition.kind in (STRONG_ONE, "1")
     model = model_for(q)
     index = model.index
     torsion, free = mask_of(model, residual.torsion), mask_of(model, residual.free)
     for j, part in enumerate(partition.parts):
-        stage_model = model_for(subquiver(q, supports[j]))
-        projective_turn = (j % 2 == 0) == left
+        projective = projective_stage(partition.kind, j)
         # the stage generators' quotients (submodules) generate the piece
-        if projective_turn:
-            for P in stage_model.projectives():
-                if P.a in part:
-                    torsion |= model.quot_masks[index[P]]
-        else:
-            for I in stage_model.injectives():
-                if I.b in part:
-                    free |= model.sub_masks[index[I]]
+        for X in _stage_generators(q, support, part, projective).values():
+            if projective:
+                torsion |= model.quot_masks[index[X]]
+            else:
+                free |= model.sub_masks[index[X]]
+        support -= part
     pair = TorsionPair(
         extension_closure(q, objects_of(model, torsion)),
         extension_closure(q, objects_of(model, free)),
@@ -220,8 +236,6 @@ def tp_to_partition(q: Quiver, tp: TorsionPair) -> PartPartition:
 
 def enumerate_torsion_pairs(q: Quiver) -> list[TorsionPair]:
     """All torsion pairs, through the partition bijection, in partition order."""
-    from .quiver import enumerate_partitions
-
     return [
         partition_to_tp(q, S)
         for S in enumerate_partitions(q, STRONG_ONE, complete=True)
@@ -243,7 +257,6 @@ def count_torsion_pairs(n: int, check: bool = False) -> int:
     value = catalan(n + 1)
     if check:
         from .oracle import enumerate_torsion_pairs_bruteforce
-        from .quiver import enumerate_partitions
 
         q = linear_an(n)
         by_partition = len(enumerate_partitions(q, STRONG_ONE, complete=True))
@@ -262,17 +275,10 @@ def generators(q: Quiver, tp: TorsionPair) -> tuple[frozenset[Interval], frozens
     These are the stage projectives and stage injectives of the peeling;
     their total count is the number of vertices.
     """
-    result = decompose(q, tp, "left")
-    supports = _stage_supports(q, result.partition)
-    t_gen: set[Interval] = set()
-    f_cog: set[Interval] = set()
-    for j, part in enumerate(result.partition.parts):
-        stage_model = model_for(subquiver(q, supports[j]))
-        if j % 2 == 0:
-            t_gen.update(P for P in stage_model.projectives() if P.a in part)
-        else:
-            f_cog.update(I for I in stage_model.injectives() if I.b in part)
-    return frozenset(t_gen), frozenset(f_cog)
+    trace = decompose(q, tp, "left").trace
+    t_gen = [t.generators for t in trace if t.side == PROJECTIVE]
+    f_cog = [t.generators for t in trace if t.side == INJECTIVE]
+    return frozenset().union(*t_gen), frozenset().union(*f_cog)
 
 
 def is_tilting_induced(q: Quiver, tp: TorsionPair) -> bool:
@@ -308,20 +314,11 @@ def is_cotilting_induced(q: Quiver, tp: TorsionPair) -> bool:
 def trace_ntp(q: Quiver, result: DecompositionResult) -> NTorsionPair:
     """The (m+2)-torsion pair recorded by a peeling trace.
 
-    Even-stage pieces in peeling order, then the residual classes, then
-    the odd-stage pieces in reverse order.
+    Projective-stage pieces in peeling order, then the residual classes,
+    then the injective-stage pieces in reverse order.
     """
-    supports = _stage_supports(q, result.partition)
-    left_parts: list[frozenset[Interval]] = []
-    right_parts: list[frozenset[Interval]] = []
-    for stage, part in enumerate(result.partition.parts):
-        stage_model = model_for(subquiver(q, supports[stage]))
-        if result.trace[stage].side == PROJECTIVE:
-            gens = [P for P in stage_model.projectives() if P.a in part]
-            left_parts.append(gen_closure(q, gens))
-        else:
-            cogens = [I for I in stage_model.injectives() if I.b in part]
-            right_parts.append(cogen_closure(q, cogens))
+    left_parts = [gen_closure(q, t.generators) for t in result.trace if t.side == PROJECTIVE]
+    right_parts = [cogen_closure(q, t.generators) for t in result.trace if t.side == INJECTIVE]
     middle = [result.residual.torsion, result.residual.free]
     parts = left_parts + middle + right_parts[::-1]
     return NTorsionPair(tuple(parts))

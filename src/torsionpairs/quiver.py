@@ -167,7 +167,8 @@ def subquiver(q: Quiver, keep: Iterable[int]) -> Quiver:
     """Full subquiver on `keep`, retaining arrows with both ends kept.
 
     Keeping every vertex returns q itself; proper subquivers are memoised,
-    so repeated stage walks share one quiver and its cached properties.
+    so the residual quivers of repeated peelings and assemblies share one
+    quiver and its cached properties.
     """
     keep = frozenset(keep)
     if keep == q.vertex_set:
@@ -250,33 +251,45 @@ def _check_structure(q: Quiver, partition: PartPartition) -> None:
         raise MalformedPartitionError("a partition needs at least the part Delta_0")
 
 
+def projective_stage(kind: str, j: int) -> bool:
+    """Whether stage j of a `kind` partition peels projectives (else
+    injectives): the even stages of a 1-type partition, the odd of a 2-type."""
+    return (j % 2 == 0) == (kind in (PLAIN_ONE, STRONG_ONE))
+
+
+def stage_ends(q: Quiver, support: frozenset[int], projective: bool) -> frozenset[int]:
+    """Sources (on a projective stage) or sinks of the full subquiver on
+    `support`: the vertices whose predecessor (successor) in q lies outside it."""
+    step = q.pred if projective else q.succ
+    return frozenset(v for v in support if step.get(v) not in support)
+
+
+def _linked(q: Quiver, prev: frozenset[int], rest: frozenset[int], vertices: Iterable[int],
+            projective: bool) -> frozenset[int]:
+    """The `vertices` joined to the previous part `prev` by a path inside
+    `prev | rest`, the plain kinds' condition: a vertex of a projective
+    stage reaches into `prev`, one of an injective stage is reached from it.
+    """
+    residual = subquiver(q, prev | rest)
+    return frozenset(
+        v
+        for v in vertices
+        if (path_exists(residual, {v}, prev) if projective else path_exists(residual, prev, {v}))
+    )
+
+
 def _kind_conditions_hold(q: Quiver, parts: tuple[frozenset[int], ...], kind: str) -> bool:
-    removed: set[int] = set()
-    prev_residual = q
+    strong = kind in (STRONG_ONE, STRONG_TWO)
+    support = q.vertex_set
     for j, part in enumerate(parts):
-        residual = subquiver(q, [v for v in q.vertices if v not in removed])
-        if j >= 1 and kind in (STRONG_ONE, STRONG_TWO):
-            odd = j % 2 == 1
-            want_sinks = (kind == STRONG_ONE) == odd
-            need = residual.sinks if want_sinks else residual.sources
-            if not need <= part:
-                return False
-        if j >= 2 and kind in (PLAIN_ONE, PLAIN_TWO):
+        projective = projective_stage(kind, j)
+        if j >= 1 and strong and not stage_ends(q, support, projective) <= part:
+            return False
+        if j >= 2 and not strong:
             prev = parts[j - 1]
-            odd = j % 2 == 1
-            for v in part:
-                # plain 1-type: odd parts are reached from the previous part,
-                # even parts reach into it; plain 2-type is the mirror.
-                forward = (kind == PLAIN_ONE) == odd
-                ok = (
-                    path_exists(prev_residual, prev, {v})
-                    if forward
-                    else path_exists(prev_residual, {v}, prev)
-                )
-                if not ok:
-                    return False
-        removed |= part
-        prev_residual = residual
+            if _linked(q, prev, support, part, projective) != part:
+                return False
+        support = support - part
     return True
 
 
@@ -322,11 +335,9 @@ def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> list[Pa
 
     def candidates(parts: list[frozenset[int]], remaining: frozenset[int]) -> Iterator[frozenset[int]]:
         j = len(parts)
-        residual = subquiver(q, remaining)
+        projective = projective_stage(kind, j)
         if kind in (STRONG_ONE, STRONG_TWO):
-            odd = j % 2 == 1
-            want_sinks = (kind == STRONG_ONE) == odd
-            mandatory = residual.sinks if want_sinks else residual.sources
+            mandatory = stage_ends(q, remaining, projective)
             for extra in _subsets(remaining - mandatory, include_empty=True):
                 part = mandatory | extra
                 if part:
@@ -336,18 +347,7 @@ def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> list[Pa
                 pool = remaining
             else:
                 prev = parts[-1]
-                prev_residual = subquiver(q, remaining | prev)
-                odd = j % 2 == 1
-                forward = (kind == PLAIN_ONE) == odd
-                pool = frozenset(
-                    v
-                    for v in remaining
-                    if (
-                        path_exists(prev_residual, prev, {v})
-                        if forward
-                        else path_exists(prev_residual, {v}, prev)
-                    )
-                )
+                pool = _linked(q, prev, remaining, remaining, projective)
             yield from _subsets(pool, include_empty=False)
 
     def extend(parts: list[frozenset[int]], remaining: frozenset[int]) -> None:

@@ -42,6 +42,7 @@ from .quiver import (
     cyclic_an,
     enumerate_partitions,
     subquiver,
+    validate_partition,
 )
 from .torsion import TorsionPair
 from .tube import (
@@ -73,18 +74,6 @@ def _interval_to_tube(q: Quiver, rank: int, X: Interval) -> TubeModule:
     the classified pairs keep their descriptors.
     """
     return all_tube_modules(rank, rank)[module_index(X.b, model_for(q).length(X), rank)]
-
-
-def _tube_to_interval(q: Quiver, U: TubeModule) -> Interval | None:
-    """Inverse rereading, when the module is supported on the residual."""
-    ci_pos = q.position.get(U.socle)
-    if ci_pos is None:
-        return None
-    ci, pos = ci_pos
-    comp = q.components[ci]
-    if U.length > pos + 1:
-        return None
-    return Interval(comp[pos - U.length + 1], U.socle)
 
 
 @dataclass(frozen=True)
@@ -285,8 +274,6 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     if len(S.support) != rank or S.support != frozenset(range(1, rank + 1)):
         raise ValueError(f"the partition must cover the vertices 1..{rank} of the cycle")
     cycle = cyclic_an(rank)
-    from .quiver import validate_partition
-
     if not validate_partition(cycle, S):
         raise ValueError(f"invalid partition {S}")
     delta = S.parts[0]

@@ -323,6 +323,41 @@ class TestCertificateSizeBound:
         cert = jsonio.pair_certificate(linear_an(5), enumerate_torsion_pairs(linear_an(5))[3])
         assert main([command, write_cert(tmp_path, cert), "--max-n", "5"]) == 0
 
+    @staticmethod
+    def tube_cert(rank, named):
+        """Kind 1 tube certificate whose leading part names 1..named."""
+        return {"schema": "torsion/1", "rank": rank, "kind": 1,
+                "delta": list(range(1, named + 1)), "residual_partition": []}
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    @pytest.mark.parametrize("rank,named,argv", [
+        (41, 41, []),
+        (10**9, 41, []),
+        (5, 5, ["--max-n", "4"]),
+    ], ids=["rank41", "rank1e9", "lowered"])
+    def test_tube_rank_over_the_bound_is_exit_4(self, tmp_path, capsys, monkeypatch, command, rank, named, argv):
+        self.refuse_building(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded a tube certificate past the size bound")
+
+        monkeypatch.setattr(jsonio, "partition_to_tube_tp", refuse)
+        code = main([command, write_cert(tmp_path, self.tube_cert(rank, named)), *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.startswith("bound exceeded: certificate size")
+        assert "Traceback" not in captured.err
+
+    def test_tube_rank_at_the_bound_is_admitted(self, tmp_path, capsys):
+        code, out = run(capsys, "verify", write_cert(tmp_path, self.tube_cert(5, 5)), "--max-n", "5")
+        assert (code, out) == (0, "PASS\n")
+
+    def test_small_tube_certificate_to_decompose_is_exit_3(self, tmp_path, capsys):
+        code = main(["decompose", write_cert(tmp_path, self.tube_cert(3, 3))])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("certificate error:")
+
 
 class TestCertificateBoundary:
     """Bad input ends in its documented exit code with a one-line message."""

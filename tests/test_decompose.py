@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import pytest
 
+from test_intervals import CYCLE_RESIDUALS, MODEL_QUIVERS, linear_union, model_id
 from torsionpairs.decompose import (
+    _stage_generators,
     assemble,
     count_torsion_pairs,
+    decompose,
     decompose_left,
     decompose_right,
     enumerate_torsion_pairs,
@@ -34,6 +39,7 @@ from torsionpairs.quiver import (
     PartPartition,
     enumerate_partitions,
     linear_an,
+    stage_ends,
     subquiver,
 )
 from torsionpairs.torsion import (
@@ -57,6 +63,15 @@ def fs(*pairs):
 
 def parts(*sets):
     return tuple(frozenset(s) for s in sets)
+
+
+# small paths, then the walk's harder inputs: the cycle residuals
+# (non-monotone labels) and a shuffled-label union
+WALK_QUIVERS = (
+    [linear_an(n) for n in range(1, 5)]
+    + CYCLE_RESIDUALS
+    + [linear_union((7, 2, 9, 4), (10, 1, 5))]
+)
 
 
 ALL2 = frozenset(indecomposables(A2))
@@ -219,13 +234,12 @@ class TestGenerators:
         assert t_gen == fs((1, 1))
         assert f_cog == fs((1, 2))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_generator_contract(self, n):
-        q = linear_an(n)
+    @pytest.mark.parametrize("q", WALK_QUIVERS, ids=model_id)
+    def test_generator_contract(self, q):
         model = model_for(q)
         for tp in enumerate_torsion_pairs(q):
             t_gen, f_cog = generators(q, tp)
-            assert len(t_gen) + len(f_cog) == n
+            assert len(t_gen) + len(f_cog) == len(q.vertices)
             assert gen_closure(q, t_gen) == tp.torsion
             assert cogen_closure(q, f_cog) == tp.free
             assert t_gen == ext_projectives_in(model, t_gen, tp.torsion)
@@ -313,13 +327,13 @@ class TestCatalanRecursion:
 
 
 class TestTraceNtp:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_trace_tuples_are_valid(self, n):
-        q = linear_an(n)
+    @pytest.mark.parametrize("q", WALK_QUIVERS, ids=model_id)
+    def test_trace_tuples_are_valid(self, q):
         model = model_for(q)
         for tp in enumerate_torsion_pairs(q):
-            ntp = trace_ntp(q, decompose_left(q, tp))
-            assert is_ntp(model, ntp.parts)
+            for side in ("left", "right"):
+                ntp = trace_ntp(q, decompose(q, tp, side))
+                assert is_ntp(model, ntp.parts), (tp, side)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_projective_correspondence_is_a_bijection(self, n):
@@ -349,3 +363,25 @@ class TestTraceNtp:
                 for X in prefix_ext_injectives(q, ntp, i)
             }
             assert set(mapping.values()) == targets
+
+
+class TestStageWalk:
+    """The one stage walk against the support quiver and its model, on
+    every support of every model quiver."""
+
+    @pytest.mark.parametrize("q", MODEL_QUIVERS, ids=model_id)
+    def test_matches_the_support_model(self, q):
+        for k in range(len(q.vertices) + 1):
+            for keep in combinations(q.vertices, k):
+                support = frozenset(keep)
+                sub = subquiver(q, support)
+                model = model_for(sub)
+                for part in (support, frozenset(sorted(support)[::2])):
+                    assert _stage_generators(q, support, part, True) == {
+                        P.a: P for P in model.projectives() if P.a in part
+                    }, (support, part)
+                    assert _stage_generators(q, support, part, False) == {
+                        I.b: I for I in model.injectives() if I.b in part
+                    }, (support, part)
+                assert stage_ends(q, support, True) == sub.sources, support
+                assert stage_ends(q, support, False) == sub.sinks, support

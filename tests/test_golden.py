@@ -2,9 +2,12 @@
 
 The hashes pin the exact bytes the commands print, so a refactor or a
 faster model that changes any output byte fails here.  Every command runs
-in-process through `cli.main`.  After an intended output change, print the
-new values with `python tests/test_golden.py` (from the repository root,
-with `src` on the path) and paste them into GOLDEN.
+in-process through `cli.main`.  WALK_GOLDEN pins, the same way, the
+library outputs of the stage walk that no command prints: `generators`
+and the `trace_ntp` of both peelings.  After an intended output change,
+print the new values with `python tests/test_golden.py` (from the
+repository root, with `src` and `tests` on the path) and paste them into
+GOLDEN and WALK_GOLDEN.
 """
 
 import hashlib
@@ -13,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from test_intervals import CYCLE_RESIDUALS, linear_union
 from torsionpairs.cli import main
+from torsionpairs.decompose import decompose, enumerate_torsion_pairs, generators, trace_ntp
+from torsionpairs.quiver import linear_an
 
 CERTIFICATES = {
     # T = {[a,b] : a in {1,3}} and its perpendicular class on the 4-vertex path
@@ -134,6 +140,51 @@ GOLDEN = {
 }
 
 
+# the 10-vertex unions of MODEL_QUIVERS hold 8232 and 18018 pairs, too
+# many for the suite; their 7-vertex part keeps the shuffled labels
+WALK_QUIVERS = {
+    "paths": [linear_an(n) for n in range(1, 7)],
+    "cycle residuals": CYCLE_RESIDUALS,
+    "shuffled union": [linear_union((7, 2, 9, 4), (10, 1, 5))],
+}
+
+# family: SHA-256 of generators, of the left trace_ntp, of the right trace_ntp
+WALK_GOLDEN = {
+    'paths': (
+        '71a8467abd9b1e9fa3a89ace2b379761e37ee562961b1e53e9602b8e3139811e',
+        'a1f33838af3d7e85be14537463bf5ea004a9eab91ddd8eedb856270a40dc5131',
+        '2e9758b8696958eed16c6e747cbf059a0cce458a944727844dce54bb8f3bd380',
+    ),
+    'cycle residuals': (
+        '0ce5ceb93a54277d4d46c12cfe6caf9f2ea5242c79d357bb5ac468892c47b6ae',
+        'd0395a80b075805726b93d23be3fe379174cbeb9f98c411457ec84454c3e1a03',
+        'fce8a29f7c48c8d2e2884c9f415ae67b1054cba9015634b744f3e9584b4efac4',
+    ),
+    'shuffled union': (
+        '0fc7a9be441e7b5fc7baa824942c744c730289663ddce860496ac902c1a16131',
+        '134fb4ff654cfeac45790432035a3e187a311e7eab06a2d3c3da3164e54323ff',
+        'f6c9a8795bdd5066d05c92444474f08d2d02b3e91e880b7b26c655655f623c45',
+    ),
+}
+
+
+def _walk_digests(quivers):
+    """Digests of generators(q, tp) and of both trace_ntp(q, decompose(q, tp,
+    side)), over every torsion pair of the quivers in turn."""
+    def ends(modules):
+        return sorted((X.a, X.b) for X in modules)
+
+    hashes = [hashlib.sha256() for _ in range(3)]
+    for q in quivers:
+        for tp in enumerate_torsion_pairs(q):
+            t_gen, f_cog = generators(q, tp)
+            hashes[0].update(repr((ends(t_gen), ends(f_cog))).encode())
+            for h, side in zip(hashes[1:], ("left", "right")):
+                ntp = trace_ntp(q, decompose(q, tp, side))
+                h.update(repr([ends(part) for part in ntp.parts]).encode())
+    return tuple(h.hexdigest() for h in hashes)
+
+
 def _argv(case, directory):
     """Replace an `@name` argument by the path of that certificate's file."""
     argv = []
@@ -155,6 +206,11 @@ def test_stdout_matches_golden(case, tmp_path, capsys):
     code = main(_argv(case, tmp_path))
     out = capsys.readouterr().out
     assert (code, _digest(out)) == GOLDEN[" ".join(case)]
+
+
+@pytest.mark.parametrize("family", WALK_QUIVERS)
+def test_walk_outputs_match_golden(family):
+    assert _walk_digests(WALK_QUIVERS[family]) == WALK_GOLDEN[family]
 
 
 def test_every_case_has_a_golden_value():
@@ -182,3 +238,5 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
                 code = main(_argv(case, pathlib.Path(tmp)))
             print(f"    {' '.join(case)!r}: ({code}, {_digest(buffer.getvalue())!r}),")
+    for family, quivers in WALK_QUIVERS.items():
+        print(f"    {family!r}: {_walk_digests(quivers)!r},")

@@ -36,22 +36,25 @@ def linear_union(*components):
     return Quiver(vertices, arrows, LINEAR_UNION)
 
 
-# paths, every proper support subquiver of a small cycle (wrapped,
-# non-monotone labels, as in tube residuals) and two shuffled-label
-# unions; cycles of different rank share some subquivers, kept once
-MODEL_QUIVERS = list(dict.fromkeys(
+# every proper support subquiver of a small cycle (wrapped, non-monotone
+# labels, as in tube residuals); cycles of different rank share some
+# subquivers, kept once
+CYCLE_RESIDUALS = list(dict.fromkeys(
+    subquiver(cyclic_an(r), keep)
+    for r in range(2, 6)
+    for k in range(1, r)
+    for keep in combinations(range(1, r + 1), k)
+))
+
+# paths, the cycle residuals and two shuffled-label unions
+MODEL_QUIVERS = (
     [linear_an(n) for n in range(1, 7)]
-    + [
-        subquiver(cyclic_an(r), keep)
-        for r in range(2, 6)
-        for k in range(1, r)
-        for keep in combinations(range(1, r + 1), k)
-    ]
+    + CYCLE_RESIDUALS
     + [
         linear_union((7, 2, 9, 4), (10, 1, 5), (3, 8, 6)),
         linear_union((6, 3, 10, 1, 8, 2), (9, 5, 4, 7)),
     ]
-))
+)
 
 
 def model_id(q):
