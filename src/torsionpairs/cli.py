@@ -16,7 +16,7 @@ from .decompose import (
     count_torsion_pairs,
     decompose as peel,
     enumerate_torsion_pairs,
-    residuals_agree,
+    same_residual,
 )
 from .intervals import model_for
 from .jsonio import CertificateError
@@ -48,7 +48,7 @@ def _load_certificate(path: str) -> dict:
             obj = json.load(handle)
     except OSError as exc:
         raise CertificateError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
         raise CertificateError(f"{path} is not valid JSON: {exc}") from exc
     jsonio.certificate_kind(obj)
     return obj
@@ -68,7 +68,7 @@ def _certificate_vertices(obj: dict) -> int | None:
         if category.get("shape") == LINEAR_UNION:
             return sum(len(c) for c in category["components"])
         return int(category["n"])
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
         return None
 
 
@@ -128,14 +128,12 @@ def cmd_decompose(args) -> int:
     check = is_torsion_pair(_certificate_model(q, tp.torsion | tp.free), tp.torsion, tp.free)
     if not check:
         raise CertificateError(f"certificate fails the torsion pair axioms: {check.reason}")
-    payload: dict = {}
-    if args.side in ("left", "both"):
-        payload["left"] = jsonio.decomposition_to_obj(peel(q, tp, "left"))
-    if args.side in ("right", "both"):
-        payload["right"] = jsonio.decomposition_to_obj(peel(q, tp, "right"))
+    sides = ("left", "right") if args.side == "both" else (args.side,)
+    results = {side: peel(q, tp, side) for side in sides}
+    payload: dict = {side: jsonio.decomposition_to_obj(r) for side, r in results.items()}
     if args.side == "both":
-        payload["residuals_agree"] = residuals_agree(q, tp)
-    if args.side != "both":
+        payload["residuals_agree"] = same_residual(results["left"], results["right"])
+    else:
         payload = payload[args.side]
     _emit(args, jsonio.dumps_canonical(payload))
     return EXIT_OK

@@ -13,10 +13,9 @@ nonzero exactly when the map "quotient then include" exists (c <= a <= d
 Ext^1(X, Y) = Hom(Y, tau X), which also covers the overlap extensions
 whose middle terms decompose.  Both are closed forms in the positions of
 the interval ends, evaluated on every call; the one Hom table kept is a
-bitmask row per object, filled from those values.  Every model
-checks them against the Euler form on all ordered pairs when it is
-built, and the test suite checks them against explicit matrix
-representations.
+bitmask row per object, filled from the same rule.  The test suite checks
+hom and ext against explicit matrix representations and against the
+Euler form, and the rows against hom.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from typing import Iterable
 
 from .quiver import Quiver
 from .torsion import extension_closure as _closure, objects_of
-
-
-class ModelDefectError(RuntimeError):
-    """Internal consistency violation between independent computation rules."""
 
 
 @dataclass(frozen=True, order=True)
@@ -59,10 +54,9 @@ class LinearModel:
     bitmasks), `vertex_masks` (bit k set iff the k-th vertex of the quiver
     lies in the support) and `glue_chains` (see `torsion`), O(N n)
     ints in all for n vertices.  hom, ext and euler are O(1) closed forms
-    in the vertex positions.  Construction checks hom - ext = euler on all
-    N^2 ordered pairs, O(1) each, through the same hom and ext that serve
-    callers, and builds `hom_rows` from those served hom values.
-    All values are immutable, so one model may be shared freely.
+    in the vertex positions, and `hom_rows` is filled from the hom rule
+    in O(N n) without calling them.  All values are immutable, so one
+    model may be shared freely.
     """
 
     def __init__(self, q: Quiver):
@@ -80,13 +74,18 @@ class LinearModel:
         self._projectives = tuple(sorted(row[-1] for g in grid for row in g))  # [v, sink]
         self._injectives = tuple(sorted(X for g in grid for X in g[0]))  # [source, v]
         n_obj = len(self.objects)
-        subs, quots, vmasks = [()] * n_obj, [()] * n_obj, [0] * n_obj
+        subs, quots, vmasks, homs = [()] * n_obj, [()] * n_obj, [0] * n_obj, [0] * n_obj
         before, same_socle = [None] * n_obj, [0] * n_obj
         vertex_bit = {v: 1 << k for k, v in enumerate(q.vertices)}
         for comp, g in zip(q.components, grid):
             rows = [[self.index[X] for X in row] for row in g]
             for p, row in enumerate(rows):
+                hom = 0
                 for k, i in enumerate(row):
+                    # Hom([a, b], [c, d]) != 0 iff c <= a <= d <= b: the row of
+                    # [a, b] is that of [a, b-1] plus every [c, b] with c <= a
+                    hom |= sum(1 << rows[c][p + k - c] for c in range(p + 1))
+                    homs[i] = hom
                     quots[i] = tuple(row[: k + 1])
                     subs[i] = tuple(rows[p + k - m][m] for m in range(k + 1))
                     vmasks[i] = sum(vertex_bit[v] for v in comp[p : p + k + 1])
@@ -100,20 +99,7 @@ class LinearModel:
         self.quot_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in quots)
         self.vertex_masks: tuple[int, ...] = tuple(vmasks)
         self.glue_chains = (tuple(before), tuple(same_socle))
-        hom, ext, euler = self.hom, self.ext, self.euler
-        rows = []
-        for X in self.objects:
-            row = 0
-            for j, Y in enumerate(self.objects):
-                h = hom(X, Y)
-                if h - ext(X, Y) != euler(X, Y):
-                    raise ModelDefectError(
-                        f"hom/ext rules disagree with the Euler form at ({X}, {Y})"
-                    )
-                if h:
-                    row |= 1 << j
-            rows.append(row)
-        self.hom_rows: tuple[int, ...] = tuple(rows)
+        self.hom_rows: tuple[int, ...] = tuple(homs)
 
     # -- bookkeeping -------------------------------------------------
 

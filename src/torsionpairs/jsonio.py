@@ -62,7 +62,7 @@ def quiver_from_obj(obj: Any) -> Quiver:
             vertices = tuple(sorted(v for c in comps for v in c))
             arrows = tuple((c[i], c[i + 1]) for c in comps for i in range(len(c) - 1))
             return Quiver(vertices, arrows, LINEAR_UNION)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad quiver object: {exc}") from exc
     raise CertificateError(f"unknown quiver shape {obj!r}")
 
@@ -88,7 +88,7 @@ def partition_from_obj(obj: Any) -> PartPartition:
             kind,
             bool(obj["complete"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         if isinstance(exc, CertificateError):
             raise
         raise CertificateError(f"bad partition object: {exc}") from exc
@@ -104,7 +104,7 @@ def intervals_to_obj(modules) -> list[list[int]]:
 def intervals_from_obj(obj: Any) -> frozenset[Interval]:
     try:
         return frozenset(Interval(int(a), int(b)) for a, b in obj)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad interval list: {exc}") from exc
 
 
@@ -145,7 +145,7 @@ def tube_pair_from_obj(obj: Any) -> TubeTorsionPair:
         kind = int(obj["kind"])
         delta = frozenset(int(v) for v in obj["delta"])
         tail = tuple(frozenset(int(v) for v in p) for p in obj["residual_partition"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad tube certificate: {exc}") from exc
     kind_name = STRONG_ONE if kind == 1 else STRONG_TWO
     partition = PartPartition((delta,) + tail, kind_name, complete=True)

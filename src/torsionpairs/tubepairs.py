@@ -162,45 +162,18 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     Built from the bijection: for each kind, every complete strong
     partition of the cycle with nonempty leading part gives one pair
     through `partition_to_tube_tp`, whose `assemble` validates the
-    residual partition and checks the torsion pair axioms.  Each pair is
-    then checked to be of its kind (kind 1 residuals cotilting-induced,
-    kind 2 tilting-induced, both characterisations compared), and the
-    membership fingerprints of all pairs are compared: kind collisions
-    are impossible (finite versus infinite torsion class), so any
-    collision is reported as a defect.
+    residual partition.  That each pair is a torsion pair of its kind and
+    that no two pairs coincide are checked by `count_tube_tps(check=True)`.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
     cycle = cyclic_an(rank)
-    data: list[TubeTorsionPair] = []
-    for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
-        for S in enumerate_partitions(cycle, name, complete=True):
-            if not S.parts[0]:
-                continue
-            datum = partition_to_tube_tp(S, kind, rank)
-            residual, tp = datum.residual_quiver, datum.residual_pair
-            induced = (
-                is_cotilting_induced(residual, tp)
-                if kind == 1
-                else is_tilting_induced(residual, tp)
-            )
-            if not induced:
-                raise ClassificationDefectError(f"partition {S} gives no kind {kind} pair")
-            data.append(datum)
-    cap = 2 * rank + 2
-    seen: dict[tuple[int, int], TubeTorsionPair] = {}
-    for datum in data:
-        # each side as a bitmask over the truncation: the same comparison,
-        # without keeping two module sets per pair
-        fp = tuple(
-            sum(1 << module_index(X.socle, X.length, rank) for X in side)
-            for side in datum.fingerprint(cap)
-        )
-        if fp in seen:
-            raise ClassificationDefectError(
-                f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"
-            )
-        seen[fp] = datum
+    data = [
+        partition_to_tube_tp(S, kind, rank)
+        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO))
+        for S in enumerate_partitions(cycle, name, complete=True)
+        if S.parts[0]
+    ]
     data.sort(key=TubeTorsionPair.sort_key)
     return data
 
@@ -208,7 +181,7 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
 def count_tube_tps(rank: int, check: bool = False) -> int:
     """Number of torsion pairs on the tube of the given rank, by classification.
 
-    With check=True three more legs must agree with it:
+    With check=True five more legs must agree with it, in this order:
       - formula: the closed form binom(2 rank, rank) (Baur-Buan-Marsh,
         "Torsion pairs and rigid objects in tubes", 2014);
       - partitions: the number of complete strong partitions of the
@@ -218,7 +191,13 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         residual segments, the product of Catalan(|C|) over its
         components C.  The classification is built from the same
         partitions as the second leg; this leg checks it independently,
-        one (kind, delta) at a time.
+        one (kind, delta) at a time;
+      - induced: each residual pair is a torsion pair of its kind, kind 1
+        cotilting-induced and kind 2 tilting-induced, each computed two
+        ways and compared;
+      - fingerprint: no two pairs share a membership fingerprint truncated
+        at 2 rank + 2.  Kind collisions are impossible (finite versus
+        infinite torsion class), so any collision is a defect.
     """
     data = enumerate_tube_tps(rank)
     value = len(data)
@@ -246,6 +225,28 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
                         f"count mismatch at rank={rank}, kind {kind}, delta "
                         f"{sorted(delta)}: {tally[kind, delta]} pairs, {want} tilting modules"
                     )
+        for datum in data:
+            residual, tp = datum.residual_quiver, datum.residual_pair
+            check_kind = is_cotilting_induced if datum.kind == 1 else is_tilting_induced
+            if not check_kind(residual, tp):
+                # rebuilding the partition for the message raises its own
+                # defect when the peeling already shows the wrong kind
+                S = tube_tp_to_partition(datum)
+                raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
+        cap = 2 * rank + 2
+        seen: dict[tuple[int, int], TubeTorsionPair] = {}
+        for datum in data:
+            # each side as a bitmask over the truncation: the same comparison,
+            # without keeping two module sets per pair
+            fp = tuple(
+                sum(1 << module_index(X.socle, X.length, rank) for X in side)
+                for side in datum.fingerprint(cap)
+            )
+            if fp in seen:
+                raise ClassificationDefectError(
+                    f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"
+                )
+            seen[fp] = datum
     return value
 
 

@@ -1,16 +1,21 @@
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import torsionpairs
 from torsionpairs import cli, jsonio
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
 from torsionpairs.quiver import linear_an
+from torsionpairs.tubepairs import enumerate_tube_tps
 
 
 def run(capsys, *argv):
@@ -433,3 +438,152 @@ class TestCertificateBoundary:
         code, out, err = self.verify(tmp_path, cert)
         assert (code, out) == (3, "")
         assert err.startswith("certificate error:") and "[3,1]" in err
+
+
+class TestNumbersPastTheFloatRange:
+    """A number JSON reads as infinity, or as an integer past Python's
+    digit limit, is malformed certificate content: exit 3, no traceback."""
+
+    @staticmethod
+    def write(tmp_path, obj, value="1e999"):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj).replace('"HUGE"', value))
+        return str(path)
+
+    PAIR = {"schema": "torsion/1", "category": {"shape": "linearA", "n": 3}, "torsion": [], "free": []}
+    TUBE = {"schema": "torsion/1", "rank": 2, "kind": 1, "delta": [1], "residual_partition": [[2]]}
+    CASES = {
+        "rank": {**TUBE, "rank": "HUGE"},
+        "kind": {**TUBE, "kind": "HUGE"},
+        "delta vertex": {**TUBE, "delta": ["HUGE"]},
+        "residual vertex": {**TUBE, "residual_partition": [["HUGE"]]},
+        "category n": {**PAIR, "category": {"shape": "linearA", "n": "HUGE"}},
+        "component vertex": {**PAIR, "category": {"shape": "linearUnion", "components": [[1, "HUGE"]]}},
+        "interval end": {**PAIR, "torsion": [[1, "HUGE"]]},
+        "ntp interval end": {
+            "schema": "torsion/1",
+            "category": {"shape": "linearA", "n": 3},
+            "parts": [[["HUGE", 1]], []],
+        },
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_infinity_is_exit_3(self, tmp_path, capsys, command, case):
+        code = main([command, self.write(tmp_path, self.CASES[case])])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("certificate error:")
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_integer_past_the_digit_limit_is_exit_3(self, tmp_path, capsys, command):
+        path = self.write(tmp_path, {**self.TUBE, "rank": "HUGE"}, "1" + "0" * 5000)
+        code = main([command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("certificate error:")
+
+
+# -- fuzzing the certificate reader --------------------------------------------
+
+# numbers as certificates carry them (small vertex labels most often), and
+# what a malformed one may carry instead
+_small = st.integers(min_value=1, max_value=6)
+_numbers = st.one_of(
+    _small,
+    _small,
+    _small,
+    st.integers(min_value=-2, max_value=45),
+    st.integers(),
+    st.sampled_from([10**30, -(10**30), 2**64]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+_values = st.recursive(
+    _numbers,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+_intervals = st.lists(st.lists(_numbers, min_size=2, max_size=2) | _values, max_size=6) | _values
+_vertex_sets = st.lists(st.lists(_numbers, max_size=4), max_size=4) | _values
+_categories = st.one_of(
+    st.fixed_dictionaries({"shape": st.just("linearA")}, optional={"n": _numbers}),
+    st.fixed_dictionaries({"shape": st.just("linearUnion")}, optional={"components": _vertex_sets}),
+    st.fixed_dictionaries({"shape": st.sampled_from(["cyclicA", "other"]), "n": _numbers}),
+    _values,
+)
+_payloads = {
+    "pair": {"category": _categories, "torsion": _intervals, "free": _intervals},
+    "ntp": {"category": _categories, "parts": st.lists(_intervals, max_size=4) | _values},
+    "tube": {
+        "rank": _numbers,
+        "kind": _numbers,
+        "delta": st.lists(_numbers, max_size=4) | _values,
+        "residual_partition": _vertex_sets,
+    },
+}
+
+
+def _paths(obj, prefix=()):
+    """Every key or index path into a JSON value, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@functools.cache
+def _valid_certificates():
+    q = linear_an(3)
+    valid = [jsonio.pair_certificate(q, tp) for tp in enumerate_torsion_pairs(q)[::3]]
+    valid += [jsonio.tube_certificate(d) for d in enumerate_tube_tps(2)]
+    valid.append({"schema": "torsion/1", "category": {"shape": "linearA", "n": 2},
+                  "parts": [[[1, 1]], [[1, 2]], [[2, 2]]]})
+    return valid
+
+
+@st.composite
+def _mutated(draw):
+    """A valid certificate with one value replaced, or one key or entry dropped."""
+    cert = json.loads(json.dumps(draw(st.sampled_from(_valid_certificates()))))
+    path = draw(st.sampled_from(list(_paths(cert))))
+    parent = cert
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        parent[path[-1]] = draw(_values)
+    else:
+        del parent[path[-1]]
+    return cert
+
+
+# one payload with every key, one with some keys missing, keys of all
+# kinds, or a valid certificate broken in one place
+_certificates = st.one_of(
+    _mutated(),
+    _mutated(),
+    *(st.fixed_dictionaries({"schema": st.just("torsion/1"), **keys}) for keys in _payloads.values()),
+    *(st.fixed_dictionaries({"schema": st.just("torsion/1")}, optional=keys) for keys in _payloads.values()),
+    st.fixed_dictionaries(
+        {"schema": st.just("torsion/1")},
+        optional={k: v for keys in _payloads.values() for k, v in keys.items()},
+    ),
+)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=2000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(cert=_certificates, command=st.sampled_from(["verify", "decompose"]))
+def test_fuzzed_certificates_end_in_a_documented_exit_code(tmp_path, cert, command):
+    # any exception leaving main fails the example; exit 2 would mean a
+    # malformed certificate was reported as a usage error
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cert))
+    assert main([command, str(path)]) in (0, 1, 3, 4)

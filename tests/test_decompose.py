@@ -41,12 +41,14 @@ from torsionpairs.quiver import (
     linear_an,
     stage_ends,
     subquiver,
+    validate_partition,
 )
 from torsionpairs.torsion import (
     TorsionPair,
     ext_injectives_in,
     ext_projectives_in,
     is_ntp,
+    is_torsion_pair,
 )
 
 A2 = linear_an(2)
@@ -208,6 +210,19 @@ class TestBijection:
     def test_round_trip_a2(self):
         for S in enumerate_partitions(A2, STRONG_ONE, complete=True):
             assert tp_to_partition(A2, partition_to_tp(A2, S)) == S
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_assembled_pair_and_its_peeling_are_valid(self, n):
+        # assemble and decompose do not re-check what they build: every
+        # pair of the path route is a torsion pair, and peeling it gives
+        # a valid complete partition
+        q = linear_an(n)
+        model = model_for(q)
+        for tp in enumerate_torsion_pairs(q):
+            check = is_torsion_pair(model, tp.torsion, tp.free)
+            assert check, check.reason
+            partition = decompose(q, tp, "left").partition
+            assert partition.complete and validate_partition(q, partition), partition
 
 
 class TestCounts:

@@ -1,5 +1,7 @@
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,6 @@ from hypothesis import strategies as st
 from torsionpairs import oracle
 from torsionpairs.intervals import (
     Interval,
-    LinearModel,
-    ModelDefectError,
     cogen_closure,
     ext_dim,
     extension_closure,
@@ -55,6 +55,22 @@ MODEL_QUIVERS = (
         linear_union((6, 3, 10, 1, 8, 2), (9, 5, 4, 7)),
     ]
 )
+
+
+def shuffled_union(sizes, seed):
+    """Labels 1..n shuffled and cut into linear components of the given sizes."""
+    labels = list(range(1, sum(sizes) + 1))
+    random.Random(seed).shuffle(labels)
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    return linear_union(*(labels[s : s + size] for s, size in zip(starts, sizes)))
+
+
+# certificate-sized models: paths up to the default verify bound of 40
+# vertices and shuffled-label unions of the sizes the benchmark certifies
+CERTIFICATE_QUIVERS = [linear_an(n) for n in (12, 24, 40)] + [
+    shuffled_union((14, 6), 0),
+    shuffled_union((21, 8), 1),
+]
 
 
 def model_id(q):
@@ -120,10 +136,20 @@ class TestHomExt:
                 assert m.hom(X, Y) - m.ext(X, Y) == reference, (X, Y)
                 assert m.euler(X, Y) == reference, (X, Y)
 
-    def test_construction_check_reads_the_served_ext(self, monkeypatch):
-        monkeypatch.setattr(LinearModel, "ext", lambda self, X, Y: 0)
-        with pytest.raises(ModelDefectError):
-            LinearModel(A3)
+    @pytest.mark.parametrize("q", CERTIFICATE_QUIVERS, ids=model_id)
+    def test_euler_identity_at_certificate_size(self, q):
+        # the dimension-vector form is bilinear, so its values on pairs of
+        # simples give it on every pair of modules at once: D E D^T
+        m = model_for(q)
+        unit = np.eye(len(q.vertices), dtype=int)
+        simples = np.array([[oracle.euler_form(d, e, q) for e in unit] for d in unit])
+        dims = np.array([m.dim_vector(X) for X in m.objects])
+        reference = dims @ simples @ dims.T
+        objs = m.objects
+        hom_ext = np.array([[m.hom(X, Y) - m.ext(X, Y) for Y in objs] for X in objs])
+        euler = np.array([[m.euler(X, Y) for Y in objs] for X in objs])
+        assert np.array_equal(hom_ext, reference)
+        assert np.array_equal(euler, reference)
 
 
 class TestUniserialStructure:

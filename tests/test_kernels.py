@@ -18,7 +18,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from test_intervals import MODEL_QUIVERS, model_id
+from test_intervals import CERTIFICATE_QUIVERS, MODEL_QUIVERS, model_id
 from torsionpairs import intervals, oracle, quiver, torsion, tube
 from torsionpairs.intervals import model_for
 from torsionpairs.quiver import cyclic_an, linear_an, subquiver
@@ -278,7 +278,11 @@ def bits(mask):
     return {j for j in range(mask.bit_length()) if mask >> j & 1}
 
 
-@pytest.mark.parametrize("make", KERNEL_MODELS)
+@pytest.mark.parametrize(
+    "make",
+    KERNEL_MODELS
+    + [pytest.param(lambda q=q: model_for(q), id=model_id(q)) for q in CERTIFICATE_QUIVERS],
+)
 def test_hom_rows_match_the_served_hom(make):
     model = make()
     assert [model.index[X] for X in model.objects] == list(range(len(model.objects)))
@@ -430,4 +434,6 @@ def test_caches_are_bounded(cached):
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_tube_count_check_meets_the_closed_form(rank):
+    # all five legs, among them the induced and fingerprint checks that
+    # enumerate_tube_tps does not run itself
     assert count_tube_tps(rank, check=True) == math.comb(2 * rank, rank)

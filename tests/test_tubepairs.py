@@ -364,18 +364,20 @@ class TestCombine:
 
 
 class TestDefects:
+    """The induced and fingerprint legs of `count_tube_tps(check=True)`."""
+
     @pytest.mark.parametrize("check", ["is_cotilting_induced", "is_tilting_induced"])
     def test_pair_not_of_its_kind_is_a_defect(self, monkeypatch, check):
         from torsionpairs import tubepairs
 
         monkeypatch.setattr(tubepairs, check, lambda q, tp: False)
-        with pytest.raises(ClassificationDefectError):
-            enumerate_tube_tps(2)
+        with pytest.raises(ClassificationDefectError, match="gives no kind"):
+            count_tube_tps(2, check=True)
 
     def test_fingerprint_collision_is_a_defect(self, monkeypatch):
         monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: ())
         with pytest.raises(ClassificationDefectError, match="same pair"):
-            enumerate_tube_tps(2)
+            count_tube_tps(2, check=True)
 
     def test_finite_finite_is_a_defect(self):
         d = enumerate_tube_tps(2)[0]
