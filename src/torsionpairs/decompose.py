@@ -75,12 +75,6 @@ class DecompositionResult:
     trace: tuple[TraceStage, ...]
 
 
-def _require_torsion_pair(q: Quiver, tp: TorsionPair) -> None:
-    check = is_torsion_pair(model_for(q), tp.torsion, tp.free)
-    if not check:
-        raise ValueError(f"not a torsion pair: {check.reason}")
-
-
 def _stage_generators(
     q: Quiver, support: frozenset[int], vertices: frozenset[int], projective: bool
 ) -> dict[int, Interval]:
@@ -110,15 +104,18 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
 
     side="left" starts on the projective side and produces a 1-type
     partition; side="right" starts on the injective side and produces the
-    2-type mirror.  Stage zero may be empty; the first later empty stage
-    stops the peeling.  Only the input is checked to be a torsion pair;
-    the tests check that the partition is valid.
+    2-type mirror.  Stage zero may be empty (the only stage on a quiver with
+    no vertices); the first later empty stage stops the peeling.  Only the
+    input is checked, once per call: a pair that is not a torsion pair
+    raises ValueError.  The tests check that the partition is valid.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _require_torsion_pair(q, tp)
-    kind = STRONG_ONE if side == "left" else STRONG_TWO
     full = model_for(q)
+    check = is_torsion_pair(full, tp.torsion, tp.free)
+    if not check:
+        raise ValueError(f"not a torsion pair: {check.reason}")
+    kind = STRONG_ONE if side == "left" else STRONG_TWO
     index = full.index
     support = q.vertex_set
     torsion, free = mask_of(full, tp.torsion), mask_of(full, tp.free)
@@ -279,34 +276,39 @@ def generators(q: Quiver, tp: TorsionPair) -> tuple[frozenset[Interval], frozens
     return frozenset().union(*t_gen), frozenset().union(*f_cog)
 
 
+def _induced(q: Quiver, tp: TorsionPair, side: str) -> bool:
+    """The tilting (side "left") or cotilting (side "right") criterion,
+    read from the classes and from stage zero of the peeling; the two
+    must agree.  The one `decompose` call checks that tp is a torsion pair."""
+    model = model_for(q)
+    if side == "left":
+        name, modules, members, ends = "tilting", model.injectives(), tp.torsion, q.sources
+    else:
+        name, modules, members, ends = "cotilting", model.projectives(), tp.free, q.sinks
+    direct = all(X in members for X in modules)
+    if direct != (ends <= decompose(q, tp, side).partition.parts[0]):
+        raise RuntimeError(f"{name} criteria disagree; model defect")
+    return direct
+
+
 def is_tilting_induced(q: Quiver, tp: TorsionPair) -> bool:
     """True when the torsion class contains every injective.
 
     Equivalently the 1-type partition's stage zero contains every source
-    vertex; both characterizations are computed and must agree.
+    vertex; both characterizations are computed and must agree.  A pair
+    that is not a torsion pair raises ValueError from `decompose`.
     """
-    _require_torsion_pair(q, tp)
-    direct = all(I in tp.torsion for I in model_for(q).injectives())
-    delta0 = decompose(q, tp, "left").partition.parts[0] if q.vertices else frozenset()
-    via_partition = q.sources <= delta0
-    if direct != via_partition:
-        raise RuntimeError("tilting criteria disagree; model defect")
-    return direct
+    return _induced(q, tp, "left")
 
 
 def is_cotilting_induced(q: Quiver, tp: TorsionPair) -> bool:
     """True when the free class contains every projective.
 
     Equivalently the 2-type partition's stage zero contains every sink
-    vertex; both characterizations are computed and must agree.
+    vertex; both characterizations are computed and must agree.  A pair
+    that is not a torsion pair raises ValueError from `decompose`.
     """
-    _require_torsion_pair(q, tp)
-    direct = all(P in tp.free for P in model_for(q).projectives())
-    delta0 = decompose(q, tp, "right").partition.parts[0] if q.vertices else frozenset()
-    via_partition = q.sinks <= delta0
-    if direct != via_partition:
-        raise RuntimeError("cotilting criteria disagree; model defect")
-    return direct
+    return _induced(q, tp, "right")
 
 
 def trace_ntp(q: Quiver, result: DecompositionResult) -> NTorsionPair:

@@ -132,12 +132,6 @@ class LinearModel:
         supp = set(self.support(X))
         return tuple(1 if v in supp else 0 for v in self.quiver.vertices)
 
-    def top(self, X: Interval) -> int:
-        return X.a
-
-    def socle(self, X: Interval) -> int:
-        return X.b
-
     # -- hom / ext ---------------------------------------------------
     #
     # X = [a, b] and Y = [c, d] sit on components cx, cy at offsets
@@ -205,10 +199,6 @@ class LinearModel:
         if self.quiver.succ.get(top.b) == bottom.a:
             return Interval(top.a, bottom.b)
         return None
-
-    def glue_ends(self, X: Interval) -> tuple[int, int | None]:
-        """Top vertex of X and the vertex after its socle (None at a sink)."""
-        return X.a, self.quiver.succ.get(X.b)
 
     # -- projectives, injectives, AR translation ----------------------
 

@@ -35,6 +35,13 @@ class CertificateError(ValueError):
     """Malformed or unreadable certificate data."""
 
 
+def json_int(value: Any) -> int:
+    """A certificate number: a JSON integer, else TypeError (no bool, float or string)."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -54,15 +61,15 @@ def quiver_from_obj(obj: Any) -> Quiver:
     try:
         shape = obj["shape"]
         if shape == LINEAR:
-            return linear_an(int(obj["n"]))
+            return linear_an(json_int(obj["n"]))
         if shape == CYCLIC:
-            return cyclic_an(int(obj["n"]))
+            return cyclic_an(json_int(obj["n"]))
         if shape == LINEAR_UNION:
-            comps = [tuple(int(v) for v in c) for c in obj["components"]]
+            comps = [tuple(map(json_int, c)) for c in obj["components"]]
             vertices = tuple(sorted(v for c in comps for v in c))
             arrows = tuple((c[i], c[i + 1]) for c in comps for i in range(len(c) - 1))
             return Quiver(vertices, arrows, LINEAR_UNION)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # overflow: n past a tuple's size
         raise CertificateError(f"bad quiver object: {exc}") from exc
     raise CertificateError(f"unknown quiver shape {obj!r}")
 
@@ -83,12 +90,11 @@ def partition_from_obj(obj: Any) -> PartPartition:
         kind = obj["kind"]
         if kind not in PARTITION_KINDS:
             raise CertificateError(f"unknown partition kind {kind!r}")
-        return PartPartition(
-            tuple(frozenset(int(v) for v in part) for part in obj["parts"]),
-            kind,
-            bool(obj["complete"]),
-        )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        complete = obj["complete"]
+        if type(complete) is not bool:
+            raise TypeError(f"complete must be true or false, not {complete!r}")
+        return PartPartition(tuple(frozenset(map(json_int, part)) for part in obj["parts"]), kind, complete)
+    except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertificateError):
             raise
         raise CertificateError(f"bad partition object: {exc}") from exc
@@ -103,8 +109,8 @@ def intervals_to_obj(modules) -> list[list[int]]:
 
 def intervals_from_obj(obj: Any) -> frozenset[Interval]:
     try:
-        return frozenset(Interval(int(a), int(b)) for a, b in obj)
-    except (OverflowError, TypeError, ValueError) as exc:
+        return frozenset(Interval(json_int(a), json_int(b)) for a, b in obj)
+    except (TypeError, ValueError) as exc:
         raise CertificateError(f"bad interval list: {exc}") from exc
 
 
@@ -141,11 +147,11 @@ def tube_certificate(data: TubeTorsionPair) -> dict:
 
 def tube_pair_from_obj(obj: Any) -> TubeTorsionPair:
     try:
-        rank = int(obj["rank"])
-        kind = int(obj["kind"])
-        delta = frozenset(int(v) for v in obj["delta"])
-        tail = tuple(frozenset(int(v) for v in p) for p in obj["residual_partition"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        rank = json_int(obj["rank"])
+        kind = json_int(obj["kind"])
+        delta = frozenset(map(json_int, obj["delta"]))
+        tail = tuple(frozenset(map(json_int, p)) for p in obj["residual_partition"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad tube certificate: {exc}") from exc
     kind_name = STRONG_ONE if kind == 1 else STRONG_TWO
     partition = PartPartition((delta,) + tail, kind_name, complete=True)

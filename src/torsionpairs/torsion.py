@@ -7,11 +7,10 @@ A model is any object exposing
   - `hom(X, Y)`, `ext(X, Y)`, `length(X)`, `slice(X, lo, hi)` (the
     subquotient between two socle heights), `submodules(X)` and
     `quotients(X)` (the nonzero submodules and quotients, shortest first,
-    so entry h - 1 has length h), `glue(bottom, top)` (the indecomposable
-    middle term of a nonsplit extension, if any) and `glue_ends(X)` (the
-    top vertex of X and the vertex after its socle, or None where the
-    socle has no successor: `glue(bottom, top)` can only succeed when the
-    second end of `top` is the first end of `bottom`);
+    so entry h - 1 has length h) and `glue(bottom, top)` (the
+    indecomposable middle term of a nonsplit extension, if any: it can
+    only exist when the vertex after the socle of `top` is the top vertex
+    of `bottom`);
   - per object, in the order of `objects`: `hom_rows` (an int with bit j
     set iff Hom(X, objects[j]) != 0), `sub_chains` and `quot_chains`
     (the indices of `submodules(X)` and `quotients(X)`), `sub_masks` and

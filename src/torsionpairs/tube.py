@@ -293,7 +293,3 @@ class TubeModel:
         if top.socle == norm_vertex(bottom.socle - bottom.length, self.rank):
             return TubeModule(bottom.socle, bottom.length + top.length, self.rank)
         return None
-
-    def glue_ends(self, X: TubeModule) -> tuple[int, int]:
-        """Top vertex of X and the vertex after its socle."""
-        return X.top, norm_vertex(X.socle + 1, self.rank)

@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .decompose import (
@@ -39,10 +38,10 @@ from .quiver import (
     STRONG_TWO,
     PartPartition,
     Quiver,
+    _subsets,
     cyclic_an,
     enumerate_partitions,
     subquiver,
-    validate_partition,
 )
 from .torsion import TorsionPair
 from .tube import (
@@ -150,12 +149,6 @@ def check_l_r(data: TubeTorsionPair) -> tuple[frozenset[int], frozenset[int]]:
     return l_t, r_f
 
 
-def _nonempty_subsets(vertices: Sequence[int]):
-    for k in range(1, len(vertices) + 1):
-        for combo in combinations(vertices, k):
-            yield frozenset(combo)
-
-
 def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     """All torsion pairs on the tube of the given rank, in `sort_key` order.
 
@@ -216,7 +209,7 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
                 f"partitions {by_partition}, classification {value}"
             )
         tally = Counter((d.kind, d.delta) for d in data)
-        for delta in _nonempty_subsets(cycle.vertices):
+        for delta in _subsets(cycle.vertices, include_empty=False):
             residual = subquiver(cycle, cycle.vertex_set - delta)
             want = math.prod(catalan(len(comp)) for comp in residual.components)
             for kind in (1, 2):
@@ -258,7 +251,9 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     leading stage, is a partition of the residual segments whose pair is
     cotilting-induced.  Kind 2 is the mirror.  The cycle has `rank`
     vertices, by default as many as the partition covers; the partition
-    must cover exactly 1..rank.
+    must cover exactly 1..rank.  Then `assemble`'s check of the tail on the
+    residual segments decides for the whole partition: past stage zero, a
+    strong stage must hold the same vertices on the cycle as on the segments.
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
@@ -275,8 +270,6 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     if len(S.support) != rank or S.support != frozenset(range(1, rank + 1)):
         raise ValueError(f"the partition must cover the vertices 1..{rank} of the cycle")
     cycle = cyclic_an(rank)
-    if not validate_partition(cycle, S):
-        raise ValueError(f"invalid partition {S}")
     delta = S.parts[0]
     residual = subquiver(cycle, frozenset(cycle.vertices) - delta)
     tail = PartPartition((frozenset(),) + S.parts[1:], want, complete=True)

@@ -1,5 +1,8 @@
+import importlib
+import sys
 from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import settings
 
 from torsionpairs.decompose import enumerate_torsion_pairs
@@ -36,3 +39,35 @@ def series_up_to(q, max_length):
     for length in range(1, max_length + 1):
         out.extend(all_series(q, length))
     return out
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Install call counters the way bench/trace_child.py does: every
+    attribute of a loaded torsionpairs module bound to the function is
+    rebound to one counting wrapper, so names imported into other modules
+    are counted too.  `count_calls("torsion.is_torsion_pair", ...)` returns
+    the counts, keyed by those names; monkeypatch restores the bindings."""
+    counts = {}
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    def install(*names):
+        modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "torsionpairs"]
+        for name in names:
+            module, attr = name.split(".")
+            original = getattr(importlib.import_module(f"torsionpairs.{module}"), attr)
+            counts[name] = 0
+            counted = counter(name, original)
+            for m in modules:
+                for key, value in list(vars(m).items()):
+                    if value is original:
+                        monkeypatch.setattr(m, key, counted)
+        return counts
+
+    return install

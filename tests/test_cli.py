@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_golden import CERTIFICATES as GOLDEN_CERTIFICATES
 import torsionpairs
 from torsionpairs import cli, jsonio
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
+from torsionpairs.intervals import model_for
 from torsionpairs.quiver import linear_an
+from torsionpairs.torsion import TorsionPair
 from torsionpairs.tubepairs import enumerate_tube_tps
 
 
@@ -192,6 +196,31 @@ class TestDecompose:
         }
         assert main(["decompose", write_cert(tmp_path, cert)]) == 3
 
+    @pytest.mark.parametrize("side,calls", [("left", 1), ("right", 1), ("both", 2)])
+    def test_each_peel_checks_the_pair_once(self, tmp_path, capsys, count_calls, side, calls):
+        # no check of the command's own: each peel checks its input
+        q = linear_an(4)
+        path = write_cert(tmp_path, jsonio.pair_certificate(q, enumerate_torsion_pairs(q)[5]))
+        counts = count_calls("torsion.is_torsion_pair", "decompose.decompose")
+        code, _ = run(capsys, "decompose", path, "--side", side)
+        assert code == 0
+        assert counts == {"torsion.is_torsion_pair": calls, "decompose.decompose": calls}
+
+    @pytest.mark.parametrize("side", ["left", "both"])
+    def test_no_torsion_pair_stops_at_the_first_peel(self, tmp_path, capsys, count_calls, side):
+        cert = {
+            "schema": "torsion/1",
+            "category": {"shape": "linearA", "n": 3},
+            "torsion": [[1, 1]],
+            "free": [[2, 2], [3, 3]],
+        }
+        counts = count_calls("torsion.is_torsion_pair")
+        code = main(["decompose", write_cert(tmp_path, cert), "--side", side])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("certificate error: not a torsion pair:")
+        assert counts == {"torsion.is_torsion_pair": 1}
+
     def test_round_trip_through_files(self, tmp_path, capsys):
         from torsionpairs.decompose import assemble
         from torsionpairs.jsonio import partition_from_obj
@@ -253,6 +282,18 @@ class TestExport:
         code, out = run(capsys, "export", "--tube", "2", "--dot", "ar", "--cap", "3")
         assert code == 0
         assert '"U(1,1)" -> "U(1,2)"' in out
+
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_tube_rank_below_one_is_exit_2(self, capsys, monkeypatch, rank):
+        # the rank is checked before any module is built, as for enumerate and count
+        def refuse(rank, cap):
+            raise AssertionError(f"built the modules of rank {rank}")
+
+        monkeypatch.setattr(cli, "all_tube_modules", refuse)
+        code = main(["export", "--tube", rank, "--dot", "ar"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "usage error: rank must be positive\n"
 
     def test_tube_lattice_unsupported(self, capsys):
         assert main(["export", "--tube", "2", "--dot", "lattice"]) == 2
@@ -484,6 +525,47 @@ class TestNumbersPastTheFloatRange:
         assert captured.err.startswith("certificate error:")
 
 
+class TestStrictNumbers:
+    """Every number a certificate carries must be a JSON integer: a float
+    (even 3.0), a bool or a numeric string is malformed content, exit 3
+    with empty stdout, never truncated or coerced to an integer."""
+
+    PAIR = {
+        "schema": "torsion/1",
+        "category": {"shape": "linearA", "n": 2},
+        "torsion": [[1, 1], [1, 2], [2, 2]],
+        "free": [],
+    }
+    UNION = {**PAIR, "category": {"shape": "linearUnion", "components": [[1, 2]]}}
+    TUBE = {"schema": "torsion/1", "rank": 2, "kind": 1, "delta": [1], "residual_partition": [[2]]}
+    FIELDS = {
+        "category n": lambda v: {**TestStrictNumbers.PAIR, "category": {"shape": "linearA", "n": v}},
+        "component vertex": lambda v: {
+            **TestStrictNumbers.UNION, "category": {"shape": "linearUnion", "components": [[1, v]]}
+        },
+        "interval end": lambda v: {**TestStrictNumbers.PAIR, "torsion": [[1, 1], [1, v], [2, 2]]},
+        "rank": lambda v: {**TestStrictNumbers.TUBE, "rank": v},
+        "kind": lambda v: {**TestStrictNumbers.TUBE, "kind": v},
+        "delta vertex": lambda v: {**TestStrictNumbers.TUBE, "delta": [v]},
+        "residual vertex": lambda v: {**TestStrictNumbers.TUBE, "residual_partition": [[v]]},
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "2"], ids=["2.5", "3.0", "true", "string"])
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_a_number_that_is_not_an_integer_is_exit_3(self, tmp_path, capsys, command, value, field):
+        code = main([command, write_cert(tmp_path, self.FIELDS[field](value))])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("certificate error:")
+        assert "Traceback" not in captured.err
+
+    def test_the_integer_forms_pass(self, tmp_path, capsys):
+        for field, value in [("category n", 2), ("component vertex", 2), ("interval end", 2),
+                             ("rank", 2), ("kind", 1), ("delta vertex", 1), ("residual vertex", 2)]:
+            assert run(capsys, "verify", write_cert(tmp_path, self.FIELDS[field](value))) == (0, "PASS\n")
+
+
 # -- fuzzing the certificate reader --------------------------------------------
 
 # numbers as certificates carry them (small vertex labels most often), and
@@ -535,10 +617,32 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _ts_pair_certificate(n, S):
+    """(T_S, F_S) on the n-vertex path: T_S = {[a, b] : a in S}, closed
+    under quotients and extensions, and F_S the intervals that avoid S."""
+    q = linear_an(n)
+    objects = model_for(q).objects
+    torsion = frozenset(X for X in objects if X.a in S)
+    free = frozenset(X for X in objects if not any(X.a <= v <= X.b for v in S))
+    return jsonio.pair_certificate(q, TorsionPair(torsion, free))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 @functools.cache
 def _valid_certificates():
+    # larger pairs first (the draws favour early entries), so that the
+    # certificates that stay torsion pairs carry the peel past stage zero
+    valid = [GOLDEN_CERTIFICATES["union-pair"]]
+    for n in range(8, 13):
+        rng = random.Random(n)
+        valid.append(_ts_pair_certificate(n, {v for v in range(1, n + 1) if rng.random() < 0.5}))
     q = linear_an(3)
-    valid = [jsonio.pair_certificate(q, tp) for tp in enumerate_torsion_pairs(q)[::3]]
+    valid += [jsonio.pair_certificate(q, tp) for tp in enumerate_torsion_pairs(q)[::3]]
     valid += [jsonio.tube_certificate(d) for d in enumerate_tube_tps(2)]
     valid.append({"schema": "torsion/1", "category": {"shape": "linearA", "n": 2},
                   "parts": [[[1, 1]], [[1, 2]], [[2, 2]]]})
@@ -550,9 +654,7 @@ def _mutated(draw):
     """A valid certificate with one value replaced, or one key or entry dropped."""
     cert = json.loads(json.dumps(draw(st.sampled_from(_valid_certificates()))))
     path = draw(st.sampled_from(list(_paths(cert))))
-    parent = cert
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(cert, path[:-1])
     if draw(st.booleans()):
         parent[path[-1]] = draw(_values)
     else:
@@ -560,11 +662,26 @@ def _mutated(draw):
     return cert
 
 
+@st.composite
+def _reordered(draw):
+    """A valid certificate with one of its lists permuted: still valid, as
+    lists carry sets, so `decompose` peels it."""
+    cert = json.loads(json.dumps(draw(st.sampled_from(_valid_certificates()))))
+    lists = [path for path in _paths(cert) if isinstance(_at(cert, path), list)]
+    path = draw(st.sampled_from(lists))
+    parent = _at(cert, path[:-1])
+    parent[path[-1]] = draw(st.permutations(parent[path[-1]]))
+    return cert
+
+
 # one payload with every key, one with some keys missing, keys of all
-# kinds, or a valid certificate broken in one place
+# kinds, a valid certificate broken in one place, or one reordered
 _certificates = st.one_of(
     _mutated(),
     _mutated(),
+    _reordered(),
+    _reordered(),
+    _reordered(),
     *(st.fixed_dictionaries({"schema": st.just("torsion/1"), **keys}) for keys in _payloads.values()),
     *(st.fixed_dictionaries({"schema": st.just("torsion/1")}, optional=keys) for keys in _payloads.values()),
     st.fixed_dictionaries(
@@ -580,10 +697,20 @@ _certificates = st.one_of(
     deadline=2000,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(cert=_certificates, command=st.sampled_from(["verify", "decompose"]))
+@given(cert=_certificates, command=st.sampled_from([["decompose", "--side", "both"], ["decompose"], ["verify"]]))
 def test_fuzzed_certificates_end_in_a_documented_exit_code(tmp_path, cert, command):
     # any exception leaving main fails the example; exit 2 would mean a
-    # malformed certificate was reported as a usage error
+    # malformed certificate was reported as a usage error.  Both peels and
+    # their comparison run on the certificates that stay torsion pairs.
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(cert))
-    assert main([command, str(path)]) in (0, 1, 3, 4)
+    assert main([*command, str(path)]) in (0, 1, 3, 4)
+
+
+def test_the_fuzz_seeds_are_valid_certificates(tmp_path, capsys):
+    for i, cert in enumerate(_valid_certificates()):
+        path = write_cert(tmp_path, cert, f"seed{i}.json")
+        assert run(capsys, "verify", path) == (0, "PASS\n"), cert
+        if "torsion" in cert:
+            code, out = run(capsys, "decompose", path, "--side", "both")
+            assert (code, json.loads(out)["residuals_agree"]) == (0, True), cert

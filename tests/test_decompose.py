@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 from itertools import combinations
 
 import pytest
@@ -268,6 +270,38 @@ class TestTiltingCotilting:
         middle = TorsionPair(fs((2, 2)), fs((1, 1)))
         assert not is_tilting_induced(A2, middle)
         assert not is_cotilting_induced(A2, middle)
+
+    @pytest.mark.parametrize(
+        "check,side,message",
+        [
+            (is_tilting_induced, "left", "tilting criteria disagree; model defect"),
+            (is_cotilting_induced, "right", "cotilting criteria disagree; model defect"),
+        ],
+    )
+    def test_a_peel_whose_stage_zero_misses_an_end_is_a_model_defect(self, monkeypatch, check, side, message):
+        # stage zero of a peeling of the pair with every object on the
+        # criterion's side must hold every source (sink); drop one
+        module = importlib.import_module("torsionpairs.decompose")
+        real = module.decompose
+
+        def peel_missing_an_end(q, tp, side="left"):
+            result = real(q, tp, side)
+            ends = q.sources if side == "left" else q.sinks
+            stage_zero = result.partition.parts[0] - {min(ends)}
+            partition = dataclasses.replace(result.partition, parts=(stage_zero,) + result.partition.parts[1:])
+            return dataclasses.replace(result, partition=partition)
+
+        monkeypatch.setattr(module, "decompose", peel_missing_an_end)
+        q = linear_union((3, 1), (2,))
+        everything = model_for(q).object_set
+        tp = TorsionPair(everything, frozenset()) if side == "left" else TorsionPair(frozenset(), everything)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            check(q, tp)
+
+    @pytest.mark.parametrize("check", [is_tilting_induced, is_cotilting_induced])
+    def test_a_pair_that_is_not_a_torsion_pair_raises(self, check):
+        with pytest.raises(ValueError, match="not a torsion pair"):
+            check(A3, TorsionPair(fs((1, 1)), fs((2, 2), (3, 3))))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_counts_are_catalan(self, n):

@@ -42,6 +42,26 @@ class TestPartitionRoundTrip:
         with pytest.raises(CertificateError):
             jsonio.partition_from_obj({"parts": [[1]], "kind": "weird", "complete": True})
 
+    @pytest.mark.parametrize("complete", ["no", 1, 0, None])
+    def test_complete_must_be_a_json_bool(self, complete):
+        with pytest.raises(CertificateError):
+            jsonio.partition_from_obj({"parts": [[1]], "kind": "strong1", "complete": complete})
+
+    @pytest.mark.parametrize("vertex", [1.0, True, "1"])
+    def test_part_vertices_must_be_json_integers(self, vertex):
+        with pytest.raises(CertificateError):
+            jsonio.partition_from_obj({"parts": [[vertex]], "kind": "strong1", "complete": True})
+
+
+class TestStrictIntegers:
+    def test_an_integer_is_read_as_itself(self):
+        assert jsonio.json_int(7) == 7 and jsonio.json_int(10**30) == 10**30
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "2", None, [2]])
+    def test_anything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            jsonio.json_int(value)
+
 
 class TestCertificates:
     def test_pair_round_trip(self):

@@ -3,8 +3,9 @@
 The checks, closures and perpendiculars run on integer masks over each
 model's object index.  The object-by-object frozenset bodies they
 replaced are kept here as references, written against `hom`, `slice`,
-`glue` and `glue_ends` only, so they share no table with the kernels;
-the rescan-every-pair fixpoint is the closure's second reference.  The
+`glue` and the two ends `glue_ends` reads off an object only, so they
+share no table with the kernels; the rescan-every-pair fixpoint is the
+closure's second reference.  The
 per-object tables (`hom_rows`, the chains and their masks, the vertex
 masks, `glue_chains`) are checked against the methods they encode.  The
 models are the paths with at most six vertices, every proper support
@@ -78,13 +79,22 @@ def ref_perp_right(model, D, ambient=None):
     return frozenset(Y for Y in ref_ambient(model, ambient) if all(model.hom(d, Y) == 0 for d in D))
 
 
+def glue_ends(model, X):
+    """Top vertex of X and the vertex after its socle (None at a path's
+    sink): `glue(bottom, top)` can only succeed when the second end of
+    `top` is the first end of `bottom`."""
+    if isinstance(model, TubeModel):
+        return X.top, tube.norm_vertex(X.socle + 1, model.rank)
+    return X.a, model.quiver.succ.get(X.b)
+
+
 def ref_extension_closure(model, modules):
     """Worklist gluing each member against the members whose ends meet it."""
     out = set(modules)
     work = list(out)
     by_top: dict = {}
     by_next: dict = {}
-    glue, ends = model.glue, model.glue_ends
+    glue = model.glue
 
     def add(glued) -> None:
         if glued is not None and glued not in out:
@@ -92,7 +102,7 @@ def ref_extension_closure(model, modules):
             work.append(glued)
 
     for X in work:
-        top, nxt = ends(X)
+        top, nxt = glue_ends(model, X)
         by_top.setdefault(top, []).append(X)
         by_next.setdefault(nxt, []).append(X)
         for bottom in by_top.get(nxt, ()):
@@ -233,7 +243,7 @@ def test_every_gluing_is_found_through_the_end_indexes(make):
     for bottom in model.objects:
         for top in model.objects:
             if model.glue(bottom, top) is not None:
-                assert model.glue_ends(top)[1] == model.glue_ends(bottom)[0], (bottom, top)
+                assert glue_ends(model, top)[1] == glue_ends(model, bottom)[0], (bottom, top)
 
 
 @pytest.mark.parametrize("make", ALL_MODELS)
@@ -304,7 +314,7 @@ def test_index_chains_and_masks_match_the_objects(make):
         assert bits(model.sub_masks[i]) == set(model.sub_chains[i])
         assert bits(model.quot_masks[i]) == set(model.quot_chains[i])
         support = {model.slice(X, h, h + 1) for h in range(n)}  # the composition factors
-        simple_tops = {model.glue_ends(S)[0] for S in support}
+        simple_tops = {glue_ends(model, S)[0] for S in support}
         assert bits(model.vertex_masks[i]) == {k for k, v in enumerate(vertices) if v in simple_tops}
 
 

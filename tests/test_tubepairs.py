@@ -363,6 +363,32 @@ class TestCombine:
         assert combined.membership(0, Interval(1, 1)) == "torsion"
 
 
+class TestEveryCheckOnce:
+    def test_count_check_runs_one_pair_check_per_assembly_and_induced_check(self, count_calls):
+        counts = count_calls(
+            "torsion.is_torsion_pair",
+            "decompose.assemble",
+            "decompose.is_tilting_induced",
+            "decompose.is_cotilting_induced",
+        )
+        assert count_tube_tps(4, check=True) == 70
+        induced = counts["decompose.is_tilting_induced"] + counts["decompose.is_cotilting_induced"]
+        assert counts["decompose.assemble"] == induced == 70
+        assert counts["torsion.is_torsion_pair"] == counts["decompose.assemble"] + induced
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_each_classified_pair_validates_its_partition_once(self, count_calls, rank):
+        counts = count_calls("quiver.validate_partition")
+        data = enumerate_tube_tps(rank)
+        assert counts["quiver.validate_partition"] == len(data) == math.comb(2 * rank, rank)
+
+    @pytest.mark.parametrize("kind,name", [(1, STRONG_ONE), (2, STRONG_TWO)])
+    def test_a_part_overlapping_delta_is_rejected_by_the_tail_check(self, kind, name):
+        S = PartPartition(parts({1}, {1, 2}), name, complete=True)
+        with pytest.raises(ValueError, match="not a subset of the vertices"):
+            partition_to_tube_tp(S, kind, 2)
+
+
 class TestDefects:
     """The induced and fingerprint legs of `count_tube_tps(check=True)`."""
 
