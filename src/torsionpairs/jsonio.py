@@ -26,7 +26,7 @@ from .quiver import (
 )
 from .torsion import NTorsionPair, TorsionPair
 from .tube import TubeModule, TubeSubcatDescriptor
-from .tubepairs import TubeTorsionPair, partition_to_tube_tp, tube_tp_to_partition
+from .tubepairs import TubeTorsionPair, partition_to_tube_tp
 
 SCHEMA = "torsion/1"
 
@@ -135,13 +135,12 @@ def ntp_certificate(q: Quiver, ntp: NTorsionPair) -> dict:
 
 
 def tube_certificate(data: TubeTorsionPair) -> dict:
-    partition = tube_tp_to_partition(data)
     return {
         "schema": SCHEMA,
         "rank": data.rank,
         "kind": data.kind,
         "delta": sorted(data.delta),
-        "residual_partition": [sorted(p) for p in partition.parts[1:]],
+        "residual_partition": [sorted(p) for p in data.residual_partition],
     }
 
 

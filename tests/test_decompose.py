@@ -239,6 +239,14 @@ class TestCounts:
     def test_n6_partitions_match_formula_and_oracle(self):
         assert count_torsion_pairs(6, check=True) == 429
 
+    def test_pair_lost_by_the_oracle_is_a_count_mismatch(self, monkeypatch):
+        from torsionpairs import oracle
+
+        real = oracle.enumerate_torsion_pairs_bruteforce
+        monkeypatch.setattr(oracle, "enumerate_torsion_pairs_bruteforce", lambda n: real(n)[1:])
+        with pytest.raises(RuntimeError, match="oracle 13"):
+            count_torsion_pairs(3, check=True)
+
 
 class TestGenerators:
     def test_all_torsion(self):

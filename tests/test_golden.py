@@ -217,13 +217,17 @@ def test_every_case_has_a_golden_value():
     assert sorted(GOLDEN) == sorted(" ".join(case) for case in CASES)
 
 
-def test_goldens_agree_with_the_benchmark_digests():
-    # the benchmark pins some of the same commands; both must hold the same bytes
+def test_goldens_agree_with_the_benchmark_digests(capsys):
+    # the benchmark pins some of the same commands; both must hold the same
+    # bytes, and a command it pins without a golden value here is run as well
     digests = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
     shared = sorted(set(GOLDEN) & set(digests))
     assert len(shared) >= 7
     for command in shared:
         assert GOLDEN[command] == (0, digests[command]), command
+    for command in sorted(set(digests) - set(GOLDEN)):
+        code = main(command.split())
+        assert (code, _digest(capsys.readouterr().out)) == (0, digests[command]), command
 
 
 if __name__ == "__main__":

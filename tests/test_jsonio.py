@@ -130,6 +130,15 @@ class TestTubeObjects:
             "residual_partition": [[2]],
         }
 
+    def test_tube_decoder_keeps_the_tail_in_order(self):
+        data = [d for d in enumerate_tube_tps(4) if len(d.residual_partition) > 1]
+        assert data
+        for d in data:
+            obj = jsonio.tube_certificate(d)
+            tail = tuple(frozenset(p) for p in obj["residual_partition"])
+            assert tail == d.residual_partition
+            assert jsonio.tube_pair_from_obj(obj).residual_partition == tail
+
 
 class TestDecompositionPayload:
     def test_fields(self):

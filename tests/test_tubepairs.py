@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from torsionpairs import cli
 from torsionpairs.decompose import (
     catalan,
+    decompose,
     enumerate_torsion_pairs,
     is_cotilting_induced,
     is_tilting_induced,
@@ -101,7 +103,9 @@ class TestEnumerate:
 def generate_and_filter(rank):
     """Oracle: every torsion pair on the residual of every nonempty delta,
     kept when it is cotilting-induced (kind 1) or tilting-induced (kind 2),
-    with the fingerprint collision scan, sorted like the classification."""
+    with the fingerprint collision scan, sorted like the classification.
+    Each keeps the tail its peeling finds, so comparing the records also
+    compares the stored partitions with the peeled ones."""
     cycle = cyclic_an(rank)
     deltas = [
         frozenset(combo)
@@ -111,11 +115,13 @@ def generate_and_filter(rank):
     data = []
     for kind in (1, 2):
         induced = is_cotilting_induced if kind == 1 else is_tilting_induced
+        side = "left" if kind == 1 else "right"
         for delta in deltas:
             residual = subquiver(cycle, frozenset(cycle.vertices) - delta)
             for tp in enumerate_torsion_pairs(residual):
                 if induced(residual, tp):
-                    data.append(TubeTorsionPair(rank, kind, delta, residual, tp))
+                    tail = decompose(residual, tp, side).partition.parts[1:]
+                    data.append(TubeTorsionPair(rank, kind, delta, residual, tp, tail))
     prints = [d.fingerprint(2 * rank + 2) for d in data]
     assert len(set(prints)) == len(prints), "kind collision in the oracle"
     return sorted(data, key=TubeTorsionPair.sort_key)
@@ -288,10 +294,12 @@ class TestPartitionIndexing:
                     via_partitions.add(partition_to_tube_tp(S, kind).fingerprint(cap))
         assert via_partitions == direct
 
-    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("rank", range(1, 6))
     def test_partition_round_trip(self, rank):
         for d in enumerate_tube_tps(rank):
             S = tube_tp_to_partition(d)
+            kind = STRONG_ONE if d.kind == 1 else STRONG_TWO
+            assert S == PartPartition((d.delta,) + d.residual_partition, kind, complete=True)
             again = partition_to_tube_tp(S, d.kind)
             assert again.fingerprint(2 * rank + 2) == d.fingerprint(2 * rank + 2)
             assert again.delta == d.delta
@@ -376,6 +384,16 @@ class TestEveryCheckOnce:
         assert counts["decompose.assemble"] == induced == 70
         assert counts["torsion.is_torsion_pair"] == counts["decompose.assemble"] + induced
 
+    def test_enumerate_prints_the_stored_partitions_without_peeling(self, count_calls, capsys):
+        counts = count_calls(
+            "decompose.decompose", "torsion.is_torsion_pair", "quiver.validate_partition"
+        )
+        assert cli.main(["enumerate", "--tube", "4"]) == 0
+        capsys.readouterr()
+        assert counts["decompose.decompose"] == 0
+        assert counts["torsion.is_torsion_pair"] == 70
+        assert counts["quiver.validate_partition"] == 70
+
     @pytest.mark.parametrize("rank", [1, 4])
     def test_each_classified_pair_validates_its_partition_once(self, count_calls, rank):
         counts = count_calls("quiver.validate_partition")
@@ -390,7 +408,15 @@ class TestEveryCheckOnce:
 
 
 class TestDefects:
-    """The induced and fingerprint legs of `count_tube_tps(check=True)`."""
+    """The formula, induced and fingerprint legs of `count_tube_tps(check=True)`."""
+
+    def test_lost_pair_is_a_count_mismatch(self, monkeypatch):
+        from torsionpairs import tubepairs
+
+        real = tubepairs.enumerate_tube_tps
+        monkeypatch.setattr(tubepairs, "enumerate_tube_tps", lambda rank: real(rank)[1:])
+        with pytest.raises(RuntimeError, match="formula 20, classification 19"):
+            count_tube_tps(3, check=True)
 
     @pytest.mark.parametrize("check", ["is_cotilting_induced", "is_tilting_induced"])
     def test_pair_not_of_its_kind_is_a_defect(self, monkeypatch, check):
