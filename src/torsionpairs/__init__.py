@@ -85,6 +85,7 @@ from .decompose import (
     generators,
     is_cotilting_induced,
     is_tilting_induced,
+    iter_torsion_pairs,
     partition_to_tp,
     residuals_agree,
     tp_to_partition,

@@ -15,7 +15,7 @@ from . import jsonio
 from .decompose import (
     count_torsion_pairs,
     decompose as peel,
-    enumerate_torsion_pairs,
+    iter_torsion_pairs,
     same_residual,
 )
 from .intervals import model_for
@@ -89,18 +89,24 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    """Print every torsion pair of the path (`--an`) or the tube (`--tube`)
+    as a certificate: one JSON array, or one numbered line per pair.
+
+    Each certificate is encoded as soon as its pair is built, and the pair
+    and its record are dropped, so the run keeps only the encoded text;
+    the path pairs come one at a time from `iter_torsion_pairs`.
+    """
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
         q = linear_an(args.an)
-        records = [jsonio.pair_certificate(q, tp) for tp in enumerate_torsion_pairs(q)]
+        texts = [jsonio.dumps_canonical(jsonio.pair_certificate(q, tp)) for tp in iter_torsion_pairs(q)]
     else:
         _check_bound(args.tube, args.max_n, "rank")
-        records = [jsonio.tube_certificate(d) for d in enumerate_tube_tps(args.tube)]
+        texts = [jsonio.dumps_canonical(jsonio.tube_certificate(d)) for d in enumerate_tube_tps(args.tube)]
     if args.format == "json":
-        _emit(args, jsonio.dumps_canonical(records))
+        _emit(args, "[" + ",".join(texts) + "]")
     else:
-        lines = [f"{i}: {jsonio.dumps_canonical(r)}" for i, r in enumerate(records)]
-        _emit(args, "\n".join(lines))
+        _emit(args, "\n".join(f"{i}: {text}" for i, text in enumerate(texts)))
     return EXIT_OK
 
 
@@ -197,7 +203,7 @@ def _dot_ar_tube(rank: int, cap: int) -> str:
 def _dot_lattice(n: int) -> str:
     q = linear_an(n)
     classes = sorted(
-        (tp.torsion for tp in enumerate_torsion_pairs(q)),
+        (tp.torsion for tp in iter_torsion_pairs(q)),
         key=lambda T: (len(T), tuple(sorted((X.a, X.b) for X in T))),
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .intervals import (
     Interval,
@@ -229,12 +230,17 @@ def tp_to_partition(q: Quiver, tp: TorsionPair) -> PartPartition:
     return decompose(q, tp, "left").partition
 
 
+def iter_torsion_pairs(q: Quiver) -> Iterator[TorsionPair]:
+    """All torsion pairs, through the partition bijection, in partition
+    order, one at a time: each is assembled when the caller asks for it,
+    so a caller that drops each pair holds at most one."""
+    for S in enumerate_partitions(q, STRONG_ONE, complete=True):
+        yield assemble(q, S)
+
+
 def enumerate_torsion_pairs(q: Quiver) -> list[TorsionPair]:
     """All torsion pairs, through the partition bijection, in partition order."""
-    return [
-        partition_to_tp(q, S)
-        for S in enumerate_partitions(q, STRONG_ONE, complete=True)
-    ]
+    return list(iter_torsion_pairs(q))
 
 
 def catalan(k: int) -> int:

@@ -42,8 +42,12 @@ def json_int(value: Any) -> int:
     return value
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact JSON with sorted keys, the one form every command prints."""
+    return _CANONICAL.encode(obj)
 
 
 # -- quivers ----------------------------------------------------------------
@@ -71,6 +75,8 @@ def quiver_from_obj(obj: Any) -> Quiver:
             return Quiver(vertices, arrows, LINEAR_UNION)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:  # overflow: n past a tuple's size
         raise CertificateError(f"bad quiver object: {exc}") from exc
+    except MemoryError as exc:  # an n within a tuple's size but past memory
+        raise CertificateError("bad quiver object: too many vertices to hold") from exc
     raise CertificateError(f"unknown quiver shape {obj!r}")
 
 

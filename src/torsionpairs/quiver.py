@@ -320,18 +320,21 @@ def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> list[Pa
 
     With complete=True only partitions covering every vertex are produced;
     otherwise every valid partition is listed, complete ones included.
+    Partitions that share a part set share one frozenset object for it,
+    so the list holds one copy of each distinct part.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"unknown partition kind {kind!r}")
     all_vertices = frozenset(q.vertices)
     results: list[PartPartition] = []
+    shared: dict[frozenset[int], frozenset[int]] = {}
 
     def emit(parts: list[frozenset[int]]) -> None:
         support = frozenset().union(*parts) if parts else frozenset()
         is_complete = support == all_vertices
         if complete and not is_complete:
             return
-        results.append(PartPartition(tuple(parts), kind, is_complete))
+        results.append(PartPartition(tuple(shared.setdefault(p, p) for p in parts), kind, is_complete))
 
     def candidates(parts: list[frozenset[int]], remaining: frozenset[int]) -> Iterator[frozenset[int]]:
         j = len(parts)

@@ -1,10 +1,12 @@
 import functools
+import importlib
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,39 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("0: ")
+
+    def test_an_holds_at_most_one_earlier_pair(self, monkeypatch, capsys):
+        # each pair is encoded and dropped before the next is assembled
+        module = importlib.import_module("torsionpairs.decompose")
+        real = module.assemble
+        built, alive = [], []
+
+        def recorded(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            tp = real(*args, **kwargs)
+            built.append(weakref.ref(tp))
+            return tp
+
+        monkeypatch.setattr(module, "assemble", recorded)
+        code, _ = run(capsys, "enumerate", "--an", "6")
+        assert code == 0
+        assert len(built) == 429
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("n,pairs", [(5, 132), (6, 429)])
+    def test_an_checks_each_pair_once_on_the_way(self, capsys, count_calls, n, pairs):
+        # the per-pair input checks and the two closures stay on the route
+        counts = count_calls(
+            "decompose.assemble", "quiver.validate_partition", "quiver.subquiver",
+            "torsion.is_torsion_pair", "intervals.extension_closure", "quiver.enumerate_partitions",
+        )
+        code, _ = run(capsys, "enumerate", "--an", str(n))
+        assert code == 0
+        assert counts == {
+            "decompose.assemble": pairs, "quiver.validate_partition": pairs,
+            "quiver.subquiver": pairs, "torsion.is_torsion_pair": pairs,
+            "intervals.extension_closure": 2 * pairs, "quiver.enumerate_partitions": 1,
+        }
 
 
 class TestVerify:

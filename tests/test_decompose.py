@@ -17,6 +17,7 @@ from torsionpairs.decompose import (
     injective_correspondence,
     is_cotilting_induced,
     is_tilting_induced,
+    iter_torsion_pairs,
     partition_to_tp,
     projective_correspondence,
     residuals_agree,
@@ -225,6 +226,11 @@ class TestBijection:
             assert check, check.reason
             partition = decompose(q, tp, "left").partition
             assert partition.complete and validate_partition(q, partition), partition
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_iterator_yields_the_enumeration_in_order(self, n):
+        q = linear_an(n)
+        assert list(iter_torsion_pairs(q)) == enumerate_torsion_pairs(q)
 
 
 class TestCounts:

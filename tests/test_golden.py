@@ -19,6 +19,7 @@ import pytest
 from test_intervals import CYCLE_RESIDUALS, linear_union
 from torsionpairs.cli import main
 from torsionpairs.decompose import decompose, enumerate_torsion_pairs, generators, trace_ntp
+from torsionpairs.jsonio import dumps_canonical
 from torsionpairs.quiver import linear_an
 
 CERTIFICATES = {
@@ -215,6 +216,26 @@ def test_walk_outputs_match_golden(family):
 
 def test_every_case_has_a_golden_value():
     assert sorted(GOLDEN) == sorted(" ".join(case) for case in CASES)
+
+
+def test_canonical_dump_is_json_dumps_on_every_golden_payload(tmp_path, capsys):
+    # the reused encoder writes what json.dumps writes, and a JSON stdout
+    # (enumerate's joined records included) is the canonical dump of itself
+    payloads = list(CERTIFICATES.values())
+    for case in CASES:
+        if case[0] not in ("enumerate", "decompose") or "text" in case:
+            continue
+        code = main(_argv(case, tmp_path))
+        out = capsys.readouterr().out
+        if code == 0:
+            payload = json.loads(out)
+            assert out == dumps_canonical(payload) + "\n", case
+            payloads.append(payload)
+    assert len(payloads) > len(CERTIFICATES)
+    for payload in payloads:
+        assert dumps_canonical(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        for record in payload if isinstance(payload, list) else [payload]:
+            assert dumps_canonical(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def test_goldens_agree_with_the_benchmark_digests(capsys):

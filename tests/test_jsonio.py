@@ -28,6 +28,13 @@ class TestQuiverRoundTrip:
         with pytest.raises(CertificateError):
             jsonio.quiver_from_obj({"shape": "mystery"})
 
+    @pytest.mark.parametrize("n", [10**18, 10**30])
+    @pytest.mark.parametrize("shape", ["linearA", "cyclicA"])
+    def test_huge_n_is_a_certificate_error(self, shape, n):
+        # 10**18 fits a tuple's size but not memory, 10**30 not even the size
+        with pytest.raises(CertificateError, match="bad quiver object"):
+            jsonio.quiver_from_obj({"shape": shape, "n": n})
+
 
 class TestPartitionRoundTrip:
     def test_payload_shape(self):

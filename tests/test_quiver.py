@@ -189,6 +189,13 @@ class TestEnumeratePartitions:
             relaxed = PartPartition(S.parts, plain, S.complete)
             assert validate_partition(q, relaxed), S
 
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("kind", [STRONG_ONE, STRONG_TWO, PLAIN_ONE, PLAIN_TWO])
+    def test_one_object_per_distinct_part(self, kind, complete):
+        got = enumerate_partitions(linear_an(6), kind, complete=complete)
+        parts = [p for S in got for p in S.parts]
+        assert len({id(p) for p in parts}) == len(set(parts))
+
     def test_incomplete_enumeration_includes_complete(self):
         q = linear_an(2)
         everything = enumerate_partitions(q, STRONG_ONE, complete=False)
