@@ -86,7 +86,6 @@ from .decompose import (
     is_cotilting_induced,
     is_tilting_induced,
     iter_torsion_pairs,
-    partition_to_tp,
     residuals_agree,
     tp_to_partition,
     trace_ntp,

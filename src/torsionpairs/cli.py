@@ -13,6 +13,7 @@ import sys
 
 from . import jsonio
 from .decompose import (
+    _iter_class_masks,
     count_torsion_pairs,
     decompose as peel,
     iter_torsion_pairs,
@@ -22,7 +23,7 @@ from .intervals import model_for
 from .jsonio import CertificateError
 from .oracle import BoundExceededError
 from .quiver import LINEAR_UNION, linear_an
-from .torsion import is_ntp, is_torsion_pair
+from .torsion import bit_indices, is_ntp, is_torsion_pair, mask_of
 from .tube import all_tube_modules, tau_inv_tube
 from .tubepairs import count_tube_tps, enumerate_tube_tps, truncated_check
 
@@ -92,14 +93,16 @@ def cmd_enumerate(args) -> int:
     """Print every torsion pair of the path (`--an`) or the tube (`--tube`)
     as a certificate: one JSON array, or one numbered line per pair.
 
-    Each certificate is encoded as soon as its pair is built, and the pair
-    and its record are dropped, so the run keeps only the encoded text;
-    the path pairs come one at a time from `iter_torsion_pairs`.
+    Each certificate is encoded as soon as its pair is built, so the run
+    keeps only the encoded text.  The path pairs come one at a time as
+    class masks, whose records are joined from the model's fragment table
+    without building the pairs' objects.
     """
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
         q = linear_an(args.an)
-        texts = [jsonio.dumps_canonical(jsonio.pair_certificate(q, tp)) for tp in iter_torsion_pairs(q)]
+        records = jsonio.PairRecords(q)
+        texts = [records.record(torsion, free) for torsion, free in _iter_class_masks(q)]
     else:
         _check_bound(args.tube, args.max_n, "rank")
         texts = [jsonio.dumps_canonical(jsonio.tube_certificate(d)) for d in enumerate_tube_tps(args.tube)]
@@ -201,22 +204,39 @@ def _dot_ar_tube(rank: int, cap: int) -> str:
 
 
 def _dot_lattice(n: int) -> str:
+    """Hasse diagram of the torsion classes of the path, ordered by size
+    and then by their sorted intervals, with its edges in that order.
+
+    Every brick B of a torsion class T gives the smaller torsion class
+    T & perp(B), perp(B) being the objects with no map to B, and every
+    lower cover of T is one of these, labelled by its brick
+    (Demonet-Iyama-Reading-Reiten-Thomas).  Every interval is a brick, so
+    the lower covers of T are the maximal classes T & perp(B), B in T.
+    """
     q = linear_an(n)
+    model = model_for(q)
+    records = jsonio.PairRecords(q)
+    # the model lists its objects in (a, b) order, so bit order is interval order
     classes = sorted(
-        (tp.torsion for tp in iter_torsion_pairs(q)),
-        key=lambda T: (len(T), tuple(sorted((X.a, X.b) for X in T))),
+        (mask_of(model, tp.torsion) for tp in iter_torsion_pairs(q)),
+        key=lambda T: (T.bit_count(), bit_indices(T)),
     )
-
-    def label(T) -> str:
-        return "{" + ",".join(f"[{a},{b}]" for a, b in jsonio.intervals_to_obj(T)) + "}"
-
+    position = {T: k for k, T in enumerate(classes)}
+    rows = model.hom_rows
+    perp = [~sum(1 << i for i, row in enumerate(rows) if row >> b & 1) for b in range(len(rows))]
+    edges = []
+    for k, T in enumerate(classes):
+        # a candidate inside another lies inside a maximal one, found earlier
+        maxima: list[int] = []
+        for low in sorted({T & perp[b] for b in bit_indices(T)}, key=int.bit_count, reverse=True):
+            if all(low & high != low for high in maxima):
+                maxima.append(low)
+        edges.extend((position[low], k) for low in maxima)
+    edges.sort()
+    labels = ['"{' + records.join(T) + '}"' for T in classes]
     lines = ["digraph lattice {"]
-    for T in classes:
-        lines.append(f'  "{label(T)}";')
-    for low in classes:
-        for high in classes:
-            if low < high and not any(low < mid < high for mid in classes):
-                lines.append(f'  "{label(low)}" -> "{label(high)}";')
+    lines.extend(f"  {label};" for label in labels)
+    lines.extend(f"  {labels[low]} -> {labels[high]};" for low, high in edges)
     lines.append("}")
     return "\n".join(lines)
 

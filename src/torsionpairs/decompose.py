@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .intervals import (
@@ -43,6 +44,7 @@ from .quiver import (
 from .torsion import (
     NTorsionPair,
     TorsionPair,
+    _closure_mask,
     bit_indices,
     ext_injectives_in,
     ext_projectives_in,
@@ -76,19 +78,34 @@ class DecompositionResult:
     trace: tuple[TraceStage, ...]
 
 
+@lru_cache(maxsize=1024)
+def _end_chains(q: Quiver) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """Per vertex v of q, the indices in `model_for(q)` of the quotients of
+    its projective [v, sink] and of the submodules of its injective
+    [source, v], shortest first (the bound is `model_for`'s)."""
+    model = model_for(q)
+    index = model.index
+    quots = {P.a: model.quot_chains[index[P]] for P in model.projectives()}
+    subs = {I.b: model.sub_chains[index[I]] for I in model.injectives()}
+    return quots, subs
+
+
 def _stage_generators(
     q: Quiver, support: frozenset[int], vertices: frozenset[int], projective: bool
-) -> dict[int, Interval]:
-    """Each of `vertices` with its projective [v, w] (injective [u, v]) of the
-    full subquiver on `support`, as an interval of q: w is the last vertex
-    reached from v inside `support` (u the first reaching v)."""
+) -> dict[int, int]:
+    """Each of `vertices` with the index in `model_for(q)` of its projective
+    [v, w] (injective [u, v]) of the full subquiver on `support`: w is the
+    last vertex reached from v inside `support` (u the first reaching v).
+    With w k steps from v, [v, w] is entry k of the quotient chain of the
+    projective of v in q (the mirror for [u, v])."""
     step = q.succ if projective else q.pred
+    chains = _end_chains(q)[0 if projective else 1]
     out = {}
     for v in vertices:
-        w = v
+        w, k = v, 0
         while step.get(w) in support:
-            w = step[w]
-        out[v] = Interval(v, w) if projective else Interval(w, v)
+            w, k = step[w], k + 1
+        out[v] = chains[v][k]
     return out
 
 
@@ -117,7 +134,6 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
     if not check:
         raise ValueError(f"not a torsion pair: {check.reason}")
     kind = STRONG_ONE if side == "left" else STRONG_TWO
-    index = full.index
     support = q.vertex_set
     torsion, free = mask_of(full, tp.torsion), mask_of(full, tp.free)
     parts: list[frozenset[int]] = []
@@ -129,16 +145,17 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
         # no restriction before the membership test
         members = torsion if projective else free
         taken = {
-            v: X
-            for v, X in _stage_generators(q, support, support, projective).items()
-            if members >> index[X] & 1
+            v: i
+            for v, i in _stage_generators(q, support, support, projective).items()
+            if members >> i & 1
         }
         found = frozenset(taken)
         if stage > 0 and not found:
             break
         parts.append(found)
         side_name = PROJECTIVE if projective else INJECTIVE
-        trace.append(TraceStage(stage, side_name, found, frozenset(taken.values())))
+        generated = frozenset(map(full.objects.__getitem__, taken.values()))
+        trace.append(TraceStage(stage, side_name, found, generated))
         support -= found
         stage += 1
         if not support:
@@ -174,15 +191,16 @@ def _residual_in_e(q: Quiver, residual: TorsionPair) -> bool:
     return True
 
 
-def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None = None) -> TorsionPair:
-    """Rebuild the torsion pair from a partition and a residual pair.
+def _assembled_masks(
+    q: Quiver, partition: PartPartition, residual: TorsionPair | None = None
+) -> tuple[int, int]:
+    """The masks over `model_for(q)` that generate the torsion and the free
+    class of a partition and a residual pair, before extension closure.
 
-    1-type partitions assign even stages to generated-by-projectives
-    pieces and odd stages to cogenerated-by-injectives pieces; 2-type
-    partitions mirror this.  Inverse to `decompose` on valid inputs.
-    Only the inputs are checked (a valid partition, a residual pair in E);
-    that the output is a torsion pair is left to the tests and to
-    `count_tube_tps(check=True)`.
+    The inputs are checked here, once per call: a valid partition and a
+    residual pair in E.  1-type partitions assign even stages to
+    generated-by-projectives pieces and odd stages to
+    cogenerated-by-injectives pieces; 2-type partitions mirror this.
     """
     if not validate_partition(q, partition):
         raise ValueError(f"invalid partition {partition}")
@@ -193,17 +211,28 @@ def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None =
     if not _residual_in_e(residual_quiver, residual):
         raise ValueError("residual pair must avoid residual projectives and injectives")
     model = model_for(q)
-    index = model.index
     torsion, free = mask_of(model, residual.torsion), mask_of(model, residual.free)
     for j, part in enumerate(partition.parts):
         projective = projective_stage(partition.kind, j)
         # the stage generators' quotients (submodules) generate the piece
-        for X in _stage_generators(q, support, part, projective).values():
+        for i in _stage_generators(q, support, part, projective).values():
             if projective:
-                torsion |= model.quot_masks[index[X]]
+                torsion |= model.quot_masks[i]
             else:
-                free |= model.sub_masks[index[X]]
+                free |= model.sub_masks[i]
         support -= part
+    return torsion, free
+
+
+def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None = None) -> TorsionPair:
+    """Rebuild the torsion pair from a partition and a residual pair.
+
+    Inverse to `decompose` on valid inputs.  Only the inputs are checked
+    (a valid partition, a residual pair in E); that the output is a
+    torsion pair is left to the tests and to `count_tube_tps(check=True)`.
+    """
+    model = model_for(q)
+    torsion, free = _assembled_masks(q, partition, residual)
     return TorsionPair(
         extension_closure(q, objects_of(model, torsion)),
         extension_closure(q, objects_of(model, free)),
@@ -220,11 +249,6 @@ def residuals_agree(q: Quiver, tp: TorsionPair) -> bool:
     return same_residual(decompose(q, tp, "left"), decompose(q, tp, "right"))
 
 
-def partition_to_tp(q: Quiver, partition: PartPartition) -> TorsionPair:
-    """Torsion pair of a complete strong partition (empty residual)."""
-    return assemble(q, partition)
-
-
 def tp_to_partition(q: Quiver, tp: TorsionPair) -> PartPartition:
     """Complete strong 1-type partition of a torsion pair."""
     return decompose(q, tp, "left").partition
@@ -236,6 +260,16 @@ def iter_torsion_pairs(q: Quiver) -> Iterator[TorsionPair]:
     so a caller that drops each pair holds at most one."""
     for S in enumerate_partitions(q, STRONG_ONE, complete=True):
         yield assemble(q, S)
+
+
+def _iter_class_masks(q: Quiver) -> Iterator[tuple[int, int]]:
+    """`iter_torsion_pairs` as (torsion, free) masks over `model_for(q)`:
+    the same pairs in the same order, with the same input checks, never
+    turned into objects."""
+    model = model_for(q)
+    for S in enumerate_partitions(q, STRONG_ONE, complete=True):
+        torsion, free = _assembled_masks(q, S)
+        yield _closure_mask(model, torsion), _closure_mask(model, free)
 
 
 def enumerate_torsion_pairs(q: Quiver) -> list[TorsionPair]:

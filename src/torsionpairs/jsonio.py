@@ -11,7 +11,7 @@ from operator import attrgetter
 from typing import Any
 
 from .decompose import DecompositionResult
-from .intervals import Interval
+from .intervals import Interval, model_for
 from .quiver import (
     CYCLIC,
     LINEAR,
@@ -24,7 +24,7 @@ from .quiver import (
     cyclic_an,
     linear_an,
 )
-from .torsion import NTorsionPair, TorsionPair
+from .torsion import NTorsionPair, TorsionPair, bit_indices
 from .tube import TubeModule, TubeSubcatDescriptor
 from .tubepairs import TubeTorsionPair, partition_to_tube_tp
 
@@ -130,6 +130,32 @@ def pair_certificate(q: Quiver, tp: TorsionPair) -> dict:
         "torsion": intervals_to_obj(tp.torsion),
         "free": intervals_to_obj(tp.free),
     }
+
+
+class PairRecords:
+    """`pair_certificate` text for the pairs of q held as (torsion, free)
+    masks over `model_for(q)`.
+
+    `fragments` holds the encoded `[a, b]` of every object in index order,
+    which is the (a, b) order of `intervals_to_obj`, so a class is its
+    fragments joined in bit order.  A record puts the joined free and
+    torsion lists into the frame of the encoded certificate of the empty
+    pair: its keys are sorted, so the category comes before both lists.
+    """
+
+    def __init__(self, q: Quiver):
+        self.fragments = tuple(dumps_canonical([X.a, X.b]) for X in model_for(q).objects)
+        frame = dumps_canonical(pair_certificate(q, TorsionPair(frozenset(), frozenset())))
+        head, middle, tail = frame.rsplit("[]", 2)
+        self._head, self._middle, self._tail = head + "[", "]" + middle + "[", "]" + tail
+
+    def join(self, mask: int) -> str:
+        """The class of the mask as comma-joined fragments."""
+        return ",".join(map(self.fragments.__getitem__, bit_indices(mask)))
+
+    def record(self, torsion: int, free: int) -> str:
+        """`dumps_canonical(pair_certificate(q, pair))` for the pair of the masks."""
+        return self._head + self.join(free) + self._middle + self.join(torsion) + self._tail
 
 
 def ntp_certificate(q: Quiver, ntp: NTorsionPair) -> dict:

@@ -75,37 +75,58 @@ class TestEnumerate:
         assert lines[0].startswith("0: ")
 
     def test_an_holds_at_most_one_earlier_pair(self, monkeypatch, capsys):
-        # each pair is encoded and dropped before the next is assembled
-        module = importlib.import_module("torsionpairs.decompose")
-        real = module.assemble
-        built, alive = [], []
+        # the pairs come one at a time as class masks, each encoded before
+        # the next is built, and no pair of objects is assembled
+        events = []
+        real_masks, real_record = cli._iter_class_masks, jsonio.PairRecords.record
 
-        def recorded(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in built))
-            tp = real(*args, **kwargs)
-            built.append(weakref.ref(tp))
-            return tp
+        def masks(q):
+            for pair in real_masks(q):
+                events.append("built")
+                yield pair
 
-        monkeypatch.setattr(module, "assemble", recorded)
+        def record(self, torsion, free):
+            events.append("encoded")
+            return real_record(self, torsion, free)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled a pair of objects")
+
+        monkeypatch.setattr(cli, "_iter_class_masks", masks)
+        monkeypatch.setattr(jsonio.PairRecords, "record", record)
+        monkeypatch.setattr(importlib.import_module("torsionpairs.decompose"), "assemble", refuse)
         code, _ = run(capsys, "enumerate", "--an", "6")
         assert code == 0
-        assert len(built) == 429
-        assert max(alive) <= 1
+        assert events == ["built", "encoded"] * 429
 
     @pytest.mark.parametrize("n,pairs", [(5, 132), (6, 429)])
     def test_an_checks_each_pair_once_on_the_way(self, capsys, count_calls, n, pairs):
-        # the per-pair input checks and the two closures stay on the route
+        # the per-pair input checks and the two closures stay on the route,
+        # which closes class masks and turns no class into objects
         counts = count_calls(
             "decompose.assemble", "quiver.validate_partition", "quiver.subquiver",
-            "torsion.is_torsion_pair", "intervals.extension_closure", "quiver.enumerate_partitions",
+            "torsion.is_torsion_pair", "torsion._closure_mask", "intervals.extension_closure",
+            "quiver.enumerate_partitions",
         )
         code, _ = run(capsys, "enumerate", "--an", str(n))
         assert code == 0
         assert counts == {
-            "decompose.assemble": pairs, "quiver.validate_partition": pairs,
+            "decompose.assemble": 0, "quiver.validate_partition": pairs,
             "quiver.subquiver": pairs, "torsion.is_torsion_pair": pairs,
-            "intervals.extension_closure": 2 * pairs, "quiver.enumerate_partitions": 1,
+            "torsion._closure_mask": 2 * pairs, "intervals.extension_closure": 0,
+            "quiver.enumerate_partitions": 1,
         }
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_an_prints_the_certificates_of_the_pairs(self, capsys, n, fmt):
+        # the records joined from the fragment table are the canonical
+        # certificates of the pairs, in enumeration order
+        q = linear_an(n)
+        texts = [jsonio.dumps_canonical(jsonio.pair_certificate(q, tp)) for tp in enumerate_torsion_pairs(q)]
+        want = "[" + ",".join(texts) + "]" if fmt == "json" else "\n".join(f"{i}: {t}" for i, t in enumerate(texts))
+        argv = ("enumerate", "--an", str(n), "--max-n", str(n), "--format", fmt)
+        assert run(capsys, *argv) == (0, want + "\n")
 
 
 class TestVerify:
@@ -300,12 +321,57 @@ class TestCount:
         assert out.strip() == "1430"
 
 
+def lattice_by_search(n):
+    """The lattice export by a search for covers: low -> high when low is
+    strictly inside high and no class lies strictly between them, over the
+    classes sorted by size and then by their sorted intervals."""
+    classes = sorted(
+        (tp.torsion for tp in enumerate_torsion_pairs(linear_an(n))),
+        key=lambda T: (len(T), tuple(sorted((X.a, X.b) for X in T))),
+    )
+
+    def label(T):
+        return "{" + ",".join(f"[{a},{b}]" for a, b in jsonio.intervals_to_obj(T)) + "}"
+
+    lines = ["digraph lattice {"]
+    lines += [f'  "{label(T)}";' for T in classes]
+    for low in classes:
+        for high in classes:
+            if low < high and not any(low < mid < high for mid in classes):
+                lines.append(f'  "{label(low)}" -> "{label(high)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 class TestExport:
     def test_lattice_has_five_nodes(self, capsys):
         code, out = run(capsys, "export", "--an", "2", "--dot", "lattice")
         assert code == 0
         nodes = [l for l in out.splitlines() if l.endswith('";') and "->" not in l]
         assert len(nodes) == 5
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lattice_matches_the_search_for_covers(self, capsys, n):
+        assert run(capsys, "export", "--an", str(n), "--dot", "lattice") == (0, lattice_by_search(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lattice_is_the_tamari_lattice(self, capsys, n):
+        # Cat(n+1) classes, n Cat(n+1) / 2 covers, and every class has n
+        # neighbours: a class of the path has as many lower and upper
+        # covers together as the path has vertices
+        code, out = run(capsys, "export", "--an", str(n), "--max-n", str(n), "--dot", "lattice")
+        assert code == 0
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == ("digraph lattice {", "}")
+        edges = [line.strip().rstrip(";").split(" -> ") for line in lines[1:-1] if " -> " in line]
+        nodes = [line.strip().rstrip(";") for line in lines[1:-1] if " -> " not in line]
+        catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
+        assert (len(nodes), len(set(nodes)), len(edges)) == (catalan, catalan, n * catalan // 2)
+        degree = dict.fromkeys(nodes, 0)
+        for low, high in edges:
+            degree[low] += 1
+            degree[high] += 1
+        assert set(degree.values()) == {n}
 
     def test_ar_quiver_edges(self, capsys):
         code, out = run(capsys, "export", "--an", "2", "--dot", "ar")

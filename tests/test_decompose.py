@@ -18,7 +18,6 @@ from torsionpairs.decompose import (
     is_cotilting_induced,
     is_tilting_induced,
     iter_torsion_pairs,
-    partition_to_tp,
     projective_correspondence,
     residuals_agree,
     suffix_ext_projectives,
@@ -203,16 +202,16 @@ class TestBijection:
         assert via_partitions == via_oracle
 
     def test_partition_to_tp_examples(self):
-        assert partition_to_tp(
+        assert assemble(
             A2, PartPartition(parts({1, 2}), STRONG_ONE, complete=True)
         ) == TorsionPair(ALL2, frozenset())
-        assert partition_to_tp(
+        assert assemble(
             A2, PartPartition(parts(set(), {2}, {1}), STRONG_ONE, complete=True)
         ) == TorsionPair(fs((1, 1)), fs((1, 2), (2, 2)))
 
     def test_round_trip_a2(self):
         for S in enumerate_partitions(A2, STRONG_ONE, complete=True):
-            assert tp_to_partition(A2, partition_to_tp(A2, S)) == S
+            assert tp_to_partition(A2, assemble(A2, S)) == S
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_assembled_pair_and_its_peeling_are_valid(self, n):
@@ -439,12 +438,13 @@ class TestStageWalk:
                 support = frozenset(keep)
                 sub = subquiver(q, support)
                 model = model_for(sub)
+                home = model_for(q).index
                 for part in (support, frozenset(sorted(support)[::2])):
                     assert _stage_generators(q, support, part, True) == {
-                        P.a: P for P in model.projectives() if P.a in part
+                        P.a: home[P] for P in model.projectives() if P.a in part
                     }, (support, part)
                     assert _stage_generators(q, support, part, False) == {
-                        I.b: I for I in model.injectives() if I.b in part
+                        I.b: home[I] for I in model.injectives() if I.b in part
                     }, (support, part)
                 assert stage_ends(q, support, True) == sub.sources, support
                 assert stage_ends(q, support, False) == sub.sinks, support

@@ -66,6 +66,8 @@ def _cases():
     for n in range(1, 6):
         for dot in ("ar", "lattice"):
             cases.append(("export", "--an", str(n), "--dot", dot))
+    cases.append(("export", "--an", "6", "--dot", "lattice"))
+    cases.append(("export", "--an", "7", "--max-n", "7", "--dot", "lattice"))
     cases.append(("export", "--tube", "3", "--dot", "ar"))
     for cap in range(1, 9):
         cases.append(("export", "--tube", "3", "--dot", "ar", "--cap", str(cap)))
@@ -122,6 +124,8 @@ GOLDEN = {
     'export --an 4 --dot lattice': (0, '04865910b79e773435306cd051b374c3b743fc4ee6d018c6121c48ea6307bf54'),
     'export --an 5 --dot ar': (0, 'd150104df7820ad85192b07d205eb812a63ede436cb7eee6ec284f0a221553e9'),
     'export --an 5 --dot lattice': (0, 'ecb78f51f70c711673b59ba2ba1c2cbd23f041f38d1c4d43d3e993de6043df86'),
+    'export --an 6 --dot lattice': (0, '88bf18a1b520db3842eaa65a03fdd7dddd5ba259711d5b44e968ab40f4885f5a'),
+    'export --an 7 --max-n 7 --dot lattice': (0, '42f92c0b19ac0e8d46d5874029eabc2e6ab5296a3f7019ab97baa5a3122ef25b'),
     'export --tube 3 --dot ar': (0, '02c4a98afa490f3c59f92a594acf565f292e1547cd9d6365e553f159449a7bb4'),
     'export --tube 3 --dot ar --cap 1': (0, 'e8bf8408e68e70baf01dc4041728eed560315b2cc2c83b53aa5f63b9c80d11bc'),
     'export --tube 3 --dot ar --cap 2': (0, '5f951db78d165858a017bce3d6093c55aae17698664f31ec2722a367a0badae8'),

@@ -2,12 +2,28 @@ import pytest
 
 from torsionpairs import jsonio
 from torsionpairs.decompose import decompose_left, enumerate_torsion_pairs
-from torsionpairs.intervals import Interval
+from torsionpairs.intervals import Interval, model_for
 from torsionpairs.jsonio import CertificateError
 from torsionpairs.quiver import STRONG_ONE, PartPartition, cyclic_an, linear_an, subquiver
 from torsionpairs.torsion import NTorsionPair, TorsionPair
 from torsionpairs.tube import TubeModule, coray
 from torsionpairs.tubepairs import enumerate_tube_tps
+
+
+class TestPairRecords:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_path_objects_are_in_interval_order(self, n):
+        # the fragment table is joined in index order, which must be the
+        # (a, b) order certificates list intervals in
+        objects = model_for(linear_an(n)).objects
+        assert [(X.a, X.b) for X in objects] == sorted((a, b) for b in range(1, n + 1) for a in range(1, b + 1))
+
+    def test_fragments_and_records(self):
+        q = subquiver(linear_an(5), {1, 2, 4})
+        records = jsonio.PairRecords(q)
+        assert records.fragments == ("[1,1]", "[1,2]", "[2,2]", "[4,4]")
+        tp = TorsionPair({Interval(2, 2), Interval(4, 4)}, {Interval(1, 1)})
+        assert records.record(0b1100, 0b0001) == jsonio.dumps_canonical(jsonio.pair_certificate(q, tp))
 
 
 class TestQuiverRoundTrip:
