@@ -12,7 +12,8 @@ generator sets, and the tilting/cotilting criteria.
 
 Peeling and assembly share one stage walk: a stage is a vertex set of the
 home quiver, whose projectives or injectives `_stage_generators` reads
-off the home quiver's arrows, with no subquiver or model per stage.
+off the home quiver's arrows and the home model's `end_chains`, with no
+subquiver or model per stage.
 `generators` and `trace_ntp` read the generators `decompose` records.
 """
 
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .intervals import (
     Interval,
+    LinearModel,
     cogen_closure,
     extension_closure,
     gen_closure,
@@ -44,7 +45,6 @@ from .quiver import (
 from .torsion import (
     NTorsionPair,
     TorsionPair,
-    _closure_mask,
     bit_indices,
     ext_injectives_in,
     ext_projectives_in,
@@ -78,28 +78,18 @@ class DecompositionResult:
     trace: tuple[TraceStage, ...]
 
 
-@lru_cache(maxsize=1024)
-def _end_chains(q: Quiver) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """Per vertex v of q, the indices in `model_for(q)` of the quotients of
-    its projective [v, sink] and of the submodules of its injective
-    [source, v], shortest first (the bound is `model_for`'s)."""
-    model = model_for(q)
-    index = model.index
-    quots = {P.a: model.quot_chains[index[P]] for P in model.projectives()}
-    subs = {I.b: model.sub_chains[index[I]] for I in model.injectives()}
-    return quots, subs
-
-
 def _stage_generators(
-    q: Quiver, support: frozenset[int], vertices: frozenset[int], projective: bool
+    model: LinearModel, support: frozenset[int], vertices: frozenset[int], projective: bool
 ) -> dict[int, int]:
-    """Each of `vertices` with the index in `model_for(q)` of its projective
-    [v, w] (injective [u, v]) of the full subquiver on `support`: w is the
-    last vertex reached from v inside `support` (u the first reaching v).
-    With w k steps from v, [v, w] is entry k of the quotient chain of the
-    projective of v in q (the mirror for [u, v])."""
+    """Each of `vertices` with the index in `model` (of the home quiver) of
+    its projective [v, w] (injective [u, v]) of the full subquiver on
+    `support`: w is the last vertex reached from v inside `support` (u the
+    first reaching v).  With w k steps from v, [v, w] is entry k of the
+    quotient chain of the projective of v in the home quiver (the mirror
+    for [u, v]), read off `model.end_chains`."""
+    q = model.quiver
     step = q.succ if projective else q.pred
-    chains = _end_chains(q)[0 if projective else 1]
+    chains = model.end_chains[0 if projective else 1]
     out = {}
     for v in vertices:
         w, k = v, 0
@@ -146,7 +136,7 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
         members = torsion if projective else free
         taken = {
             v: i
-            for v, i in _stage_generators(q, support, support, projective).items()
+            for v, i in _stage_generators(full, support, support, projective).items()
             if members >> i & 1
         }
         found = frozenset(taken)
@@ -215,7 +205,7 @@ def _assembled_masks(
     for j, part in enumerate(partition.parts):
         projective = projective_stage(partition.kind, j)
         # the stage generators' quotients (submodules) generate the piece
-        for i in _stage_generators(q, support, part, projective).values():
+        for i in _stage_generators(model, support, part, projective).values():
             if projective:
                 torsion |= model.quot_masks[i]
             else:
@@ -265,11 +255,10 @@ def iter_torsion_pairs(q: Quiver) -> Iterator[TorsionPair]:
 def _iter_class_masks(q: Quiver) -> Iterator[tuple[int, int]]:
     """`iter_torsion_pairs` as (torsion, free) masks over `model_for(q)`:
     the same pairs in the same order, with the same input checks, never
-    turned into objects."""
-    model = model_for(q)
+    turned into objects, nor closed: with no residual, the stage generators'
+    quotients and submodules already make up the two classes."""
     for S in enumerate_partitions(q, STRONG_ONE, complete=True):
-        torsion, free = _assembled_masks(q, S)
-        yield _closure_mask(model, torsion), _closure_mask(model, free)
+        yield _assembled_masks(q, S)
 
 
 def enumerate_torsion_pairs(q: Quiver) -> list[TorsionPair]:

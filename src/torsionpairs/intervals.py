@@ -21,11 +21,11 @@ Euler form, and the rows against hom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from .quiver import Quiver
-from .torsion import extension_closure as _closure, objects_of
+from .torsion import ChainModel, extension_closure as _closure, objects_of
 
 
 @dataclass(frozen=True, order=True)
@@ -43,20 +43,17 @@ class Interval:
         return f"[{self.a},{self.b}]"
 
 
-class LinearModel:
+class LinearModel(ChainModel):
     """Finite category model of the interval modules over an A-type quiver.
 
-    Objects are the N intervals in sorted order; `index` maps each to its
-    position, and every per-object table below is a tuple in that order:
-    `hom_rows` (bit j set iff Hom(X, objects[j]) != 0), `sub_chains` and
-    `quot_chains` (the indices of the nonzero submodules and quotients,
-    shortest first), `sub_masks` and `quot_masks` (the same sets as
-    bitmasks), `vertex_masks` (bit k set iff the k-th vertex of the quiver
-    lies in the support) and `glue_chains` (see `torsion`), O(N n)
-    ints in all for n vertices.  hom, ext and euler are O(1) closed forms
-    in the vertex positions, and `hom_rows` is filled from the hom rule
-    in O(N n) without calling them.  All values are immutable, so one
-    model may be shared freely.
+    Objects are the N intervals in sorted order, and the tables of
+    `ChainModel` take O(N n) ints in all for n vertices.  `end_chains`
+    holds two dicts: per vertex v, the quotient chain of the projective
+    [v, sink] and the submodule chain of the injective [source, v], from
+    which the stage walk reads its generators.  hom and ext are O(1)
+    closed forms in the vertex positions, and `hom_rows` is filled from
+    the hom rule in O(N n) without calling them.  All values are
+    immutable, so one model may be shared freely.
     """
 
     def __init__(self, q: Quiver):
@@ -69,16 +66,19 @@ class LinearModel:
             [[Interval(a, b) for b in comp[p:]] for p, a in enumerate(comp)]
             for comp in q.components
         ]
-        self.objects: tuple[Interval, ...] = tuple(sorted(X for g in grid for row in g for X in row))
-        self.index: dict[Interval, int] = {X: i for i, X in enumerate(self.objects)}
+        flat = [X for g in grid for row in g for X in row]
+        order = sorted(range(len(flat)), key=flat.__getitem__)  # objects[i] = flat[order[i]]
+        at = sorted(range(len(flat)), key=order.__getitem__)  # flat[f] = objects[at[f]]
         self._projectives = tuple(sorted(row[-1] for g in grid for row in g))  # [v, sink]
         self._injectives = tuple(sorted(X for g in grid for X in g[0]))  # [source, v]
-        n_obj = len(self.objects)
+        n_obj = len(flat)
         subs, quots, vmasks, homs = [()] * n_obj, [()] * n_obj, [0] * n_obj, [0] * n_obj
         before, same_socle = [None] * n_obj, [0] * n_obj
+        end_quots, end_subs = {}, {}
         vertex_bit = {v: 1 << k for k, v in enumerate(q.vertices)}
+        grid_at = iter(at)
         for comp, g in zip(q.components, grid):
-            rows = [[self.index[X] for X in row] for row in g]
+            rows = [[next(grid_at) for _ in row] for row in g]
             for p, row in enumerate(rows):
                 hom = 0
                 for k, i in enumerate(row):
@@ -92,24 +92,21 @@ class LinearModel:
                     # [0, p-1] and [0, p+k] by offsets
                     if p > 0:
                         before[i] = rows[0][p - 1]
+                    else:  # the injective [source, comp[k]]
+                        end_subs[comp[k]] = subs[i]
                     same_socle[i] = rows[0][p + k]
-        self.sub_chains: tuple[tuple[int, ...], ...] = tuple(subs)
-        self.quot_chains: tuple[tuple[int, ...], ...] = tuple(quots)
-        self.sub_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in subs)
-        self.quot_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in quots)
-        self.vertex_masks: tuple[int, ...] = tuple(vmasks)
-        self.glue_chains = (tuple(before), tuple(same_socle))
-        self.hom_rows: tuple[int, ...] = tuple(homs)
+                end_quots[comp[p]] = quots[i]  # the projective [comp[p], sink]
+        self.end_chains = (end_quots, end_subs)
+        super().__init__(
+            tuple(map(flat.__getitem__, order)),
+            tuple(homs),
+            tuple(subs),
+            tuple(quots),
+            tuple(vmasks),
+            (tuple(before), tuple(same_socle)),
+        )
 
     # -- bookkeeping -------------------------------------------------
-
-    @cached_property
-    def object_set(self) -> frozenset[Interval]:
-        """The objects as a frozenset, built on first use (witness searches)."""
-        return frozenset(self.objects)
-
-    def _pos(self, v: int) -> tuple[int, int]:
-        return self._position[v]
 
     def check_interval(self, X: Interval) -> None:
         pos = self.quiver.position
@@ -119,13 +116,9 @@ class LinearModel:
         if ca != cb or pa > pb:
             raise ValueError(f"{X} is not a directed segment of the quiver")
 
-    def length(self, X: Interval) -> int:
-        (_, pa), (_, pb) = self._pos(X.a), self._pos(X.b)
-        return pb - pa + 1
-
     def support(self, X: Interval) -> tuple[int, ...]:
-        ci, pa = self._pos(X.a)
-        _, pb = self._pos(X.b)
+        pos = self._position
+        (ci, pa), (_, pb) = pos[X.a], pos[X.b]
         return self.quiver.components[ci][pa : pb + 1]
 
     def dim_vector(self, X: Interval) -> tuple[int, ...]:
@@ -154,39 +147,16 @@ class LinearModel:
         (cy, pc), (_, pd) = pos[Y.a], pos[Y.b]
         return 1 if cx == cy and pa < pc <= pb + 1 <= pd else 0
 
-    def euler(self, X: Interval, Y: Interval) -> int:
-        """<dim X, dim Y>: shared support minus arrows from supp X into supp Y.
-
-        An arrow leaves offset p for p + 1, so the arrows counted are the
-        offsets of [pa, pb] that fall in [pc - 1, pd - 1].  That window is
-        [pc, pd] less pd plus pc - 1, so the difference is whether pd lies
-        in [pa, pb] less whether pc - 1 does.
-        """
-        pos = self._position
-        (cx, pa), (_, pb) = pos[X.a], pos[X.b]
-        (cy, pc), (_, pd) = pos[Y.a], pos[Y.b]
-        if cx != cy:
-            return 0
-        return (pa <= pd <= pb) - (pa < pc <= pb + 1)
-
     # -- uniserial structure ------------------------------------------
 
     def slice(self, X: Interval, lo: int, hi: int) -> Interval:
         """Subquotient between socle heights lo < hi (height 0 is the socle)."""
-        ci, pa = self._pos(X.a)
-        _, pb = self._pos(X.b)
+        pos = self._position
+        (ci, pa), (_, pb) = pos[X.a], pos[X.b]
         if not 0 <= lo < hi <= pb - pa + 1:
             raise ValueError("slice heights out of range")
         comp = self.quiver.components[ci]
         return Interval(comp[pb - hi + 1], comp[pb - lo])
-
-    def submodules(self, X: Interval) -> tuple[Interval, ...]:
-        """Nonzero submodules [c, b], shortest first (read off `sub_chains`)."""
-        return tuple(map(self.objects.__getitem__, self.sub_chains[self.index[X]]))
-
-    def quotients(self, X: Interval) -> tuple[Interval, ...]:
-        """Nonzero quotients [a, c], shortest first (read off `quot_chains`)."""
-        return tuple(map(self.objects.__getitem__, self.quot_chains[self.index[X]]))
 
     def glue(self, bottom: Interval, top: Interval) -> Interval | None:
         """Indecomposable stack of `top` on `bottom`, if the ends abut.

@@ -1,25 +1,25 @@
 """Torsion pair calculus over a finite category model.
 
-A model is any object exposing
-  - `objects` (a tuple of uniserial indecomposables), `object_set` (the
-    same objects as a frozenset, the default ambient) and `index` (each
-    object's position in `objects`);
-  - `hom(X, Y)`, `ext(X, Y)`, `length(X)`, `slice(X, lo, hi)` (the
-    subquotient between two socle heights), `submodules(X)` and
-    `quotients(X)` (the nonzero submodules and quotients, shortest first,
-    so entry h - 1 has length h) and `glue(bottom, top)` (the
-    indecomposable middle term of a nonsplit extension, if any: it can
-    only exist when the vertex after the socle of `top` is the top vertex
-    of `bottom`);
-  - per object, in the order of `objects`: `hom_rows` (an int with bit j
-    set iff Hom(X, objects[j]) != 0), `sub_chains` and `quot_chains`
-    (the indices of `submodules(X)` and `quotients(X)`), `sub_masks` and
-    `quot_masks` (the same sets as bitmasks), `vertex_masks` (bit k set
-    iff the k-th vertex of the quiver lies in the support of X) and
-    `glue_chains` (two such tuples: the indices of the longest objects
+A model is a `ChainModel`: a tuple `objects` of uniserial
+indecomposables with, per object in that order,
+  - `hom_rows` (an int with bit j set iff Hom(X, objects[j]) != 0);
+  - `sub_chains` and `quot_chains` (the indices of the nonzero
+    submodules and quotients, shortest first, so entry h - 1 has
+    length h), and `sub_masks` and `quot_masks` (the same sets as
+    bitmasks);
+  - `vertex_masks` (bit k set iff the k-th vertex of the quiver lies in
+    the support of X);
+  - `glue_chains` (two such tuples: the indices of the longest objects
     ending right before the top of X, None where there is no such
-    vertex, and ending at its socle).
-Both the interval model and the truncated tube model qualify.
+    vertex, and ending at its socle);
+and with `index` (each object's position), `object_set` (the objects as
+a frozenset, the default ambient), `length(X)`, `submodules(X)` and
+`quotients(X)`, all derived by the base.  A subclass adds `hom(X, Y)`,
+`ext(X, Y)`, `slice(X, lo, hi)` (the subquotient between two socle
+heights) and `glue(bottom, top)` (the indecomposable middle term of a
+nonsplit extension, if any: it can only exist when the vertex after the
+socle of `top` is the top vertex of `bottom`).  The interval model and
+the truncated tube model are both `ChainModel`s.
 
 Subcategories are frozensets of indecomposables; additive closure is
 implicit and the zero module is handled out of band (no object encodes
@@ -43,7 +43,7 @@ object-by-object search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -111,6 +111,42 @@ class Filtration:
 
     def nonzero_factors(self) -> tuple:
         return tuple((i + 1, f) for i, f in enumerate(self.factors) if f is not None)
+
+
+# -- the model protocol ---------------------------------------------------
+
+
+class ChainModel:
+    """The model protocol of this module: a subclass computes the tables
+    `hom_rows`, `sub_chains`, `quot_chains`, `vertex_masks` and
+    `glue_chains`, and the base derives the rest from them."""
+
+    def __init__(self, objects, hom_rows, sub_chains, quot_chains, vertex_masks, glue_chains):
+        self.objects: tuple = objects
+        self.index: dict = {X: i for i, X in enumerate(objects)}
+        self.hom_rows: tuple[int, ...] = hom_rows
+        self.sub_chains: tuple[tuple[int, ...], ...] = sub_chains
+        self.quot_chains: tuple[tuple[int, ...], ...] = quot_chains
+        self.sub_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in sub_chains)
+        self.quot_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in quot_chains)
+        self.vertex_masks: tuple[int, ...] = vertex_masks
+        self.glue_chains: tuple[tuple, tuple] = glue_chains
+
+    @cached_property
+    def object_set(self) -> frozenset:
+        """The objects as a frozenset, built on first use (witness searches)."""
+        return frozenset(self.objects)
+
+    def length(self, X) -> int:
+        return len(self.sub_chains[self.index[X]])
+
+    def submodules(self, X) -> tuple:
+        """Nonzero submodules of X, shortest first (read off `sub_chains`)."""
+        return tuple(map(self.objects.__getitem__, self.sub_chains[self.index[X]]))
+
+    def quotients(self, X) -> tuple:
+        """Nonzero quotients of X, shortest first (read off `quot_chains`)."""
+        return tuple(map(self.objects.__getitem__, self.quot_chains[self.index[X]]))
 
 
 # -- subcategories as bitmasks ---------------------------------------------

@@ -17,8 +17,10 @@ predicate; explicit sets are always truncations by length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
+
+from .torsion import ChainModel
 
 FINITE = "finite"
 CORAY_FINITE = "coray+finite"
@@ -211,14 +213,14 @@ def truncate(
     return tuple(X for X in all_tube_modules(rank, cap) if desc(X))
 
 
-class TubeModel:
+class TubeModel(ChainModel):
     """Finite truncation of the tube: all modules of length <= cap.
 
-    Exposes the same interface as the interval model so the torsion pair
-    calculus can run on it; gluings that would leave the truncation are
-    reported as absent.  U(s, l) sits at `module_index(s, l, rank)` of
-    `objects`, and the per-object tables are built from that arithmetic,
-    `hom_rows` from `hom_dim_tube`; vertex v is bit v - 1 of a vertex mask.
+    A `ChainModel` like the interval model, so the torsion pair calculus
+    can run on it; gluings that would leave the truncation are reported
+    as absent.  U(s, l) sits at `module_index(s, l, rank)` of `objects`,
+    and the per-object tables are built from that arithmetic, `hom_rows`
+    from `hom_dim_tube`; vertex v is bit v - 1 of a vertex mask.
     """
 
     def __init__(self, rank: int, cap: int):
@@ -226,41 +228,31 @@ class TubeModel:
             raise ValueError("rank and cap must be positive")
         self.rank = rank
         self.cap = cap
-        self.objects: tuple[TubeModule, ...] = all_tube_modules(rank, cap)
-        self.index: dict[TubeModule, int] = {X: i for i, X in enumerate(self.objects)}
-        objs = self.objects
+        objs = all_tube_modules(rank, cap)
 
         def at(socle: int, length: int) -> int:
             return module_index(socle, length, rank)
 
-        self.hom_rows = tuple(
+        hom_rows = tuple(
             sum(1 << j for j, Y in enumerate(objs) if hom_dim_tube(X, Y)) for X in objs
         )
         # submodules keep the socle; the length-h quotient has socle s - (l - h)
-        self.sub_chains = tuple(
+        sub_chains = tuple(
             tuple(at(X.socle, h) for h in range(1, X.length + 1)) for X in objs
         )
-        self.quot_chains = tuple(
+        quot_chains = tuple(
             tuple(at(X.socle - X.length + h, h) for h in range(1, X.length + 1)) for X in objs
         )
-        self.sub_masks = tuple(sum(1 << j for j in c) for c in self.sub_chains)
-        self.quot_masks = tuple(sum(1 << j for j in c) for c in self.quot_chains)
-        self.vertex_masks = tuple(
+        vertex_masks = tuple(
             sum(1 << norm_vertex(X.socle - k, rank) - 1 for k in range(min(X.length, rank)))
             for X in objs
         )
         # the longest modules with socle before the top, and with the same socle
-        self.glue_chains = (
+        glue_chains = (
             tuple(at(X.socle - X.length, cap) for X in objs),
             tuple(at(X.socle, cap) for X in objs),
         )
-
-    @cached_property
-    def object_set(self) -> frozenset[TubeModule]:
-        return frozenset(self.objects)
-
-    def length(self, X: TubeModule) -> int:
-        return X.length
+        super().__init__(objs, hom_rows, sub_chains, quot_chains, vertex_masks, glue_chains)
 
     def hom(self, X: TubeModule, Y: TubeModule) -> int:
         return hom_dim_tube(X, Y)
@@ -268,23 +260,11 @@ class TubeModel:
     def ext(self, X: TubeModule, Y: TubeModule) -> int:
         return ext_dim_tube(X, Y)
 
-    def tau(self, X: TubeModule) -> TubeModule:
-        return tau_tube(X)
-
-    def tau_inv(self, X: TubeModule) -> TubeModule:
-        return tau_inv_tube(X)
-
     def slice(self, X: TubeModule, lo: int, hi: int) -> TubeModule:
         """Subquotient between socle heights lo < hi (height 0 is the socle)."""
         if not 0 <= lo < hi <= X.length:
             raise ValueError("slice heights out of range")
         return TubeModule(norm_vertex(X.socle - lo, X.rank), hi - lo, X.rank)
-
-    def submodules(self, X: TubeModule) -> tuple[TubeModule, ...]:
-        return tuple(map(self.objects.__getitem__, self.sub_chains[self.index[X]]))
-
-    def quotients(self, X: TubeModule) -> tuple[TubeModule, ...]:
-        return tuple(map(self.objects.__getitem__, self.quot_chains[self.index[X]]))
 
     def glue(self, bottom: TubeModule, top: TubeModule) -> TubeModule | None:
         """Middle term of a nonsplit extension of `top` by `bottom`, capped."""

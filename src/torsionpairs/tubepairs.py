@@ -32,7 +32,7 @@ from .decompose import (
     is_cotilting_induced,
     is_tilting_induced,
 )
-from .intervals import Interval, model_for
+from .intervals import Interval, LinearModel, model_for
 from .quiver import (
     STRONG_ONE,
     STRONG_TWO,
@@ -65,14 +65,14 @@ class ClassificationDefectError(RuntimeError):
     """A classified pair violates a structural law (collision, empty L and R)."""
 
 
-def _interval_to_tube(q: Quiver, rank: int, X: Interval) -> TubeModule:
+def _interval_to_tube(model: LinearModel, rank: int, X: Interval) -> TubeModule:
     """Reread an interval on a residual segment as a tube module.
 
     A residual segment is shorter than the cycle, so the module is one of
     `all_tube_modules(rank, rank)`; the shared instance is returned, since
     the classified pairs keep their descriptors.
     """
-    return all_tube_modules(rank, rank)[module_index(X.b, model_for(q).length(X), rank)]
+    return all_tube_modules(rank, rank)[module_index(X.b, model.length(X), rank)]
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,8 @@ class TubeTorsionPair:
             raise ValueError("delta must be nonempty")
 
     def _finite_side(self, intervals: frozenset[Interval]) -> frozenset[TubeModule]:
-        return frozenset(
-            _interval_to_tube(self.residual_quiver, self.rank, X) for X in intervals
-        )
+        model = model_for(self.residual_quiver)
+        return frozenset(_interval_to_tube(model, self.rank, X) for X in intervals)
 
     @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:

@@ -6,6 +6,7 @@ import pytest
 
 from test_intervals import CYCLE_RESIDUALS, MODEL_QUIVERS, linear_union, model_id
 from torsionpairs.decompose import (
+    _iter_class_masks,
     _stage_generators,
     assemble,
     count_torsion_pairs,
@@ -51,6 +52,7 @@ from torsionpairs.torsion import (
     ext_projectives_in,
     is_ntp,
     is_torsion_pair,
+    mask_of,
 )
 
 A2 = linear_an(2)
@@ -230,6 +232,15 @@ class TestBijection:
     def test_iterator_yields_the_enumeration_in_order(self, n):
         q = linear_an(n)
         assert list(iter_torsion_pairs(q)) == enumerate_torsion_pairs(q)
+
+    def test_class_masks_are_the_closed_assembled_pairs(self):
+        # the mask route closes neither class; at the benchmark's largest n
+        # each pair it yields is the masks of the pair `assemble` closes
+        q = linear_an(8)
+        model = model_for(q)
+        want = [(mask_of(model, tp.torsion), mask_of(model, tp.free)) for tp in iter_torsion_pairs(q)]
+        got = list(_iter_class_masks(q))
+        assert len(got) == 4862 and got == want
 
 
 class TestCounts:
@@ -428,8 +439,9 @@ class TestTraceNtp:
 
 
 class TestStageWalk:
-    """The one stage walk against the support quiver and its model, on
-    every support of every model quiver."""
+    """The one stage walk, read off the home model's `end_chains`, against
+    the support quiver and its model, on every support of every model
+    quiver."""
 
     @pytest.mark.parametrize("q", MODEL_QUIVERS, ids=model_id)
     def test_matches_the_support_model(self, q):
@@ -438,12 +450,13 @@ class TestStageWalk:
                 support = frozenset(keep)
                 sub = subquiver(q, support)
                 model = model_for(sub)
-                home = model_for(q).index
+                full = model_for(q)
+                home = full.index
                 for part in (support, frozenset(sorted(support)[::2])):
-                    assert _stage_generators(q, support, part, True) == {
+                    assert _stage_generators(full, support, part, True) == {
                         P.a: home[P] for P in model.projectives() if P.a in part
                     }, (support, part)
-                    assert _stage_generators(q, support, part, False) == {
+                    assert _stage_generators(full, support, part, False) == {
                         I.b: home[I] for I in model.injectives() if I.b in part
                     }, (support, part)
                 assert stage_ends(q, support, True) == sub.sources, support

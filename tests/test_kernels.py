@@ -13,17 +13,20 @@ subquiver of the cycles of rank at most five, two shuffled-label unions
 and the truncated tubes of rank at most three and cap at most five.
 """
 
+import importlib
 import math
+import pkgutil
 import random
 from itertools import chain, combinations
 
 import pytest
 
 from test_intervals import CERTIFICATE_QUIVERS, MODEL_QUIVERS, model_id
-from torsionpairs import intervals, oracle, quiver, torsion, tube
+from torsionpairs import intervals, tube
 from torsionpairs.intervals import model_for
 from torsionpairs.quiver import cyclic_an, linear_an, subquiver
 from torsionpairs.torsion import (
+    ChainModel,
     CheckResult,
     TorsionPair,
     decompose_along,
@@ -305,10 +308,14 @@ def test_hom_rows_match_the_served_hom(make):
 @pytest.mark.parametrize("make", KERNEL_MODELS)
 def test_index_chains_and_masks_match_the_objects(make):
     model = make()
+    assert isinstance(model, ChainModel)
     objs = model.objects
-    vertices = model.quiver.vertices if hasattr(model, "quiver") else range(1, model.rank + 1)
+    intervals_model = hasattr(model, "quiver")
+    vertices = model.quiver.vertices if intervals_model else range(1, model.rank + 1)
     for i, X in enumerate(objs):
         n = model.length(X)
+        # the chain length against the interval's support or the module's length
+        assert n == (len(model.support(X)) if intervals_model else X.length), X
         assert [objs[j] for j in model.sub_chains[i]] == [model.slice(X, 0, h) for h in range(1, n + 1)]
         assert [objs[j] for j in model.quot_chains[i]] == [model.slice(X, n - h, n) for h in range(1, n + 1)]
         assert bits(model.sub_masks[i]) == set(model.sub_chains[i])
@@ -426,18 +433,26 @@ def test_torsion_parts_of_objects_match_the_references(make):
             assert torsion_submodule(model, T, X) == ref_torsion_submodule(model, T, X)
 
 
-@pytest.mark.parametrize(
-    "cached",
-    [
-        intervals.model_for,
-        oracle._hom_dim_matrix_cached,
-        quiver._proper_subquiver,
-        torsion._witness_order,
-        tube.all_tube_modules,
-        tube._families,
-    ],
-    ids=lambda f: f.__wrapped__.__name__,
-)
+def package_caches():
+    """Every `lru_cache` defined at the top level of a package module,
+    found by walking the modules, so a new cache is checked unlisted."""
+    package = importlib.import_module("torsionpairs")
+    found = []
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"torsionpairs.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found.append(value)
+    return found
+
+
+def test_the_cache_walk_finds_the_model_cache():
+    assert intervals.model_for in package_caches()
+
+
+@pytest.mark.parametrize("cached", package_caches(), ids=lambda f: f.__wrapped__.__name__)
 def test_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
