@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import jsonio
@@ -164,12 +165,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    """Print the count, refusing one longer than Python's int-to-str digit
+    limit: before computing it if its lower bound 2^(k - 1) already is."""
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
-        value = count_torsion_pairs(args.an, check=args.check)
+        count, size, k = count_torsion_pairs, args.an, args.an + 1
     else:
         _check_bound(args.tube, args.max_n, "rank")
-        value = count_tube_tps(args.tube, check=args.check)
+        count, size, k = count_tube_tps, args.tube, args.tube
+    limit = sys.get_int_max_str_digits()
+    too_long = f"the count has more than {limit} digits, Python's int-to-str conversion limit"
+    if limit and (k - 1) * math.log10(2) >= limit:
+        raise BoundExceededError(too_long)
+    value = count(size, check=args.check)
+    if limit and value >= 10**limit:
+        raise BoundExceededError(too_long)
     _emit(args, str(value))
     return EXIT_OK
 

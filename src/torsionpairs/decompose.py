@@ -171,40 +171,22 @@ def _residual_in_e(q: Quiver, residual: TorsionPair) -> bool:
     """Residual lies in E: no projective in the torsion class, no injective
     in the free class, over the residual quiver."""
     model = model_for(q)
-    check = is_torsion_pair(model, residual.torsion, residual.free)
-    if not check:
-        return False
-    if any(P in residual.torsion for P in model.projectives()):
-        return False
-    if any(I in residual.free for I in model.injectives()):
-        return False
-    return True
+    return (
+        bool(is_torsion_pair(model, residual.torsion, residual.free))
+        and residual.torsion.isdisjoint(model.projectives())
+        and residual.free.isdisjoint(model.injectives())
+    )
 
 
-def _assembled_masks(
-    q: Quiver, partition: PartPartition, residual: TorsionPair | None = None
-) -> tuple[int, int]:
-    """The masks over `model_for(q)` that generate the torsion and the free
-    class of a partition and a residual pair, before extension closure.
-
-    The inputs are checked here, once per call: a valid partition and a
-    residual pair in E.  1-type partitions assign even stages to
-    generated-by-projectives pieces and odd stages to
-    cogenerated-by-injectives pieces; 2-type partitions mirror this.
-    """
-    if not validate_partition(q, partition):
-        raise ValueError(f"invalid partition {partition}")
-    support = q.vertex_set
-    residual_quiver = subquiver(q, support - partition.support)
-    if residual is None:
-        residual = TorsionPair(frozenset(), frozenset())
-    if not _residual_in_e(residual_quiver, residual):
-        raise ValueError("residual pair must avoid residual projectives and injectives")
-    model = model_for(q)
-    torsion, free = mask_of(model, residual.torsion), mask_of(model, residual.free)
+def _stage_masks(model: LinearModel, partition: PartPartition) -> tuple[int, int]:
+    """The masks over `model` generating the torsion and the free class of
+    a partition, before extension closure: the quotients (submodules) of
+    the stage projectives (injectives), on the even (odd) stages of a
+    1-type partition and the mirror for 2-type.  Nothing is checked."""
+    support = model.quiver.vertex_set
+    torsion = free = 0
     for j, part in enumerate(partition.parts):
         projective = projective_stage(partition.kind, j)
-        # the stage generators' quotients (submodules) generate the piece
         for i in _stage_generators(model, support, part, projective).values():
             if projective:
                 torsion |= model.quot_masks[i]
@@ -217,15 +199,22 @@ def _assembled_masks(
 def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None = None) -> TorsionPair:
     """Rebuild the torsion pair from a partition and a residual pair.
 
-    Inverse to `decompose` on valid inputs.  Only the inputs are checked
-    (a valid partition, a residual pair in E); that the output is a
-    torsion pair is left to the tests and to `count_tube_tps(check=True)`.
+    Inverse to `decompose` on valid inputs, and the checked entry point:
+    the inputs are checked once per call (a valid partition, a residual
+    pair in E); that the output is a torsion pair is left to the tests and
+    to `count_tube_tps(check=True)`.
     """
+    if not validate_partition(q, partition):
+        raise ValueError(f"invalid partition {partition}")
+    if residual is None:
+        residual = TorsionPair(frozenset(), frozenset())
+    if not _residual_in_e(subquiver(q, q.vertex_set - partition.support), residual):
+        raise ValueError("residual pair must avoid residual projectives and injectives")
     model = model_for(q)
-    torsion, free = _assembled_masks(q, partition, residual)
+    torsion, free = _stage_masks(model, partition)
     return TorsionPair(
-        extension_closure(q, objects_of(model, torsion)),
-        extension_closure(q, objects_of(model, free)),
+        extension_closure(q, residual.torsion | objects_of(model, torsion)),
+        extension_closure(q, residual.free | objects_of(model, free)),
     )
 
 
@@ -254,11 +243,12 @@ def iter_torsion_pairs(q: Quiver) -> Iterator[TorsionPair]:
 
 def _iter_class_masks(q: Quiver) -> Iterator[tuple[int, int]]:
     """`iter_torsion_pairs` as (torsion, free) masks over `model_for(q)`:
-    the same pairs in the same order, with the same input checks, never
-    turned into objects, nor closed: with no residual, the stage generators'
-    quotients and submodules already make up the two classes."""
+    the same pairs in the same order, never checked (the walk yields only
+    valid partitions), turned into objects, nor closed: with no residual,
+    the stage generators' quotients and submodules make up the classes."""
+    model = model_for(q)
     for S in enumerate_partitions(q, STRONG_ONE, complete=True):
-        yield _assembled_masks(q, S)
+        yield _stage_masks(model, S)
 
 
 def enumerate_torsion_pairs(q: Quiver) -> list[TorsionPair]:
@@ -274,22 +264,23 @@ def count_torsion_pairs(n: int, check: bool = False) -> int:
     """Number of torsion pairs on the linear quiver with n vertices.
 
     With check=True the closed form is compared against the partition
-    enumeration and the exhaustive oracle search.
+    enumeration and the exhaustive oracle search, the oracle first, so an
+    n past its bound raises before anything is enumerated.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    value = catalan(n + 1)
-    if check:
-        from .oracle import enumerate_torsion_pairs_bruteforce
+    if not check:
+        return catalan(n + 1)
+    from .oracle import enumerate_torsion_pairs_bruteforce
 
-        q = linear_an(n)
-        by_partition = len(enumerate_partitions(q, STRONG_ONE, complete=True))
-        by_oracle = len(enumerate_torsion_pairs_bruteforce(n))
-        if not value == by_partition == by_oracle:
-            raise RuntimeError(
-                f"count mismatch at n={n}: formula {value}, "
-                f"partitions {by_partition}, oracle {by_oracle}"
-            )
+    by_oracle = len(enumerate_torsion_pairs_bruteforce(n))
+    value = catalan(n + 1)
+    by_partition = len(enumerate_partitions(linear_an(n), STRONG_ONE, complete=True))
+    if not value == by_partition == by_oracle:
+        raise RuntimeError(
+            f"count mismatch at n={n}: formula {value}, "
+            f"partitions {by_partition}, oracle {by_oracle}"
+        )
     return value
 
 

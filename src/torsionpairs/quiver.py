@@ -278,21 +278,6 @@ def _linked(q: Quiver, prev: frozenset[int], rest: frozenset[int], vertices: Ite
     )
 
 
-def _kind_conditions_hold(q: Quiver, parts: tuple[frozenset[int], ...], kind: str) -> bool:
-    strong = kind in (STRONG_ONE, STRONG_TWO)
-    support = q.vertex_set
-    for j, part in enumerate(parts):
-        projective = projective_stage(kind, j)
-        if j >= 1 and strong and not stage_ends(q, support, projective) <= part:
-            return False
-        if j >= 2 and not strong:
-            prev = parts[j - 1]
-            if _linked(q, prev, support, part, projective) != part:
-                return False
-        support = support - part
-    return True
-
-
 def validate_partition(q: Quiver, partition: PartPartition) -> bool:
     """Check a part partition against its declared kind on q.
 
@@ -302,9 +287,18 @@ def validate_partition(q: Quiver, partition: PartPartition) -> bool:
     actual union, or a failed kind condition, just returns False.
     """
     _check_structure(q, partition)
-    if partition.complete != (partition.support == frozenset(q.vertices)):
+    if partition.complete != (partition.support == q.vertex_set):
         return False
-    return _kind_conditions_hold(q, partition.parts, partition.kind)
+    strong = partition.kind in (STRONG_ONE, STRONG_TWO)
+    support = q.vertex_set
+    for j, part in enumerate(partition.parts):
+        projective = projective_stage(partition.kind, j)
+        if j >= 1 and strong and not stage_ends(q, support, projective) <= part:
+            return False
+        if j >= 2 and not strong and _linked(q, partition.parts[j - 1], support, part, projective) != part:
+            return False
+        support -= part
+    return True
 
 
 def _subsets(pool: Iterable[int], include_empty: bool) -> Iterator[frozenset[int]]:
@@ -322,46 +316,41 @@ def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> list[Pa
     otherwise every valid partition is listed, complete ones included.
     Partitions that share a part set share one frozenset object for it,
     so the list holds one copy of each distinct part.
+
+    One loop walks them depth first over a stack of (lazy candidate parts,
+    vertices left) per stage; `parts` holds the parts drawn below the top.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"unknown partition kind {kind!r}")
-    all_vertices = frozenset(q.vertices)
+    strong = kind in (STRONG_ONE, STRONG_TWO)
     results: list[PartPartition] = []
     shared: dict[frozenset[int], frozenset[int]] = {}
-
-    def emit(parts: list[frozenset[int]]) -> None:
-        support = frozenset().union(*parts) if parts else frozenset()
-        is_complete = support == all_vertices
-        if complete and not is_complete:
-            return
-        results.append(PartPartition(tuple(shared.setdefault(p, p) for p in parts), kind, is_complete))
 
     def candidates(parts: list[frozenset[int]], remaining: frozenset[int]) -> Iterator[frozenset[int]]:
         j = len(parts)
         projective = projective_stage(kind, j)
-        if kind in (STRONG_ONE, STRONG_TWO):
+        if strong:
             mandatory = stage_ends(q, remaining, projective)
-            for extra in _subsets(remaining - mandatory, include_empty=True):
-                part = mandatory | extra
-                if part:
-                    yield part
-        else:
-            if j == 1:
-                pool = remaining
-            else:
-                prev = parts[-1]
-                pool = _linked(q, prev, remaining, remaining, projective)
-            yield from _subsets(pool, include_empty=False)
+            extras = _subsets(remaining - mandatory, include_empty=True)
+            return (mandatory | extra for extra in extras if mandatory or extra)
+        pool = remaining if j == 1 else _linked(q, parts[-1], remaining, remaining, projective)
+        return _subsets(pool, include_empty=False)
 
-    def extend(parts: list[frozenset[int]], remaining: frozenset[int]) -> None:
-        emit(parts)
-        if not remaining:
-            return
-        for part in candidates(parts, remaining):
-            extend(parts + [part], remaining - part)
-
-    for delta0 in _subsets(all_vertices, include_empty=True):
-        extend([delta0], all_vertices - delta0)
+    parts: list[frozenset[int]] = []
+    stack = [(_subsets(q.vertex_set, include_empty=True), q.vertex_set)]
+    while stack:
+        options, remaining = stack[-1]
+        del parts[len(stack) - 1 :]
+        part = next(options, None)
+        if part is None:
+            stack.pop()
+            continue
+        parts.append(part)
+        left = remaining - part
+        if not (complete and left):
+            results.append(PartPartition(tuple(shared.setdefault(p, p) for p in parts), kind, not left))
+        if left:
+            stack.append((candidates(parts, left), left))
 
     results.sort(key=PartPartition.sort_key)
     return results

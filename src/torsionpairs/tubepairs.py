@@ -175,9 +175,9 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
 
 
 def count_tube_tps(rank: int, check: bool = False) -> int:
-    """Number of torsion pairs on the tube of the given rank, by classification.
+    """Number of torsion pairs on the tube of the given rank, the closed form.
 
-    With check=True four legs must hold, in this order:
+    With check=True the classification is built and four legs must hold:
       - formula: there are binom(2 rank, rank) pairs (Baur-Buan-Marsh,
         "Torsion pairs and rigid objects in tubes", 2014);
       - tally: for each kind and each nonempty delta, the number of
@@ -193,45 +193,45 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         at 2 rank + 2.  Kind collisions are impossible (finite versus
         infinite torsion class), so any collision is a defect.
     """
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    value = math.comb(2 * rank, rank)
+    if not check:
+        return value
     data = enumerate_tube_tps(rank)
-    value = len(data)
-    if check:
-        cycle = cyclic_an(rank)
-        closed = math.comb(2 * rank, rank)
-        if closed != value:
-            raise RuntimeError(
-                f"count mismatch at rank={rank}: formula {closed}, classification {value}"
-            )
-        tally = Counter((d.kind, d.delta) for d in data)
-        for delta in _subsets(cycle.vertices, include_empty=False):
-            residual = subquiver(cycle, cycle.vertex_set - delta)
-            want = math.prod(catalan(len(comp)) for comp in residual.components)
-            for kind in (1, 2):
-                if tally[kind, delta] != want:
-                    raise RuntimeError(
-                        f"count mismatch at rank={rank}, kind {kind}, delta "
-                        f"{sorted(delta)}: {tally[kind, delta]} pairs, {want} tilting modules"
-                    )
-        for datum in data:
-            residual, tp = datum.residual_quiver, datum.residual_pair
-            check_kind = is_cotilting_induced if datum.kind == 1 else is_tilting_induced
-            if not check_kind(residual, tp):
-                S = [sorted(p) for p in (datum.delta,) + datum.residual_partition]
-                raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
-        cap = 2 * rank + 2
-        seen: dict[tuple[int, int], TubeTorsionPair] = {}
-        for datum in data:
-            # each side as a bitmask over the truncation: the same comparison,
-            # without keeping two module sets per pair
-            fp = tuple(
-                sum(1 << module_index(X.socle, X.length, rank) for X in side)
-                for side in datum.fingerprint(cap)
-            )
-            if fp in seen:
-                raise ClassificationDefectError(
-                    f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"
+    if len(data) != value:
+        raise RuntimeError(f"count mismatch at rank={rank}: formula {value}, classification {len(data)}")
+    cycle = cyclic_an(rank)
+    tally = Counter((d.kind, d.delta) for d in data)
+    for delta in _subsets(cycle.vertices, include_empty=False):
+        residual = subquiver(cycle, cycle.vertex_set - delta)
+        want = math.prod(catalan(len(comp)) for comp in residual.components)
+        for kind in (1, 2):
+            if tally[kind, delta] != want:
+                raise RuntimeError(
+                    f"count mismatch at rank={rank}, kind {kind}, delta "
+                    f"{sorted(delta)}: {tally[kind, delta]} pairs, {want} tilting modules"
                 )
-            seen[fp] = datum
+    for datum in data:
+        residual, tp = datum.residual_quiver, datum.residual_pair
+        check_kind = is_cotilting_induced if datum.kind == 1 else is_tilting_induced
+        if not check_kind(residual, tp):
+            S = [sorted(p) for p in (datum.delta,) + datum.residual_partition]
+            raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
+    cap = 2 * rank + 2
+    seen: dict[tuple[int, int], TubeTorsionPair] = {}
+    for datum in data:
+        # each side as a bitmask over the truncation: the same comparison,
+        # without keeping two module sets per pair
+        fp = tuple(
+            sum(1 << module_index(X.socle, X.length, rank) for X in side)
+            for side in datum.fingerprint(cap)
+        )
+        if fp in seen:
+            raise ClassificationDefectError(
+                f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"
+            )
+        seen[fp] = datum
     return value
 
 

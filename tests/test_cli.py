@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -101,19 +103,20 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n,pairs", [(5, 132), (6, 429)])
     def test_an_checks_each_pair_once_on_the_way(self, capsys, count_calls, n, pairs):
-        # the per-pair input checks stay on the route, which turns no class
-        # into objects and closes neither: the stage generators' quotients
-        # and submodules already make up the classes
+        # the route trusts the partition walk: no pair is checked, turned
+        # into objects or closed; the walk yields only valid partitions and
+        # the stage generators' quotients and submodules already make up
+        # the classes, which tests/test_decompose.py and test_quiver.py check
         counts = count_calls(
             "decompose.assemble", "quiver.validate_partition", "quiver.subquiver",
             "torsion.is_torsion_pair", "torsion._closure_mask", "intervals.extension_closure",
             "quiver.enumerate_partitions",
         )
-        code, _ = run(capsys, "enumerate", "--an", str(n))
-        assert code == 0
+        code, out = run(capsys, "enumerate", "--an", str(n))
+        assert code == 0 and len(json.loads(out)) == pairs
         assert counts == {
-            "decompose.assemble": 0, "quiver.validate_partition": pairs,
-            "quiver.subquiver": pairs, "torsion.is_torsion_pair": pairs,
+            "decompose.assemble": 0, "quiver.validate_partition": 0,
+            "quiver.subquiver": 0, "torsion.is_torsion_pair": 0,
             "torsion._closure_mask": 0, "intervals.extension_closure": 0,
             "quiver.enumerate_partitions": 1,
         }
@@ -320,6 +323,45 @@ class TestCount:
         code, out = run(capsys, "count", "--an", "7", "--max-n", "7")
         assert code == 0
         assert out.strip() == "1430"
+
+    def test_check_asks_the_oracle_bound_before_enumerating(self, capsys, count_calls):
+        counts = count_calls("quiver.enumerate_partitions")
+        start = time.perf_counter()
+        assert main(["count", "--an", "12", "--max-n", "12", "--check"]) == 4
+        assert time.perf_counter() - start < 1
+        assert "exhaustive-search bound 6" in capsys.readouterr().err
+        assert counts == {"quiver.enumerate_partitions": 0}
+
+    def test_tube_without_check_is_the_closed_form(self, capsys):
+        # past the depth of any recursion, and with no pair built
+        start = time.perf_counter()
+        code, out = run(capsys, "count", "--tube", "1000", "--max-n", "1000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, f"{math.comb(2000, 1000)}\n")
+
+    def test_tube_rank_zero_is_usage_error(self, capsys):
+        assert main(["count", "--tube", "0"]) == 2
+        assert "rank must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,fits", [("--an", 7151), ("--tube", 7145)])
+    def test_counts_past_the_digit_limit_are_a_bound(self, capsys, target, fits):
+        # the largest count that fits prints unchanged; the next exits 4,
+        # the exact comparison deciding
+        def value(k):
+            return math.comb(2 * k + 2, k + 1) // (k + 2) if target == "--an" else math.comb(2 * k, k)
+
+        assert 10**4299 <= value(fits) < 10**4300 <= value(fits + 1)
+        code, out = run(capsys, "count", target, str(fits), "--max-n", str(fits))
+        assert (code, out) == (0, f"{value(fits)}\n")
+        assert main(["count", target, str(fits + 1), "--max-n", str(fits + 1)]) == 4
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["--an", "--tube"])
+    def test_huge_counts_are_refused_before_they_are_computed(self, capsys, target):
+        start = time.perf_counter()
+        assert main(["count", target, "1000000", "--max-n", "1000000"]) == 4
+        assert time.perf_counter() - start < 1
+        assert "more than 4300 digits" in capsys.readouterr().err
 
 
 def lattice_by_search(n):
@@ -816,3 +858,74 @@ def test_the_fuzz_seeds_are_valid_certificates(tmp_path, capsys):
         if "torsion" in cert:
             code, out = run(capsys, "decompose", path, "--side", "both")
             assert (code, json.loads(out)["residuals_agree"]) == (0, True), cert
+
+
+_TINY = st.integers(min_value=-3, max_value=4)
+_HUGE = st.one_of(
+    st.integers(min_value=7, max_value=20000),
+    st.integers(min_value=20000, max_value=10**30),
+    st.integers(min_value=-(10**30), max_value=-4),
+)
+
+
+@st.composite
+def _numeric_argv(draw):
+    """argv of `count`, `enumerate` or `export`, and whether a closed form
+    or an early check answers it.  Targets up to 4 run under any
+    `--max-n`; larger or negative ones keep the default bound, except on
+    `count`, where a raised `--max-n` is met by the closed form, by the
+    digit limit or by the oracle's bound."""
+    command = draw(st.sampled_from(["count", "enumerate", "export"]))
+    target = draw(st.sampled_from(["--an", "--tube"]))
+    small = draw(st.booleans())
+    value = draw(_TINY if small else _HUGE)
+    argv = [command, target, str(value)]
+    extra = []
+    if command == "count":
+        check = draw(st.booleans())
+        if check:
+            extra.append("--check")
+        # the tube's check enumerates, so only the path's refuses early
+        early = not check or target == "--an" and value > 6
+    else:
+        early = False
+    if command == "export":
+        extra += ["--dot", draw(st.sampled_from(["ar", "lattice"]))]
+        if target == "--tube":
+            extra += ["--cap", str(draw(_TINY)), "--max-cap", str(draw(st.integers(-2, 6)))]
+    if small:
+        raised = draw(st.one_of(st.none(), st.integers(-3, 5), st.integers(value, value + 10**6)))
+    elif early:
+        raised = draw(st.integers(value, value + 10**6))
+    else:
+        raised = draw(st.one_of(st.none(), st.integers(-3, 6)))
+    if raised is not None:
+        extra += ["--max-n", str(raised)]
+    return argv + extra, early and not small
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=_numeric_argv())
+def test_numeric_flags_end_in_a_documented_exit_code(capsys, case):
+    # in process: any exception leaving main fails the example, and no
+    # process or thread is started
+    argv, closed_form = case
+    threads = threading.active_count()
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4), (argv, err)
+    assert "Traceback" not in err
+    if argv[0] == "count":
+        # a count is a usage error only for a target below 1 within the bound
+        bound = int(argv[argv.index("--max-n") + 1]) if "--max-n" in argv else cli.DEFAULT_MAX_N
+        assert (code == 2) == (int(argv[2]) < 1 and int(argv[2]) <= bound), (argv, err)
+    assert threading.active_count() == threads
+    if closed_form:
+        assert elapsed < 1, argv

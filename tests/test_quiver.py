@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from torsionpairs.quiver import (
     PLAIN_TWO,
     STRONG_ONE,
     STRONG_TWO,
+    PARTITION_KINDS,
     MalformedPartitionError,
     PartPartition,
     cyclic_an,
@@ -195,6 +198,39 @@ class TestEnumeratePartitions:
         got = enumerate_partitions(linear_an(6), kind, complete=complete)
         parts = [p for S in got for p in S.parts]
         assert len({id(p) for p in parts}) == len(set(parts))
+
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("kind", PARTITION_KINDS)
+    @pytest.mark.parametrize("q", [linear_an(n) for n in range(1, 5)] + [cyclic_an(n) for n in range(1, 5)], ids=repr)
+    def test_walk_matches_a_brute_force_over_all_tuples(self, q, kind, complete):
+        # the walk trusts its candidate generators; every ordered tuple of
+        # disjoint parts with nonempty middle parts, kept when it
+        # validates, gives the same list
+        def tuples(prefix, left):
+            yield prefix
+            for k in range(1, len(left) + 1):
+                for combo in combinations(sorted(left), k):
+                    yield from tuples(prefix + (frozenset(combo),), left - set(combo))
+
+        want = []
+        for k in range(len(q.vertices) + 1):
+            for delta0 in combinations(q.vertices, k):
+                for parts in tuples((frozenset(delta0),), q.vertex_set - set(delta0)):
+                    covered = frozenset().union(*parts) == q.vertex_set
+                    S = PartPartition(parts, kind, covered)
+                    if (covered or not complete) and validate_partition(q, S):
+                        want.append(S)
+        want.sort(key=PartPartition.sort_key)
+        assert enumerate_partitions(q, kind, complete) == want
+
+    def test_every_walked_partition_validates(self):
+        # `enumerate --an` builds each pair from the walk without checking
+        # its partition; the check lives here, up to n = 9 and rank 6
+        cases = [(linear_an(n), STRONG_ONE) for n in range(1, 10)]
+        cases += [(cyclic_an(n), kind) for n in range(1, 7) for kind in (STRONG_ONE, STRONG_TWO)]
+        for q, kind in cases:
+            for S in enumerate_partitions(q, kind, complete=True):
+                assert S.complete and validate_partition(q, S), (q, S)
 
     def test_incomplete_enumeration_includes_complete(self):
         q = linear_an(2)

@@ -407,6 +407,22 @@ class TestEveryCheckOnce:
             partition_to_tube_tp(S, kind, 2)
 
 
+class TestClosedFormCount:
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_closed_form_is_the_classification_size(self, rank):
+        assert count_tube_tps(rank) == len(enumerate_tube_tps(rank)) == math.comb(2 * rank, rank)
+
+    def test_no_pair_is_built_without_check(self, count_calls):
+        counts = count_calls("tubepairs.enumerate_tube_tps", "quiver.enumerate_partitions")
+        assert count_tube_tps(1000) == math.comb(2000, 1000)
+        assert counts == {"tubepairs.enumerate_tube_tps": 0, "quiver.enumerate_partitions": 0}
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_rank_zero_is_rejected(self, check):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            count_tube_tps(0, check=check)
+
+
 class TestDefects:
     """The formula, induced and fingerprint legs of `count_tube_tps(check=True)`."""
 
