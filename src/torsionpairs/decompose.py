@@ -201,8 +201,7 @@ def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None =
 
     Inverse to `decompose` on valid inputs, and the checked entry point:
     the inputs are checked once per call (a valid partition, a residual
-    pair in E); that the output is a torsion pair is left to the tests and
-    to `count_tube_tps(check=True)`.
+    pair in E); that the output is a torsion pair is left to the tests.
     """
     if not validate_partition(q, partition):
         raise ValueError(f"invalid partition {partition}")

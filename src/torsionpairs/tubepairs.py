@@ -15,6 +15,10 @@ turns the remainder into a partition of the residual segments.  The
 classification is built from this bijection, one pair per partition
 (Baur-Buan-Marsh, "Torsion pairs and rigid objects in tubes", 2014), so
 there are binom(2n, n) pairs.
+
+The walk yields only valid partitions, so each pair is built from its
+tail's stage masks unchecked; partitions from outside are validated by
+`partition_to_tube_tp`, and walked ones by `count_tube_tps(check=True)`.
 """
 
 from __future__ import annotations
@@ -26,24 +30,26 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .decompose import (
-    assemble,
+    _stage_masks,
     catalan,
     decompose,
     is_cotilting_induced,
     is_tilting_induced,
 )
-from .intervals import Interval, LinearModel, model_for
+from .intervals import Interval, model_for
 from .quiver import (
     STRONG_ONE,
     STRONG_TWO,
+    MalformedPartitionError,
     PartPartition,
     Quiver,
     _subsets,
     cyclic_an,
     enumerate_partitions,
     subquiver,
+    validate_partition,
 )
-from .torsion import TorsionPair
+from .torsion import TorsionPair, objects_of
 from .tube import (
     CORAY_FINITE,
     FINITE,
@@ -65,21 +71,22 @@ class ClassificationDefectError(RuntimeError):
     """A classified pair violates a structural law (collision, empty L and R)."""
 
 
-def _interval_to_tube(model: LinearModel, rank: int, X: Interval) -> TubeModule:
-    """Reread an interval on a residual segment as a tube module.
+def _interval_to_tube(rank: int, X: Interval) -> TubeModule:
+    """Reread an interval [a, b] on a residual segment as a tube module.
 
-    A residual segment is shorter than the cycle, so the module is one of
+    A residual segment is shorter than the cycle, so the interval runs
+    (b - a) % rank + 1 vertices along it and the module is one of
     `all_tube_modules(rank, rank)`; the shared instance is returned, since
     the classified pairs keep their descriptors.
     """
-    return all_tube_modules(rank, rank)[module_index(X.b, model.length(X), rank)]
+    return all_tube_modules(rank, rank)[module_index(X.b, (X.b - X.a) % rank + 1, rank)]
 
 
 @dataclass(frozen=True)
 class TubeTorsionPair:
     """One classified torsion pair on the tube of the given rank, with the
     partition it was built from: `delta`, then `residual_partition`, the tail
-    that `assemble` turned into `residual_pair` on `residual_quiver`."""
+    whose stage masks make `residual_pair` on `residual_quiver`."""
 
     rank: int
     kind: int
@@ -95,8 +102,7 @@ class TubeTorsionPair:
             raise ValueError("delta must be nonempty")
 
     def _finite_side(self, intervals: frozenset[Interval]) -> frozenset[TubeModule]:
-        model = model_for(self.residual_quiver)
-        return frozenset(_interval_to_tube(model, self.rank, X) for X in intervals)
+        return frozenset(_interval_to_tube(self.rank, X) for X in intervals)
 
     @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:
@@ -151,21 +157,35 @@ def check_l_r(data: TubeTorsionPair) -> tuple[frozenset[int], frozenset[int]]:
     return l_t, r_f
 
 
+def _tube_pair(cycle: Quiver, S: PartPartition, kind: int) -> TubeTorsionPair:
+    """Pair of kind `kind` of a valid partition S of `cycle`, nothing checked.
+
+    The tail, read with an empty leading stage, is a partition of the
+    residual segments; its stage masks make the residual classes, which
+    need no closure (as in `decompose._iter_class_masks`)."""
+    residual = subquiver(cycle, cycle.vertex_set - S.parts[0])
+    model = model_for(residual)
+    tail = PartPartition((frozenset(),) + S.parts[1:], S.kind, complete=True)
+    torsion, free = _stage_masks(model, tail)
+    tp = TorsionPair(objects_of(model, torsion), objects_of(model, free))
+    return TubeTorsionPair(len(cycle.vertices), kind, S.parts[0], residual, tp, S.parts[1:])
+
+
 def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     """All torsion pairs on the tube of the given rank, in `sort_key` order.
 
     Built from the bijection: for each kind, every complete strong
-    partition of the cycle with nonempty leading part gives one pair
-    through `partition_to_tube_tp`, whose `assemble` validates the
-    residual partition and which the pair keeps.  That each pair is a
-    torsion pair of its kind and that no two pairs coincide are checked by
+    partition of the cycle with nonempty leading part gives one pair,
+    which keeps it.  The walk yields only valid partitions, so none is
+    validated again here; that each is valid, that each pair is a torsion
+    pair of its kind and that no two pairs coincide are checked by
     `count_tube_tps(check=True)`.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
     cycle = cyclic_an(rank)
     data = [
-        partition_to_tube_tp(S, kind, rank)
+        _tube_pair(cycle, S, kind)
         for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO))
         for S in enumerate_partitions(cycle, name, complete=True)
         if S.parts[0]
@@ -177,7 +197,7 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
 def count_tube_tps(rank: int, check: bool = False) -> int:
     """Number of torsion pairs on the tube of the given rank, the closed form.
 
-    With check=True the classification is built and four legs must hold:
+    With check=True the classification is built and five legs must hold:
       - formula: there are binom(2 rank, rank) pairs (Baur-Buan-Marsh,
         "Torsion pairs and rigid objects in tubes", 2014);
       - tally: for each kind and each nonempty delta, the number of
@@ -186,6 +206,9 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         components C.  The classification is built one pair per
         partition; this leg checks it independently, one (kind, delta)
         at a time;
+      - validity: the partition each pair keeps is a valid complete strong
+        partition of the cycle of its kind, which the walk promised and
+        `enumerate_tube_tps` trusted;
       - induced: each residual pair is a torsion pair of its kind, kind 1
         cotilting-induced and kind 2 tilting-induced, each computed two
         ways and compared;
@@ -213,10 +236,18 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
                     f"{sorted(delta)}: {tally[kind, delta]} pairs, {want} tilting modules"
                 )
     for datum in data:
+        parts = (datum.delta,) + datum.residual_partition
+        S = [sorted(p) for p in parts]
+        name = STRONG_ONE if datum.kind == 1 else STRONG_TWO
+        try:
+            valid = validate_partition(cycle, PartPartition(parts, name, complete=True))
+        except MalformedPartitionError:
+            valid = False
+        if not valid:
+            raise ClassificationDefectError(f"partition {S} is not a valid {name} partition of the cycle")
         residual, tp = datum.residual_quiver, datum.residual_pair
         check_kind = is_cotilting_induced if datum.kind == 1 else is_tilting_induced
         if not check_kind(residual, tp):
-            S = [sorted(p) for p in (datum.delta,) + datum.residual_partition]
             raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
     cap = 2 * rank + 2
     seen: dict[tuple[int, int], TubeTorsionPair] = {}
@@ -239,13 +270,13 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     """Torsion pair of a complete strong partition of the cycle with
     nonempty leading part; the pair keeps the partition.
 
-    Kind 1 takes a strong 1-type partition; the tail, read with an empty
-    leading stage, is a partition of the residual segments whose pair is
+    The checked entry point, for certificates and library callers.  Kind 1
+    takes a strong 1-type partition; the tail, read with an empty leading
+    stage, is a partition of the residual segments whose pair is
     cotilting-induced.  Kind 2 is the mirror.  The cycle has `rank`
     vertices, by default as many as the partition covers; the partition
-    must cover exactly 1..rank.  Then `assemble`'s check of the tail on the
-    residual segments decides for the whole partition: past stage zero, a
-    strong stage must hold the same vertices on the cycle as on the segments.
+    must cover exactly 1..rank and is validated once, on the cycle, before
+    `enumerate_tube_tps`'s builder makes the pair.
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
@@ -262,11 +293,9 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     if len(S.support) != rank or S.support != frozenset(range(1, rank + 1)):
         raise ValueError(f"the partition must cover the vertices 1..{rank} of the cycle")
     cycle = cyclic_an(rank)
-    delta = S.parts[0]
-    residual = subquiver(cycle, frozenset(cycle.vertices) - delta)
-    tail = PartPartition((frozenset(),) + S.parts[1:], want, complete=True)
-    tp = assemble(residual, tail)
-    return TubeTorsionPair(rank, kind, delta, residual, tp, S.parts[1:])
+    if not validate_partition(cycle, S):
+        raise ValueError(f"invalid partition {S}")
+    return _tube_pair(cycle, S, kind)
 
 
 def tube_tp_to_partition(data: TubeTorsionPair) -> PartPartition:

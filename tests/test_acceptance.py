@@ -279,9 +279,10 @@ def test_criterion_08_generator_counts():
     report(8, f"generator counts sum to n on all {total} pairs, n <= 5")
 
 
-def _truncated_bruteforce(rank, cap):
+def _truncated_bruteforce_sets(rank, cap):
     """Maximal truncated torsion pairs: T = perp(F), F = perp(T), canonical
-    sequences for every module short enough to keep both ends in range."""
+    sequences for every module short enough to keep both ends in range.
+    The reference for `_truncated_bruteforce`, on module sets."""
     mods = all_tube_modules(rank, cap)
     hom = {(X, Y): hom_dim_tube(X, Y) for X in mods for Y in mods}
     found = []
@@ -309,6 +310,64 @@ def _truncated_bruteforce(rank, cap):
         if ok:
             found.append((T, F))
     return found
+
+
+def _or_table(rows):
+    """For every mask, the OR of rows[i] over its set bits i."""
+    table = [0] * (1 << len(rows))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | rows[low.bit_length() - 1]
+    return table
+
+
+def _truncated_bruteforce(rank, cap):
+    """`_truncated_bruteforce_sets` on bitmasks over the modules: the same
+    search over every subset T, the same conditions, the same pairs in the
+    same order."""
+    mods = all_tube_modules(rank, cap)
+    n = len(mods)
+    index = {m: i for i, m in enumerate(mods)}
+    full = (1 << n) - 1
+    # bit j of rows[i], and bit i of cols[j]: Hom(mods[i], mods[j]) != 0
+    rows = [sum(1 << j for j, Y in enumerate(mods) if hom_dim_tube(X, Y)) for X in mods]
+    cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+    hom_from, hom_into = _or_table(rows), _or_table(cols)
+    # per module short enough: its submodules of heights 1..L and its
+    # quotients past heights 0..L-1, as indices
+    ends = [
+        (
+            [index[TubeModule(X.socle, h, rank)] for h in range(1, X.length + 1)],
+            [index[TubeModule((X.socle - h - 1) % rank + 1, X.length - h, rank)]
+             for h in range(X.length)],
+        )
+        for X in mods
+        if X.length <= cap - 1
+    ]
+
+    def members(mask):
+        return frozenset(m for i, m in enumerate(mods) if mask >> i & 1)
+
+    found = []
+    for T in range(full + 1):
+        F = full & ~hom_from[T]
+        if full & ~hom_into[F] != T:
+            continue
+        ok = True
+        for subs, quotients in ends:
+            height = max((h for h, i in enumerate(subs, 1) if T >> i & 1), default=0)
+            if height < len(subs) and not F >> quotients[height] & 1:
+                ok = False
+                break
+        if ok:
+            found.append((members(T), members(F)))
+    return found
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_truncated_bruteforce_on_masks_matches_the_sets(rank, cap):
+    assert _truncated_bruteforce(rank, cap) == _truncated_bruteforce_sets(rank, cap)
 
 
 def test_criterion_09_tube_classification():

@@ -459,6 +459,6 @@ def test_caches_are_bounded(cached):
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_tube_count_check_meets_the_closed_form(rank):
-    # all five legs, among them the induced and fingerprint checks that
+    # all five legs, among them the validity, induced and fingerprint checks that
     # enumerate_tube_tps does not run itself
     assert count_tube_tps(rank, check=True) == math.comb(2 * rank, rank)

@@ -219,6 +219,19 @@ class TestMembership:
         for l in range(1, 5):
             assert tube_membership(d, U(1, l, 1)) == "torsion"
 
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_residual_intervals_read_as_tube_modules(self, rank):
+        # the closed-form length is the residual model's, on every interval
+        from torsionpairs.intervals import model_for
+        from torsionpairs.tubepairs import _interval_to_tube
+
+        cycle = cyclic_an(rank)
+        for k in range(1, rank):
+            for delta in combinations(cycle.vertices, k):
+                model = model_for(subquiver(cycle, cycle.vertex_set - set(delta)))
+                for X in model.objects:
+                    assert _interval_to_tube(rank, X) == U(X.b, model.length(X), rank)
+
     def test_rank_mismatch(self):
         d = enumerate_tube_tps(1)[0]
         with pytest.raises(ValueError):
@@ -301,8 +314,8 @@ class TestPartitionIndexing:
             kind = STRONG_ONE if d.kind == 1 else STRONG_TWO
             assert S == PartPartition((d.delta,) + d.residual_partition, kind, complete=True)
             again = partition_to_tube_tp(S, d.kind)
+            assert again == d
             assert again.fingerprint(2 * rank + 2) == d.fingerprint(2 * rank + 2)
-            assert again.delta == d.delta
 
 
 class TestTruncatedChecks:
@@ -372,38 +385,50 @@ class TestCombine:
 
 
 class TestEveryCheckOnce:
+    """The walked partitions are trusted on the way: validation runs in
+    `partition_to_tube_tp` (input from outside) and in the validity leg of
+    `count_tube_tps(check=True)`, once per pair, and nowhere else."""
+
     def test_count_check_runs_one_pair_check_per_assembly_and_induced_check(self, count_calls):
         counts = count_calls(
             "torsion.is_torsion_pair",
             "decompose.assemble",
+            "quiver.validate_partition",
             "decompose.is_tilting_induced",
             "decompose.is_cotilting_induced",
         )
         assert count_tube_tps(4, check=True) == 70
         induced = counts["decompose.is_tilting_induced"] + counts["decompose.is_cotilting_induced"]
-        assert counts["decompose.assemble"] == induced == 70
-        assert counts["torsion.is_torsion_pair"] == counts["decompose.assemble"] + induced
+        # no pair is assembled: the one pair check left is the induced leg's peeling
+        assert counts["decompose.assemble"] == 0
+        assert counts["quiver.validate_partition"] == induced == 70
+        assert counts["torsion.is_torsion_pair"] == induced
 
     def test_enumerate_prints_the_stored_partitions_without_peeling(self, count_calls, capsys):
-        counts = count_calls(
-            "decompose.decompose", "torsion.is_torsion_pair", "quiver.validate_partition"
+        names = (
+            "decompose.decompose",
+            "decompose.assemble",
+            "torsion.is_torsion_pair",
+            "quiver.validate_partition",
         )
+        counts = count_calls(*names)
         assert cli.main(["enumerate", "--tube", "4"]) == 0
         capsys.readouterr()
-        assert counts["decompose.decompose"] == 0
-        assert counts["torsion.is_torsion_pair"] == 70
-        assert counts["quiver.validate_partition"] == 70
+        assert counts == dict.fromkeys(names, 0)
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_each_classified_pair_validates_its_partition_once(self, count_calls, rank):
-        counts = count_calls("quiver.validate_partition")
+        counts = count_calls("quiver.validate_partition", "quiver.cyclic_an")
         data = enumerate_tube_tps(rank)
-        assert counts["quiver.validate_partition"] == len(data) == math.comb(2 * rank, rank)
+        assert counts == {"quiver.validate_partition": 0, "quiver.cyclic_an": 1}
+        assert count_tube_tps(rank, check=True) == len(data) == math.comb(2 * rank, rank)
+        assert counts["quiver.validate_partition"] == len(data)
 
     @pytest.mark.parametrize("kind,name", [(1, STRONG_ONE), (2, STRONG_TWO)])
     def test_a_part_overlapping_delta_is_rejected_by_the_tail_check(self, kind, name):
+        # validated on the cycle, where part 1 meets delta
         S = PartPartition(parts({1}, {1, 2}), name, complete=True)
-        with pytest.raises(ValueError, match="not a subset of the vertices"):
+        with pytest.raises(ValueError, match="part 1 overlaps an earlier part"):
             partition_to_tube_tp(S, kind, 2)
 
 
@@ -424,7 +449,7 @@ class TestClosedFormCount:
 
 
 class TestDefects:
-    """The formula, induced and fingerprint legs of `count_tube_tps(check=True)`."""
+    """The formula, validity, induced and fingerprint legs of `count_tube_tps(check=True)`."""
 
     def test_lost_pair_is_a_count_mismatch(self, monkeypatch):
         from torsionpairs import tubepairs
@@ -441,6 +466,24 @@ class TestDefects:
         monkeypatch.setattr(tubepairs, check, lambda q, tp: False)
         with pytest.raises(ClassificationDefectError, match="gives no kind"):
             count_tube_tps(2, check=True)
+
+    def test_invalid_walked_partition_is_a_defect(self, monkeypatch):
+        # the walk is trusted on the way; only the validity leg sees a bad one
+        from torsionpairs import tubepairs
+
+        good = PartPartition(parts({1}, {3}, {2}), STRONG_ONE, complete=True)
+        bad = PartPartition(parts({1}, {2}, {3}), STRONG_ONE, complete=True)
+        real = tubepairs.enumerate_partitions
+
+        def walk(q, kind, complete=True):
+            found = real(q, kind, complete)
+            return [bad if S == good else S for S in found]
+
+        monkeypatch.setattr(tubepairs, "enumerate_partitions", walk)
+        built = {(d.kind, d.delta, d.residual_partition) for d in enumerate_tube_tps(3)}
+        assert (1, bad.parts[0], bad.parts[1:]) in built
+        with pytest.raises(ClassificationDefectError, match=r"partition \[\[1\], \[2\], \[3\]\] is not"):
+            count_tube_tps(3, check=True)
 
     def test_fingerprint_collision_is_a_defect(self, monkeypatch):
         monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: ())
