@@ -78,7 +78,6 @@ from .decompose import (
     DecompositionResult,
     assemble,
     count_torsion_pairs,
-    decompose,
     decompose_left,
     decompose_right,
     enumerate_torsion_pairs,
@@ -110,4 +109,8 @@ from .oracle import (
     hom_dim_matrix,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the re-exported names; the submodules the imports bind are left out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

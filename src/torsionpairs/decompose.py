@@ -234,8 +234,9 @@ def tp_to_partition(q: Quiver, tp: TorsionPair) -> PartPartition:
 
 def iter_torsion_pairs(q: Quiver) -> Iterator[TorsionPair]:
     """All torsion pairs, through the partition bijection, in partition
-    order, one at a time: each is assembled when the caller asks for it,
-    so a caller that drops each pair holds at most one."""
+    order, one at a time: the partition walk reaches each partition when
+    the caller asks for the next pair, and the pair is assembled then, so
+    a caller that drops each pair holds at most one."""
     for S in enumerate_partitions(q, STRONG_ONE, complete=True):
         yield assemble(q, S)
 
@@ -262,9 +263,10 @@ def catalan(k: int) -> int:
 def count_torsion_pairs(n: int, check: bool = False) -> int:
     """Number of torsion pairs on the linear quiver with n vertices.
 
-    With check=True the closed form is compared against the partition
-    enumeration and the exhaustive oracle search, the oracle first, so an
-    n past its bound raises before anything is enumerated.
+    With check=True the closed form is compared against the number of
+    partitions the walk yields, counted as they come with none kept, and
+    the exhaustive oracle search, the oracle first, so an n past its
+    bound raises before anything is enumerated.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -274,7 +276,7 @@ def count_torsion_pairs(n: int, check: bool = False) -> int:
 
     by_oracle = len(enumerate_torsion_pairs_bruteforce(n))
     value = catalan(n + 1)
-    by_partition = len(enumerate_partitions(linear_an(n), STRONG_ONE, complete=True))
+    by_partition = sum(1 for _ in enumerate_partitions(linear_an(n), STRONG_ONE, complete=True))
     if not value == by_partition == by_oracle:
         raise RuntimeError(
             f"count mismatch at n={n}: formula {value}, "

@@ -67,21 +67,10 @@ class Quiver:
             want = tuple((i, i % n + 1) for i in range(1, n + 1))
             if n == 0 or self.vertices != tuple(range(1, n + 1)) or self.arrows != want:
                 raise ValueError("cyclic quiver must be the oriented n-cycle")
-        else:
-            if self._has_cycle():
-                raise ValueError("linear-union quiver must be acyclic")
-
-    def _has_cycle(self) -> bool:
-        succ = dict(self.arrows)
-        for start in self.vertices:
-            seen = set()
-            v = start
-            while v in succ:
-                v = succ[v]
-                if v == start or v in seen:
-                    return True
-                seen.add(v)
-        return False
+        elif sum(map(len, self.components)) != len(self.vertices):
+            # with one arrow in and out at most, the walks from the sources
+            # miss exactly the vertices on a cycle
+            raise ValueError("linear-union quiver must be acyclic")
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -309,48 +298,52 @@ def _subsets(pool: Iterable[int], include_empty: bool) -> Iterator[frozenset[int
             yield frozenset(combo)
 
 
-def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> list[PartPartition]:
-    """All valid partitions of the given kind, in lexicographic order.
+def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> Iterator[PartPartition]:
+    """All valid partitions of the given kind, one at a time, in `sort_key` order.
 
     With complete=True only partitions covering every vertex are produced;
-    otherwise every valid partition is listed, complete ones included.
-    Partitions that share a part set share one frozenset object for it,
-    so the list holds one copy of each distinct part.
+    otherwise every valid partition is yielded, complete ones included.
+    An unknown kind raises here, before the first partition is asked for.
 
-    One loop walks them depth first over a stack of (lazy candidate parts,
+    One loop walks them depth first over a stack of (candidate parts,
     vertices left) per stage; `parts` holds the parts drawn below the top.
+    Each stage offers its candidates ordered by their sorted vertices, so
+    the walk reaches the partitions in `sort_key` order and yields each
+    as it reaches it.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"unknown partition kind {kind!r}")
     strong = kind in (STRONG_ONE, STRONG_TWO)
-    results: list[PartPartition] = []
-    shared: dict[frozenset[int], frozenset[int]] = {}
 
     def candidates(parts: list[frozenset[int]], remaining: frozenset[int]) -> Iterator[frozenset[int]]:
         j = len(parts)
         projective = projective_stage(kind, j)
-        if strong:
+        if j == 0:
+            found = _subsets(remaining, include_empty=True)
+        elif strong:
             mandatory = stage_ends(q, remaining, projective)
             extras = _subsets(remaining - mandatory, include_empty=True)
-            return (mandatory | extra for extra in extras if mandatory or extra)
-        pool = remaining if j == 1 else _linked(q, parts[-1], remaining, remaining, projective)
-        return _subsets(pool, include_empty=False)
+            found = (mandatory | extra for extra in extras if mandatory or extra)
+        else:
+            pool = remaining if j == 1 else _linked(q, parts[-1], remaining, remaining, projective)
+            found = _subsets(pool, include_empty=False)
+        return iter(sorted(found, key=sorted))
 
-    parts: list[frozenset[int]] = []
-    stack = [(_subsets(q.vertex_set, include_empty=True), q.vertex_set)]
-    while stack:
-        options, remaining = stack[-1]
-        del parts[len(stack) - 1 :]
-        part = next(options, None)
-        if part is None:
-            stack.pop()
-            continue
-        parts.append(part)
-        left = remaining - part
-        if not (complete and left):
-            results.append(PartPartition(tuple(shared.setdefault(p, p) for p in parts), kind, not left))
-        if left:
-            stack.append((candidates(parts, left), left))
+    def walk() -> Iterator[PartPartition]:
+        parts: list[frozenset[int]] = []
+        stack = [(candidates(parts, q.vertex_set), q.vertex_set)]
+        while stack:
+            options, remaining = stack[-1]
+            del parts[len(stack) - 1 :]
+            part = next(options, None)
+            if part is None:
+                stack.pop()
+                continue
+            parts.append(part)
+            left = remaining - part
+            if not (complete and left):
+                yield PartPartition(tuple(parts), kind, not left)
+            if left:
+                stack.append((candidates(parts, left), left))
 
-    results.sort(key=PartPartition.sort_key)
-    return results
+    return walk()

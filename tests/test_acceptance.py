@@ -66,7 +66,7 @@ def test_criterion_01_catalan_counts():
         q = linear_an(n)
         brute = enumerate_torsion_pairs_bruteforce(n)
         assert len(brute) == expected, f"oracle count at n={n}"
-        partitions = enumerate_partitions(q, STRONG_ONE, complete=True)
+        partitions = list(enumerate_partitions(q, STRONG_ONE, complete=True))
         assert len(partitions) == expected, f"partition count at n={n}"
         via_partitions = [assemble(q, S) for S in partitions]
         assert len(set(via_partitions)) == expected

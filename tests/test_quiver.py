@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,10 @@ from torsionpairs.quiver import (
     STRONG_ONE,
     STRONG_TWO,
     PARTITION_KINDS,
+    LINEAR_UNION,
     MalformedPartitionError,
     PartPartition,
+    Quiver,
     cyclic_an,
     enumerate_partitions,
     linear_an,
@@ -63,6 +66,50 @@ class TestConstruction:
         c = cyclic_an(3)
         assert c.sinks == frozenset()
         assert c.sources == frozenset()
+
+
+def has_cycle(vertices, arrows):
+    """The acyclicity check the quiver made before it read its components:
+    walk the arrows from every vertex."""
+    succ = dict(arrows)
+    for start in vertices:
+        seen = set()
+        v = start
+        while v in succ:
+            v = succ[v]
+            if v == start or v in seen:
+                return True
+            seen.add(v)
+    return False
+
+
+class TestAcyclicUnion:
+    def test_three_cycle_rejected(self):
+        with pytest.raises(ValueError, match="linear-union quiver must be acyclic"):
+            Quiver((1, 2, 3), ((1, 2), (2, 3), (3, 1)), LINEAR_UNION)
+
+    def test_two_cycle_beside_a_path_rejected(self):
+        with pytest.raises(ValueError, match="linear-union quiver must be acyclic"):
+            Quiver((1, 2, 3, 4, 5), ((1, 2), (2, 1), (3, 4), (4, 5)), LINEAR_UNION)
+
+    def test_agrees_with_walking_from_every_vertex(self):
+        # random arrow sets with at most one arrow in and one out at each
+        # vertex, loops included
+        rng = random.Random(18)
+        cyclic = 0
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            vertices = tuple(range(1, n + 1))
+            sources = rng.sample(vertices, rng.randint(0, n))
+            arrows = tuple(zip(sources, rng.sample(vertices, len(sources))))
+            if has_cycle(vertices, arrows):
+                cyclic += 1
+                with pytest.raises(ValueError, match="linear-union quiver must be acyclic"):
+                    Quiver(vertices, arrows, LINEAR_UNION)
+            else:
+                q = Quiver(vertices, arrows, LINEAR_UNION)
+                assert sorted(v for comp in q.components for v in comp) == list(vertices)
+        assert 0 < cyclic < 3000
 
 
 class TestSubquiver:
@@ -154,15 +201,15 @@ class TestEnumeratePartitions:
         assert [S.parts for S in got] == [part(set(), {1}), part({1})]
 
     def test_a2_count(self):
-        assert len(enumerate_partitions(linear_an(2), STRONG_ONE, complete=True)) == 5
+        assert len(list(enumerate_partitions(linear_an(2), STRONG_ONE, complete=True))) == 5
 
     def test_a3_count(self):
-        assert len(enumerate_partitions(linear_an(3), STRONG_ONE, complete=True)) == 14
+        assert len(list(enumerate_partitions(linear_an(3), STRONG_ONE, complete=True))) == 14
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_all_validate_and_unique(self, n):
         q = linear_an(n)
-        got = enumerate_partitions(q, STRONG_ONE, complete=True)
+        got = list(enumerate_partitions(q, STRONG_ONE, complete=True))
         assert len(set(got)) == len(got)
         for S in got:
             assert validate_partition(q, S)
@@ -170,10 +217,29 @@ class TestEnumeratePartitions:
 
     def test_deterministic_order(self):
         q = linear_an(3)
-        a = enumerate_partitions(q, STRONG_ONE, complete=True)
-        b = enumerate_partitions(q, STRONG_ONE, complete=True)
+        a = list(enumerate_partitions(q, STRONG_ONE, complete=True))
+        b = list(enumerate_partitions(q, STRONG_ONE, complete=True))
         assert a == b
         assert a == sorted(a, key=PartPartition.sort_key)
+        # no final sort puts the walk in order: each stage's candidate order does
+        quivers = [linear_an(n) for n in range(1, 9)] + [cyclic_an(n) for n in range(1, 7)]
+        for q in quivers:
+            for kind in (STRONG_ONE, STRONG_TWO):
+                keys = [S.sort_key() for S in enumerate_partitions(q, kind, complete=True)]
+                assert all(x < y for x, y in zip(keys, keys[1:])), (q, kind)
+
+    def test_walk_is_an_iterator_reaching_the_first_partition_at_once(self, count_calls):
+        counts = count_calls("quiver.stage_ends")
+        walk = enumerate_partitions(linear_an(9), STRONG_ONE)
+        assert iter(walk) is walk
+        first = next(walk)
+        assert counts["quiver.stage_ends"] <= 3
+        assert first.parts == part(set(), range(1, 10))
+        assert first == min(enumerate_partitions(linear_an(9), STRONG_ONE), key=PartPartition.sort_key)
+
+    def test_unknown_kind_raises_at_the_call(self):
+        with pytest.raises(ValueError, match="unknown partition kind"):
+            enumerate_partitions(linear_an(2), "3")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_complete_plain_equals_complete_strong(self, n):
@@ -191,13 +257,6 @@ class TestEnumeratePartitions:
         for S in enumerate_partitions(q, kind, complete=False):
             relaxed = PartPartition(S.parts, plain, S.complete)
             assert validate_partition(q, relaxed), S
-
-    @pytest.mark.parametrize("complete", [True, False])
-    @pytest.mark.parametrize("kind", [STRONG_ONE, STRONG_TWO, PLAIN_ONE, PLAIN_TWO])
-    def test_one_object_per_distinct_part(self, kind, complete):
-        got = enumerate_partitions(linear_an(6), kind, complete=complete)
-        parts = [p for S in got for p in S.parts]
-        assert len({id(p) for p in parts}) == len(set(parts))
 
     @pytest.mark.parametrize("complete", [True, False])
     @pytest.mark.parametrize("kind", PARTITION_KINDS)
@@ -221,7 +280,7 @@ class TestEnumeratePartitions:
                     if (covered or not complete) and validate_partition(q, S):
                         want.append(S)
         want.sort(key=PartPartition.sort_key)
-        assert enumerate_partitions(q, kind, complete) == want
+        assert list(enumerate_partitions(q, kind, complete)) == want
 
     def test_every_walked_partition_validates(self):
         # `enumerate --an` builds each pair from the walk without checking
