@@ -1,8 +1,10 @@
 """Command line surface: enumerate, decompose, verify, count, export.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 malformed
-certificate, 4 resource bound exceeded.  Output is deterministic for
-identical flags.
+certificate, 4 resource bound exceeded.  A reader that closes stdout
+early (`| head`) ends the command quietly with exit 0.  Output is
+deterministic for identical flags.  The tube modules are imported only
+by the commands on a tube.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import jsonio
@@ -22,11 +25,8 @@ from .decompose import (
 )
 from .intervals import model_for
 from .jsonio import CertificateError
-from .oracle import BoundExceededError
-from .quiver import LINEAR_UNION, linear_an
+from .quiver import LINEAR_UNION, BoundExceededError, linear_an
 from .torsion import bit_indices, is_ntp, is_torsion_pair, mask_of
-from .tube import all_tube_modules, tau_inv_tube
-from .tubepairs import count_tube_tps, enumerate_tube_tps, truncated_check
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -105,6 +105,8 @@ def cmd_enumerate(args) -> int:
         records = jsonio.PairRecords(q)
         texts = [records.record(torsion, free) for torsion, free in _iter_class_masks(q)]
     else:
+        from .tubepairs import enumerate_tube_tps
+
         _check_bound(args.tube, args.max_n, "rank")
         texts = [jsonio.dumps_canonical(jsonio.tube_certificate(d)) for d in enumerate_tube_tps(args.tube)]
     if args.format == "json":
@@ -154,6 +156,8 @@ def cmd_verify(args) -> int:
         q, ntp = jsonio.ntp_from_obj(obj)
         check = is_ntp(_certificate_model(q, frozenset().union(*ntp.parts)), ntp.parts)
     else:
+        from .tubepairs import truncated_check
+
         data = jsonio.tube_pair_from_obj(obj)
         _check_bound(args.cap, args.max_cap, "cap")
         check = truncated_check(data, args.cap)
@@ -171,6 +175,8 @@ def cmd_count(args) -> int:
         _check_bound(args.an, args.max_n, "n")
         count, size, k = count_torsion_pairs, args.an, args.an + 1
     else:
+        from .tubepairs import count_tube_tps
+
         _check_bound(args.tube, args.max_n, "rank")
         count, size, k = count_tube_tps, args.tube, args.tube
     limit = sys.get_int_max_str_digits()
@@ -200,6 +206,8 @@ def _dot_ar_linear(n: int) -> str:
 
 
 def _dot_ar_tube(rank: int, cap: int) -> str:
+    from .tube import all_tube_modules, tau_inv_tube
+
     lines = ["digraph ar {"]
     for X in all_tube_modules(rank, cap):
         lines.append(f'  "U({X.socle},{X.length})";')
@@ -341,7 +349,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

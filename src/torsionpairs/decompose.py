@@ -20,7 +20,6 @@ subquiver or model per stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .intervals import (
@@ -36,6 +35,8 @@ from .quiver import (
     STRONG_TWO,
     PartPartition,
     Quiver,
+    Record,
+    _set,
     enumerate_partitions,
     linear_an,
     projective_stage,
@@ -58,24 +59,51 @@ PROJECTIVE = "projective"
 INJECTIVE = "injective"
 
 
-@dataclass(frozen=True)
-class TraceStage:
+class TraceStage(Record):
     """One peeling stage: the vertices it took and their stage projectives
     (side "projective") or stage injectives (side "injective"), which lie
     in the torsion (free) class."""
 
-    index: int
-    side: str
-    vertices: frozenset[int]
-    generators: frozenset[Interval]
+    _fields = ("index", "side", "vertices", "generators")
+
+    def __init__(self, index: int, side: str, vertices: frozenset[int], generators: frozenset[Interval]) -> None:
+        _set(self, "index", index)
+        _set(self, "side", side)
+        _set(self, "vertices", vertices)
+        _set(self, "generators", generators)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.side, self.vertices, self.generators) == (
+            other.index, other.side, other.vertices, other.generators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.side, self.vertices, self.generators))
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    partition: PartPartition
-    residual: TorsionPair
-    residual_quiver: Quiver
-    trace: tuple[TraceStage, ...]
+class DecompositionResult(Record):
+    _fields = ("partition", "residual", "residual_quiver", "trace")
+
+    def __init__(
+        self, partition: PartPartition, residual: TorsionPair, residual_quiver: Quiver,
+        trace: tuple[TraceStage, ...],
+    ) -> None:
+        _set(self, "partition", partition)
+        _set(self, "residual", residual)
+        _set(self, "residual_quiver", residual_quiver)
+        _set(self, "trace", trace)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.partition, self.residual, self.residual_quiver, self.trace) == (
+            other.partition, other.residual, other.residual_quiver, other.trace
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.partition, self.residual, self.residual_quiver, self.trace))
 
 
 def _stage_generators(

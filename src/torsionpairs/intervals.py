@@ -20,24 +20,54 @@ Euler form, and the rows against hom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .quiver import Quiver
+from .quiver import Quiver, Record, _set
 from .torsion import ChainModel, extension_closure as _closure, objects_of
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(Record):
     """Indecomposable module supported on the directed path from a to b.
 
     On the standard labeling that is the segment a, a+1, ..., b; support
-    subquivers of a cycle may carry non-monotone labels.
+    subquivers of a cycle may carry non-monotone labels.  Intervals are
+    ordered by (a, b).
     """
 
-    a: int
-    b: int
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) < (other.a, other.b)
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) <= (other.a, other.b)
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) > (other.a, other.b)
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) >= (other.a, other.b)
 
     def __repr__(self) -> str:
         return f"[{self.a},{self.b}]"

@@ -2,13 +2,15 @@
 
 Certificates carry the schema tag "torsion/1".  All collections are
 emitted in sorted order so identical inputs serialize byte-identically.
+The tube modules are imported by the functions that read or write tube
+data, so the path commands do not load them.
 """
 
 from __future__ import annotations
 
 import json
 from operator import attrgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .decompose import DecompositionResult
 from .intervals import Interval, model_for
@@ -25,8 +27,10 @@ from .quiver import (
     linear_an,
 )
 from .torsion import NTorsionPair, TorsionPair, bit_indices
-from .tube import TubeModule, TubeSubcatDescriptor
-from .tubepairs import TubeTorsionPair, partition_to_tube_tp
+
+if TYPE_CHECKING:
+    from .tube import TubeModule, TubeSubcatDescriptor
+    from .tubepairs import TubeTorsionPair
 
 SCHEMA = "torsion/1"
 
@@ -177,6 +181,8 @@ def tube_certificate(data: TubeTorsionPair) -> dict:
 
 
 def tube_pair_from_obj(obj: Any) -> TubeTorsionPair:
+    from .tubepairs import partition_to_tube_tp
+
     try:
         rank = json_int(obj["rank"])
         kind = json_int(obj["kind"])
@@ -244,6 +250,8 @@ def tube_module_to_obj(X: TubeModule) -> dict:
 
 
 def descriptor_to_obj(desc: TubeSubcatDescriptor) -> dict:
+    from .tube import TubeModule
+
     return {
         "kind": desc.kind,
         "delta": sorted(desc.delta),

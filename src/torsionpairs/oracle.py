@@ -17,13 +17,9 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .intervals import Interval, model_for
-from .quiver import CYCLIC, Quiver, cyclic_an, linear_an
+from .quiver import CYCLIC, BoundExceededError, Quiver, cyclic_an, linear_an
 from .torsion import CheckResult, TorsionPair, is_torsion_pair
 from .tube import TubeModule, TubeSubcatDescriptor, all_tube_modules, norm_vertex
-
-
-class BoundExceededError(RuntimeError):
-    """Requested size is beyond the configured exhaustive-search bound."""
 
 
 # -- exact linear algebra ---------------------------------------------------

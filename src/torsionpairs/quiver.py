@@ -11,11 +11,12 @@ A part partition is an ordered tuple of pairwise disjoint vertex subsets
 which satisfies alternating sink/source or path conditions; "strong"
 variants ask for sink/source containment, "complete" ones cover every
 vertex.
+
+`Record` is the base of the library's immutable value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -35,17 +36,54 @@ class MalformedPartitionError(ValueError):
     """Structurally broken partition: overlapping parts or an empty middle part."""
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Finite quiver with at most one arrow into and out of every vertex."""
+# defined here, in a module every command loads, so that the CLI reports
+# it without importing the oracle
+class BoundExceededError(RuntimeError):
+    """Requested size is beyond the configured exhaustive-search bound."""
 
-    vertices: tuple[int, ...]
-    arrows: tuple[tuple[int, int], ...]
-    shape: str
 
-    def __post_init__(self) -> None:
-        if self.shape not in (LINEAR, CYCLIC, LINEAR_UNION):
-            raise ValueError(f"unknown quiver shape {self.shape!r}")
+# how a Record's __init__ sets a field past the frozen __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value with named fields.
+
+    A subclass names its fields in `_fields`, sets them with `_set` in
+    `__init__`, and defines `__eq__` (equal field tuples in the same
+    class, else NotImplemented) and `__hash__` (the hash of the field
+    tuple).  Assignment and deletion raise AttributeError;
+    `cached_property` writes `__dict__` directly and still works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Quiver(Record):
+    """Finite quiver with at most one arrow into and out of every vertex.
+
+    Quivers key many caches, so the hash is computed once.
+    """
+
+    _fields = ("vertices", "arrows", "shape")
+
+    def __init__(self, vertices: tuple[int, ...], arrows: tuple[tuple[int, int], ...], shape: str) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
+        _set(self, "shape", shape)
+        _set(self, "_hash", hash((vertices, arrows, shape)))
+        if shape not in (LINEAR, CYCLIC, LINEAR_UNION):
+            raise ValueError(f"unknown quiver shape {shape!r}")
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
@@ -71,6 +109,16 @@ class Quiver:
             # with one arrow in and out at most, the walks from the sources
             # miss exactly the vertices on a cycle
             raise ValueError("linear-union quiver must be acyclic")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows, self.shape) == (other.vertices, other.arrows, other.shape)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -195,8 +243,7 @@ def path_exists(q: Quiver, sources: Iterable[int], targets: Iterable[int]) -> bo
     return bool(seen & dst)
 
 
-@dataclass(frozen=True)
-class PartPartition:
+class PartPartition(Record):
     """Ordered tuple (Delta_0, ..., Delta_m) of disjoint vertex subsets.
 
     Delta_0 may be empty; all later parts must be nonempty.  `complete`
@@ -204,14 +251,22 @@ class PartPartition:
     quiver.
     """
 
-    parts: tuple[frozenset[int], ...]
-    kind: str
-    complete: bool
+    _fields = ("parts", "kind", "complete")
 
-    def __post_init__(self) -> None:
-        if self.kind not in PARTITION_KINDS:
-            raise ValueError(f"unknown partition kind {self.kind!r}")
-        object.__setattr__(self, "parts", tuple(frozenset(p) for p in self.parts))
+    def __init__(self, parts: Iterable[Iterable[int]], kind: str, complete: bool) -> None:
+        if kind not in PARTITION_KINDS:
+            raise ValueError(f"unknown partition kind {kind!r}")
+        _set(self, "parts", tuple(frozenset(p) for p in parts))
+        _set(self, "kind", kind)
+        _set(self, "complete", complete)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parts, self.kind, self.complete) == (other.parts, other.kind, other.complete)
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.kind, self.complete))
 
     @property
     def support(self) -> frozenset[int]:

@@ -42,63 +42,95 @@ object-by-object search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
 
+from .quiver import Record, _set
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(Record):
     """Boolean verdict with the first witness of failure, if any."""
 
-    ok: bool
-    witness: object = None
-    reason: str = ""
+    _fields = ("ok", "witness", "reason")
+
+    def __init__(self, ok: bool, witness: object = None, reason: str = "") -> None:
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.witness, self.reason) == (other.ok, other.witness, other.reason)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.witness, self.reason))
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class TorsionPair:
-    torsion: frozenset
-    free: frozenset
+class TorsionPair(Record):
+    _fields = ("torsion", "free")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "torsion", frozenset(self.torsion))
-        object.__setattr__(self, "free", frozenset(self.free))
+    def __init__(self, torsion: Iterable, free: Iterable) -> None:
+        _set(self, "torsion", frozenset(torsion))
+        _set(self, "free", frozenset(free))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.torsion, self.free) == (other.torsion, other.free)
+
+    def __hash__(self) -> int:
+        return hash((self.torsion, self.free))
 
 
-@dataclass(frozen=True)
-class NTorsionPair:
+class NTorsionPair(Record):
     """Parts (C_1, ..., C_{n+1}); empty parts are allowed."""
 
-    parts: tuple[frozenset, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(frozenset(p) for p in self.parts))
-        if not self.parts:
+    def __init__(self, parts: Iterable[Iterable]) -> None:
+        parts = tuple(frozenset(p) for p in parts)
+        if not parts:
             raise ValueError("an n-torsion pair needs at least one part")
+        _set(self, "parts", parts)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
-class TorsionPairSeries:
+class TorsionPairSeries(Record):
     """Nested chain of torsion pairs: T_1 <= T_2 <= ... <= T_n."""
 
-    pairs: tuple[TorsionPair, ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
+    def __init__(self, pairs: Iterable[TorsionPair]) -> None:
+        pairs = tuple(pairs)
+        if not pairs:
             raise ValueError("a series needs at least one pair")
-        for earlier, later in zip(self.pairs, self.pairs[1:]):
+        for earlier, later in zip(pairs, pairs[1:]):
             if not earlier.torsion <= later.torsion:
                 raise ValueError("torsion classes in a series must be nested")
+        _set(self, "pairs", pairs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     """Chain 0 = X_0 <= ... <= X_{n+1} = X with factor i attributed to part i.
 
     `chain[i]` is X_i (None encodes the zero module) and `factors[i-1]` is
@@ -106,8 +138,19 @@ class Filtration:
     parts is kept even where factors vanish.
     """
 
-    chain: tuple
-    factors: tuple
+    _fields = ("chain", "factors")
+
+    def __init__(self, chain: tuple, factors: tuple) -> None:
+        _set(self, "chain", chain)
+        _set(self, "factors", factors)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.factors) == (other.chain, other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.chain, self.factors))
 
     def nonzero_factors(self) -> tuple:
         return tuple((i + 1, f) for i, f in enumerate(self.factors) if f is not None)

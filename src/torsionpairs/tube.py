@@ -16,10 +16,10 @@ predicate; explicit sets are always truncations by length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
+from .quiver import Record, _set
 from .torsion import ChainModel
 
 FINITE = "finite"
@@ -33,21 +33,29 @@ def norm_vertex(v: int, n: int) -> int:
     return (v - 1) % n + 1
 
 
-@dataclass(frozen=True)
-class TubeModule:
+class TubeModule(Record):
     """Uniserial nilpotent module with the given socle and length."""
 
-    socle: int
-    length: int
-    rank: int
+    _fields = ("socle", "length", "rank")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, socle: int, length: int, rank: int) -> None:
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if not 1 <= self.socle <= self.rank:
+        if not 1 <= socle <= rank:
             raise ValueError("socle vertex out of range")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("length must be positive")
+        _set(self, "socle", socle)
+        _set(self, "length", length)
+        _set(self, "rank", rank)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.socle, self.length, self.rank) == (other.socle, other.length, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.socle, self.length, self.rank))
 
     @property
     def top(self) -> int:
@@ -96,8 +104,7 @@ def ext_dim_tube(X: TubeModule, Y: TubeModule) -> int:
     return hom_dim_tube(Y, tau_tube(X))
 
 
-@dataclass(frozen=True)
-class TubeSubcatDescriptor:
+class TubeSubcatDescriptor(Record):
     """Decidable membership description of a subcategory of the tube.
 
     kind "coray+finite" holds every module with top in `delta` plus an
@@ -105,22 +112,35 @@ class TubeSubcatDescriptor:
     "finite" only the explicit part.
     """
 
-    kind: str
-    rank: int
-    delta: frozenset[int] = frozenset()
-    finite_part: frozenset[TubeModule] = frozenset()
+    _fields = ("kind", "rank", "delta", "finite_part")
 
-    def __post_init__(self) -> None:
-        if self.kind not in DESCRIPTOR_KINDS:
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        object.__setattr__(self, "delta", frozenset(self.delta))
-        object.__setattr__(self, "finite_part", frozenset(self.finite_part))
-        if not all(1 <= v <= self.rank for v in self.delta):
+    def __init__(
+        self, kind: str, rank: int, delta: Iterable[int] = frozenset(),
+        finite_part: Iterable[TubeModule] = frozenset(),
+    ) -> None:
+        if kind not in DESCRIPTOR_KINDS:
+            raise ValueError(f"unknown descriptor kind {kind!r}")
+        delta, finite_part = frozenset(delta), frozenset(finite_part)
+        if not all(1 <= v <= rank for v in delta):
             raise ValueError("delta contains a vertex outside 1..rank")
-        if any(m.rank != self.rank for m in self.finite_part):
+        if any(m.rank != rank for m in finite_part):
             raise ValueError("finite part contains modules of another rank")
-        if self.kind == FINITE and self.delta:
+        if kind == FINITE and delta:
             raise ValueError("a finite descriptor carries no delta")
+        _set(self, "kind", kind)
+        _set(self, "rank", rank)
+        _set(self, "delta", delta)
+        _set(self, "finite_part", finite_part)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.rank, self.delta, self.finite_part) == (
+            other.kind, other.rank, other.delta, other.finite_part
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.rank, self.delta, self.finite_part))
 
     def contains(self, X: TubeModule) -> bool:
         if X.rank != self.rank:

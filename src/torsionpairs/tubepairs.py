@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -43,6 +42,8 @@ from .quiver import (
     MalformedPartitionError,
     PartPartition,
     Quiver,
+    Record,
+    _set,
     _subsets,
     cyclic_an,
     enumerate_partitions,
@@ -82,24 +83,41 @@ def _interval_to_tube(rank: int, X: Interval) -> TubeModule:
     return all_tube_modules(rank, rank)[module_index(X.b, (X.b - X.a) % rank + 1, rank)]
 
 
-@dataclass(frozen=True)
-class TubeTorsionPair:
+class TubeTorsionPair(Record):
     """One classified torsion pair on the tube of the given rank, with the
     partition it was built from: `delta`, then `residual_partition`, the tail
     whose stage masks make `residual_pair` on `residual_quiver`."""
 
-    rank: int
-    kind: int
-    delta: frozenset[int]
-    residual_quiver: Quiver
-    residual_pair: TorsionPair
-    residual_partition: tuple[frozenset[int], ...]
+    _fields = ("rank", "kind", "delta", "residual_quiver", "residual_pair", "residual_partition")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (1, 2):
+    def __init__(
+        self, rank: int, kind: int, delta: frozenset[int], residual_quiver: Quiver,
+        residual_pair: TorsionPair, residual_partition: tuple[frozenset[int], ...],
+    ) -> None:
+        if kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        if not self.delta:
+        if not delta:
             raise ValueError("delta must be nonempty")
+        _set(self, "rank", rank)
+        _set(self, "kind", kind)
+        _set(self, "delta", delta)
+        _set(self, "residual_quiver", residual_quiver)
+        _set(self, "residual_pair", residual_pair)
+        _set(self, "residual_partition", residual_partition)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.rank, self.kind, self.delta, self.residual_quiver, self.residual_pair, self.residual_partition
+        ) == (
+            other.rank, other.kind, other.delta, other.residual_quiver, other.residual_pair, other.residual_partition
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.rank, self.kind, self.delta, self.residual_quiver, self.residual_pair, self.residual_partition)
+        )
 
     def _finite_side(self, intervals: frozenset[Interval]) -> frozenset[TubeModule]:
         return frozenset(_interval_to_tube(self.rank, X) for X in intervals)
@@ -311,11 +329,21 @@ def tube_tp_to_partition(data: TubeTorsionPair) -> PartPartition:
     return PartPartition(parts, kind, complete=True)
 
 
-@dataclass(frozen=True)
-class CombinedTorsionPair:
+class CombinedTorsionPair(Record):
     """Componentwise torsion pair on a Hom-orthogonal direct sum of categories."""
 
-    components: tuple
+    _fields = ("components",)
+
+    def __init__(self, components: tuple) -> None:
+        _set(self, "components", components)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     def membership(self, index: int, X) -> str:
         part = self.components[index]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from test_golden import CERTIFICATES as GOLDEN_CERTIFICATES
 import torsionpairs
-from torsionpairs import cli, jsonio
+from torsionpairs import cli, jsonio, tube, tubepairs
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
 from torsionpairs.intervals import model_for
@@ -433,7 +433,7 @@ class TestExport:
         def refuse(rank, cap):
             raise AssertionError(f"built the modules of rank {rank}")
 
-        monkeypatch.setattr(cli, "all_tube_modules", refuse)
+        monkeypatch.setattr(tube, "all_tube_modules", refuse)
         code = main(["export", "--tube", rank, "--dot", "ar"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
@@ -460,7 +460,7 @@ class TestExport:
         def refuse(rank, cap):
             raise AssertionError(f"built the modules up to cap {cap}")
 
-        monkeypatch.setattr(cli, "all_tube_modules", refuse)
+        monkeypatch.setattr(tube, "all_tube_modules", refuse)
         code = main(["export", "--tube", "2", "--dot", "ar", *argv])
         captured = capsys.readouterr()
         assert (code, captured.out) == (4, "")
@@ -531,7 +531,7 @@ class TestCertificateSizeBound:
         def refuse(*args, **kwargs):
             raise AssertionError("decoded a tube certificate past the size bound")
 
-        monkeypatch.setattr(jsonio, "partition_to_tube_tp", refuse)
+        monkeypatch.setattr(tubepairs, "partition_to_tube_tp", refuse)
         code = main([command, write_cert(tmp_path, self.tube_cert(rank, named)), *argv])
         captured = capsys.readouterr()
         assert (code, captured.out) == (4, "")
@@ -623,6 +623,45 @@ class TestCertificateBoundary:
         code, out, err = self.verify(tmp_path, cert)
         assert (code, out) == (3, "")
         assert err.startswith("certificate error:") and "[3,1]" in err
+
+
+class TestClosedPipe:
+    """A reader that stops early (`| head -c 10`) ends the command quietly:
+    exit 0 and nothing on stderr, whether the write that fails is the
+    command's own or the final flush of a buffered stdout."""
+
+    @staticmethod
+    def env(unbuffered):
+        src = str(Path(torsionpairs.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        return {**env, "PYTHONPATH": src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_closing_after_ten_bytes(self, unbuffered):
+        # the text is far larger than a pipe buffer, so the command is
+        # still writing when the reader leaves
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "torsionpairs", "enumerate", "--an", "8", "--max-n", "8", "--format", "text"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(unbuffered),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert head == b'0: {"categ'
+        assert (proc.returncode, err) == (0, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_gone_before_the_first_byte(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "torsionpairs", "count", "--an", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self.env(unbuffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 class TestNumbersPastTheFloatRange:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 from itertools import combinations
 
@@ -6,6 +5,7 @@ import pytest
 
 from test_intervals import CYCLE_RESIDUALS, MODEL_QUIVERS, linear_union, model_id
 from torsionpairs.decompose import (
+    DecompositionResult,
     _iter_class_masks,
     _stage_generators,
     assemble,
@@ -315,8 +315,9 @@ class TestTiltingCotilting:
             result = real(q, tp, side)
             ends = q.sources if side == "left" else q.sinks
             stage_zero = result.partition.parts[0] - {min(ends)}
-            partition = dataclasses.replace(result.partition, parts=(stage_zero,) + result.partition.parts[1:])
-            return dataclasses.replace(result, partition=partition)
+            p = result.partition
+            partition = PartPartition((stage_zero,) + p.parts[1:], p.kind, p.complete)
+            return DecompositionResult(partition, result.residual, result.residual_quiver, result.trace)
 
         monkeypatch.setattr(module, "decompose", peel_missing_an_end)
         q = linear_union((3, 1), (2,))

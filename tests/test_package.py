@@ -1,6 +1,13 @@
 """The package root re-exports the library's names and no submodule."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import torsionpairs
 
@@ -28,3 +35,80 @@ def test_star_import_binds_no_module():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(torsionpairs.__all__)
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
+# -- what a command loads -------------------------------------------------
+
+SRC = str(Path(torsionpairs.__file__).resolve().parent.parent)
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal",
+         "torsionpairs.oracle", "torsionpairs.tube", "torsionpairs.tubepairs"}
+
+
+def _run(*argv):
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _imported(*argv):
+    """The modules a fresh interpreter imports to run argv, less those a
+    bare interpreter imports too (site start-up differs between hosts)."""
+
+    def names(stderr):
+        return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+
+    return names(_run("-X", "importtime", *argv).stderr) - names(_run("-X", "importtime", "-c", "pass").stderr)
+
+
+def test_importing_the_root_loads_no_submodule():
+    loaded = _imported("-c", "import torsionpairs")
+    assert "torsionpairs" in loaded
+    assert not {name for name in loaded if name.startswith("torsionpairs.")}
+
+
+def test_a_path_count_loads_no_heavy_module():
+    loaded = _imported("-m", "torsionpairs", "count", "--an", "1")
+    assert "torsionpairs.cli" in loaded
+    assert not loaded & HEAVY
+
+
+def test_a_pair_verify_loads_no_heavy_module(tmp_path):
+    cert = tmp_path / "pair.json"
+    cert.write_text(json.dumps({
+        "schema": "torsion/1", "category": {"shape": "linearA", "n": 2},
+        "torsion": [[1, 1], [1, 2], [2, 2]], "free": [],
+    }))
+    loaded = _imported("-m", "torsionpairs", "verify", str(cert))
+    assert {"torsionpairs.jsonio", "torsionpairs.torsion"} <= loaded
+    assert not loaded & HEAVY
+
+
+def test_every_name_is_the_object_of_its_defining_module():
+    # in a fresh interpreter, so no earlier test has touched the root
+    script = (
+        "import importlib, torsionpairs\n"
+        "for name in torsionpairs.__all__:\n"
+        "    value = getattr(torsionpairs, name)\n"
+        "    home = importlib.import_module(value.__module__)\n"
+        "    assert home.__name__.startswith('torsionpairs.'), name\n"
+        "    assert getattr(home, name) is value, name\n"
+        "print(len(torsionpairs.__all__))\n"
+    )
+    assert _run("-c", script).stdout == "87\n"
+
+
+def test_the_bound_error_is_one_class():
+    from torsionpairs import oracle, quiver
+
+    assert torsionpairs.BoundExceededError is oracle.BoundExceededError is quiver.BoundExceededError
+
+
+def test_a_submodule_is_reachable_as_an_attribute_and_unknown_names_raise():
+    proc = _run("-c", "import torsionpairs; print(torsionpairs.oracle.__name__)")
+    assert proc.stdout == "torsionpairs.oracle\n"
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        torsionpairs.nonesuch  # noqa: B018
+    assert set(torsionpairs.__all__) <= set(dir(torsionpairs))
