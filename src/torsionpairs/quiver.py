@@ -120,6 +120,11 @@ class Quiver(Record):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt through __init__: a str hash, and so the stored one,
+        # differs between processes
+        return (Quiver, (self.vertices, self.arrows, self.shape))
+
     @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)

@@ -6,8 +6,16 @@ so the printed output, can depend on it), refuses assignment and
 deletion, and prints a fixed repr.  `Interval` alone is ordered.
 """
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import torsionpairs
 from torsionpairs.decompose import DecompositionResult, TraceStage
 from torsionpairs.intervals import Interval
 from torsionpairs.quiver import LINEAR_UNION, STRONG_ONE, PartPartition, Quiver, linear_an
@@ -142,6 +150,12 @@ class TestRecord:
         x = make()
         assert type(x)(**{f: getattr(x, f) for f in fields}) == x
 
+    def test_pickle_and_copy_round_trip(self, name):
+        make, _, _ = CASES[name]
+        x = make()
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x)
+
     def test_only_intervals_are_ordered(self, name):
         make, _, _ = CASES[name]
         if name == "Interval":
@@ -239,3 +253,22 @@ class TestNormalisation:
         with pytest.raises(ValueError, match="duplicate vertex labels"):
             Quiver((1, 1), (), LINEAR_UNION)
         assert linear_an(3) == Quiver(vertices=(1, 2, 3), arrows=((1, 2), (2, 3)), shape="linearA")
+
+
+def test_a_quiver_pickled_in_another_process_hashes_as_here():
+    # str hashes differ between processes, so a stored hash must not travel
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(torsionpairs.__file__).resolve().parent.parent)
+    code = (
+        "import pickle, sys\n"
+        "from torsionpairs.quiver import LINEAR_UNION, Quiver\n"
+        "sys.stdout.buffer.write(pickle.dumps(Quiver((1, 2, 4), ((1, 2),), LINEAR_UNION)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+    )
+    q = pickle.loads(proc.stdout)
+    here = Quiver((1, 2, 4), ((1, 2),), LINEAR_UNION)
+    assert q == here and hash(q) == hash(here)
+    assert {here: "found"}.get(q) == "found"
