@@ -2,7 +2,9 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 malformed
 certificate, 4 resource bound exceeded.  A reader that closes stdout
-early (`| head`) ends the command quietly with exit 0.  Output is
+early (`| head`) ends the command quietly with exit 0; a stdout that
+cannot be written (a full device) is a usage error, as is an `--out`
+file that cannot be written.  Output is
 deterministic for identical flags.  The tube modules are imported only
 by the commands on a tube.
 """
@@ -17,7 +19,7 @@ import sys
 
 from . import jsonio
 from .decompose import (
-    _iter_class_masks,
+    _mask_walk,
     count_torsion_pairs,
     decompose as peel,
     iter_torsion_pairs,
@@ -25,7 +27,7 @@ from .decompose import (
 )
 from .intervals import model_for
 from .jsonio import CertificateError
-from .quiver import LINEAR_UNION, BoundExceededError, linear_an
+from .quiver import LINEAR_UNION, STRONG_ONE, BoundExceededError, linear_an
 from .torsion import bit_indices, is_ntp, is_torsion_pair, mask_of
 
 EXIT_OK = 0
@@ -87,7 +89,16 @@ def _emit(args, text: str) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
-        print(text)
+        try:
+            print(text)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise ValueError(_unwritable_stdout(exc)) from exc
+
+
+def _unwritable_stdout(exc: OSError) -> str:
+    return f"cannot write stdout: {exc.strerror}"
 
 
 def cmd_enumerate(args) -> int:
@@ -96,14 +107,16 @@ def cmd_enumerate(args) -> int:
 
     Each certificate is encoded as soon as its pair is built, so the run
     keeps only the encoded text.  The path pairs come one at a time as
-    class masks, whose records are joined from the model's fragment table
-    without building the pairs' objects.
+    class masks from the mask walk (`decompose._mask_walk`), whose records
+    are joined from the model's fragment table without building the pairs'
+    objects.
     """
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
         q = linear_an(args.an)
         records = jsonio.PairRecords(q)
-        texts = [records.record(torsion, free) for torsion, free in _iter_class_masks(q)]
+        walk = _mask_walk(model_for(q), STRONG_ONE, 0)
+        texts = [records.record(torsion, free) for _, torsion, free in walk]
     else:
         from .tubepairs import enumerate_tube_tps
 
@@ -348,15 +361,41 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def _observed() -> bool:
+    """A profiler, tracer or coverage tool is attached; it writes its
+    report as the interpreter winds down."""
+    if sys.getprofile() or sys.gettrace():
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from Python 3.12
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
 def entry() -> None:
+    """Run `main` and end the process with its exit code.
+
+    Once stdout and stderr are flushed nothing is left to do, so the
+    process ends at once (`os._exit`), without the interpreter's teardown;
+    under a profiler or tracer it ends through `sys.exit`, so that the
+    tool still writes its report."""
     try:
         code = main()
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as exc:  # a full device, say
+            print(f"usage error: {_unwritable_stdout(exc)}", file=sys.stderr)
+            code = EXIT_USAGE
+            # drop what the buffer still holds rather than write it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except BrokenPipeError:
         # the reader is gone; send the interpreter's final flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
-    sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

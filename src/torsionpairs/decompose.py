@@ -13,13 +13,18 @@ generator sets, and the tilting/cotilting criteria.
 Peeling and assembly share one stage walk: a stage is a vertex set of the
 home quiver, whose projectives or injectives `_stage_generators` reads
 off the home quiver's arrows and the home model's `end_chains`, with no
-subquiver or model per stage.
+subquiver or model per stage.  The mask walk (`_mask_walk`) runs the same
+rule down the tree of complete strong partitions, carrying each prefix's
+class masks to its extensions; `enumerate --an` and the tube
+classification read it.
 `generators` and `trace_ntp` read the generators `decompose` records.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 from typing import Iterator
 
 from .intervals import (
@@ -40,6 +45,7 @@ from .quiver import (
     enumerate_partitions,
     linear_an,
     projective_stage,
+    strong_stage_parts,
     subquiver,
     validate_partition,
 )
@@ -224,6 +230,60 @@ def _stage_masks(model: LinearModel, partition: PartPartition) -> tuple[int, int
     return torsion, free
 
 
+def _mask_walk(model: LinearModel, kind: str, start: int) -> Iterator[tuple[tuple[frozenset[int], ...], int, int]]:
+    """Every complete strong `kind` partition of `model.quiver`, its parts
+    taken from stage `start` on (0 on a path; 1 on a residual of the cycle,
+    whose stage 0 is Delta), with its `_stage_masks`, in
+    `PartPartition.sort_key` order; nothing is checked.
+
+    One loop walks the partitions depth first over a stack of nodes, a node
+    being a stage and the vertices it has left.  A node offers its parts as
+    `enumerate_partitions` does, each with its vertices' stage generator
+    quotients (submodules) ORed together, which the walk ORs into the
+    parent's torsion (free) mask, so partitions sharing a prefix share its
+    masks.  The offers depend only on the stage parity and the vertices
+    left, so each is computed once per walk, with one copy of each vertex set.
+    """
+    q = model.quiver
+    if not q.vertices:
+        yield (), 0, 0
+        return
+    offers: dict[tuple[bool, frozenset[int]], tuple] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+
+    def node(stage: int, remaining: frozenset[int], parts: tuple, torsion: int, free: int) -> tuple:
+        projective = projective_stage(kind, stage)
+        # stage 0 is the one node of its parity with every vertex left
+        key = (projective, remaining)
+        if key not in offers:
+            table = model.quot_masks if projective else model.sub_masks
+            gens = {v: table[i] for v, i in _stage_generators(model, remaining, remaining, projective).items()}
+            found = []
+            for part in strong_stage_parts(q, remaining, stage, projective):
+                left = remaining - part
+                grown = reduce(or_, map(gens.__getitem__, part), 0)
+                found.append((shared.setdefault(part, part), grown, shared.setdefault(left, left)))
+            offers[key] = tuple(found)
+        return iter(offers[key]), projective, stage, parts, torsion, free
+
+    stack = [node(start, q.vertex_set, (), 0, 0)]
+    while stack:
+        options, projective, stage, parts, torsion, free = stack[-1]
+        offer = next(options, None)
+        if offer is None:
+            stack.pop()
+            continue
+        part, grown, left = offer
+        if projective:
+            torsion |= grown
+        else:
+            free |= grown
+        if left:
+            stack.append(node(stage + 1, left, parts + (part,), torsion, free))
+        else:
+            yield parts + (part,), torsion, free
+
+
 def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None = None) -> TorsionPair:
     """Rebuild the torsion pair from a partition and a residual pair.
 
@@ -267,16 +327,6 @@ def iter_torsion_pairs(q: Quiver) -> Iterator[TorsionPair]:
     a caller that drops each pair holds at most one."""
     for S in enumerate_partitions(q, STRONG_ONE, complete=True):
         yield assemble(q, S)
-
-
-def _iter_class_masks(q: Quiver) -> Iterator[tuple[int, int]]:
-    """`iter_torsion_pairs` as (torsion, free) masks over `model_for(q)`:
-    the same pairs in the same order, never checked (the walk yields only
-    valid partitions), turned into objects, nor closed: with no residual,
-    the stage generators' quotients and submodules make up the classes."""
-    model = model_for(q)
-    for S in enumerate_partitions(q, STRONG_ONE, complete=True):
-        yield _stage_masks(model, S)
 
 
 def enumerate_torsion_pairs(q: Quiver) -> list[TorsionPair]:

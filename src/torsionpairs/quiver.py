@@ -358,6 +358,17 @@ def _subsets(pool: Iterable[int], include_empty: bool) -> Iterator[frozenset[int
             yield frozenset(combo)
 
 
+def strong_stage_parts(q: Quiver, remaining: frozenset[int], stage: int, projective: bool) -> list[frozenset[int]]:
+    """The parts stage `stage` of a strong partition may take from the
+    vertices `remaining`, ordered by their sorted vertices: any subset on
+    stage 0, else the stage ends of `remaining` with any extras."""
+    if stage == 0:
+        return sorted(_subsets(remaining, include_empty=True), key=sorted)
+    mandatory = stage_ends(q, remaining, projective)
+    extras = _subsets(remaining - mandatory, include_empty=True)
+    return sorted((mandatory | extra for extra in extras if mandatory or extra), key=sorted)
+
+
 def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> Iterator[PartPartition]:
     """All valid partitions of the given kind, one at a time, in `sort_key` order.
 
@@ -378,16 +389,10 @@ def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> Iterato
     def candidates(parts: list[frozenset[int]], remaining: frozenset[int]) -> Iterator[frozenset[int]]:
         j = len(parts)
         projective = projective_stage(kind, j)
-        if j == 0:
-            found = _subsets(remaining, include_empty=True)
-        elif strong:
-            mandatory = stage_ends(q, remaining, projective)
-            extras = _subsets(remaining - mandatory, include_empty=True)
-            found = (mandatory | extra for extra in extras if mandatory or extra)
-        else:
-            pool = remaining if j == 1 else _linked(q, parts[-1], remaining, remaining, projective)
-            found = _subsets(pool, include_empty=False)
-        return iter(sorted(found, key=sorted))
+        if j == 0 or strong:
+            return iter(strong_stage_parts(q, remaining, j, projective))
+        pool = remaining if j == 1 else _linked(q, parts[-1], remaining, remaining, projective)
+        return iter(sorted(_subsets(pool, include_empty=False), key=sorted))
 
     def walk() -> Iterator[PartPartition]:
         parts: list[frozenset[int]] = []

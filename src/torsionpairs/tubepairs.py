@@ -16,9 +16,9 @@ classification is built from this bijection, one pair per partition
 (Baur-Buan-Marsh, "Torsion pairs and rigid objects in tubes", 2014), so
 there are binom(2n, n) pairs.
 
-The walk yields only valid partitions, so each pair is built from its
-tail's stage masks unchecked; partitions from outside are validated by
-`partition_to_tube_tp`, and walked ones by `count_tube_tps(check=True)`.
+The mask walk yields only valid partitions, so each pair is built from
+its tail's stage masks unchecked; partitions from outside are validated
+by `partition_to_tube_tp`, and walked ones by `count_tube_tps(check=True)`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .decompose import (
+    _mask_walk,
     _stage_masks,
     catalan,
     decompose,
@@ -46,7 +47,6 @@ from .quiver import (
     _set,
     _subsets,
     cyclic_an,
-    enumerate_partitions,
     subquiver,
     validate_partition,
 )
@@ -180,7 +180,8 @@ def _tube_pair(cycle: Quiver, S: PartPartition, kind: int) -> TubeTorsionPair:
 
     The tail, read with an empty leading stage, is a partition of the
     residual segments; its stage masks make the residual classes, which
-    need no closure (as in `decompose._iter_class_masks`)."""
+    need no closure.  `enumerate_tube_tps` builds the same pairs from the
+    mask walk."""
     residual = subquiver(cycle, cycle.vertex_set - S.parts[0])
     model = model_for(residual)
     tail = PartPartition((frozenset(),) + S.parts[1:], S.kind, complete=True)
@@ -193,21 +194,26 @@ def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     """All torsion pairs on the tube of the given rank, in `sort_key` order.
 
     Built from the bijection: for each kind, every complete strong
-    partition of the cycle with nonempty leading part gives one pair,
-    which keeps it.  The walk yields only valid partitions, so none is
-    validated again here; that each is valid, that each pair is a torsion
-    pair of its kind and that no two pairs coincide are checked by
+    partition of the cycle with nonempty leading part Delta gives one
+    pair, which keeps it.  For each Delta, one model of the residual
+    segments serves both kinds, and the mask walk (`decompose._mask_walk`)
+    yields the tails, from stage 1 on, with their stage masks, which are
+    the residual classes.  The walk yields only valid partitions, so none
+    is validated again here; that each is valid, that each pair is a
+    torsion pair of its kind and that no two pairs coincide are checked by
     `count_tube_tps(check=True)`.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
     cycle = cyclic_an(rank)
-    data = [
-        _tube_pair(cycle, S, kind)
-        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO))
-        for S in enumerate_partitions(cycle, name, complete=True)
-        if S.parts[0]
-    ]
+    data = []
+    for delta in _subsets(cycle.vertices, include_empty=False):
+        residual = subquiver(cycle, cycle.vertex_set - delta)
+        model = model_for(residual)
+        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
+            for tail, torsion, free in _mask_walk(model, name, 1):
+                tp = TorsionPair(objects_of(model, torsion), objects_of(model, free))
+                data.append(TubeTorsionPair(rank, kind, delta, residual, tp, tail))
     data.sort(key=TubeTorsionPair.sort_key)
     return data
 

@@ -80,10 +80,10 @@ class TestEnumerate:
         # the pairs come one at a time as class masks, each encoded before
         # the next is built, and no pair of objects is assembled
         events = []
-        real_masks, real_record = cli._iter_class_masks, jsonio.PairRecords.record
+        real_walk, real_record = cli._mask_walk, jsonio.PairRecords.record
 
-        def masks(q):
-            for pair in real_masks(q):
+        def walk(model, kind, start):
+            for pair in real_walk(model, kind, start):
                 events.append("built")
                 yield pair
 
@@ -94,7 +94,7 @@ class TestEnumerate:
         def refuse(*args, **kwargs):
             raise AssertionError("assembled a pair of objects")
 
-        monkeypatch.setattr(cli, "_iter_class_masks", masks)
+        monkeypatch.setattr(cli, "_mask_walk", walk)
         monkeypatch.setattr(jsonio.PairRecords, "record", record)
         monkeypatch.setattr(importlib.import_module("torsionpairs.decompose"), "assemble", refuse)
         code, _ = run(capsys, "enumerate", "--an", "6")
@@ -103,10 +103,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n,pairs", [(5, 132), (6, 429)])
     def test_an_checks_each_pair_once_on_the_way(self, capsys, count_calls, n, pairs):
-        # the route trusts the partition walk: no pair is checked, turned
-        # into objects or closed; the walk yields only valid partitions and
-        # the stage generators' quotients and submodules already make up
-        # the classes, which tests/test_decompose.py and test_quiver.py check
+        # the route trusts the mask walk: no pair is checked, turned into
+        # objects or closed, and no partition is built; the walk yields only
+        # valid partitions and the stage generators' quotients and submodules
+        # already make up the classes, which tests/test_decompose.py checks
         counts = count_calls(
             "decompose.assemble", "quiver.validate_partition", "quiver.subquiver",
             "torsion.is_torsion_pair", "torsion._closure_mask", "intervals.extension_closure",
@@ -118,7 +118,7 @@ class TestEnumerate:
             "decompose.assemble": 0, "quiver.validate_partition": 0,
             "quiver.subquiver": 0, "torsion.is_torsion_pair": 0,
             "torsion._closure_mask": 0, "intervals.extension_closure": 0,
-            "quiver.enumerate_partitions": 1,
+            "quiver.enumerate_partitions": 0,
         }
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -662,6 +662,72 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+class TestProcessEnd:
+    """`python -m torsionpairs` ends without the interpreter's teardown,
+    once stdout and stderr are flushed; what the parent sees is unchanged."""
+
+    @staticmethod
+    def cli(*argv, unbuffered=False, python=(), stdout=subprocess.PIPE):
+        src = str(Path(torsionpairs.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        return subprocess.run(
+            [sys.executable, *python, "-m", "torsionpairs", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+
+    def test_out_file_holds_the_bytes_of_stdout(self, tmp_path):
+        argv = ("enumerate", "--an", "8", "--max-n", "8", "--format", "text")
+        printed = self.cli(*argv)
+        target = tmp_path / "pairs.txt"
+        written = self.cli(*argv, "--out", str(target))
+        assert (printed.returncode, printed.stderr, written.returncode, written.stdout) == (0, "", 0, "")
+        assert target.read_bytes() == printed.stdout.encode()
+        assert printed.stdout.count("\n") == 4862
+
+    @pytest.mark.parametrize("code,argv,message", [
+        (0, ("count", "--an", "2"), None),
+        (1, ("verify", "{bad}"), None),
+        (2, ("count", "--an", "0"), "usage error: n must be positive"),
+        (3, ("verify", "{malformed}"), "certificate error:"),
+        (4, ("enumerate", "--an", "9"), "bound exceeded: n 9 exceeds the bound 6"),
+    ])
+    def test_each_exit_code_reaches_the_parent(self, tmp_path, code, argv, message):
+        bad = {"schema": "torsion/1", "category": {"shape": "linearA", "n": 2}, "torsion": [[1, 1]], "free": []}
+        files = {
+            "{bad}": write_cert(tmp_path, bad, "bad.json"),
+            "{malformed}": write_cert(tmp_path, {"schema": "torsion/1"}, "malformed.json"),
+        }
+        proc = self.cli(*(files.get(arg, arg) for arg in argv))
+        assert proc.returncode == code, proc.stderr
+        if message is None:
+            assert proc.stderr == "" and proc.stdout
+            assert proc.stdout.startswith("FAIL:") == (code == 1)
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_profiler_still_writes_its_report(self):
+        proc = self.cli("count", "--an", "1", python=("-m", "cProfile"))
+        assert proc.returncode == 0, proc.stderr
+        first, rest = proc.stdout.split("\n", 1)
+        assert first == "2" and "function calls" in rest and "Ordered by" in rest
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ("count", "--an", "3"),
+        ("enumerate", "--an", "8", "--max-n", "8", "--format", "text"),
+    ])
+    def test_full_stdout_is_a_usage_error(self, argv, unbuffered):
+        # as an --out that cannot be written: exit 2 and one line, whether
+        # the failing write is the command's own or the final flush
+        with open("/dev/full", "w") as full:
+            proc = self.cli(*argv, unbuffered=unbuffered, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "usage error: cannot write stdout: No space left on device\n"
 
 
 class TestNumbersPastTheFloatRange:

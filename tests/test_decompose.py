@@ -6,8 +6,9 @@ import pytest
 from test_intervals import CYCLE_RESIDUALS, MODEL_QUIVERS, linear_union, model_id
 from torsionpairs.decompose import (
     DecompositionResult,
-    _iter_class_masks,
+    _mask_walk,
     _stage_generators,
+    _stage_masks,
     assemble,
     catalan,
     count_torsion_pairs,
@@ -41,6 +42,7 @@ from torsionpairs.quiver import (
     STRONG_ONE,
     STRONG_TWO,
     PartPartition,
+    cyclic_an,
     enumerate_partitions,
     linear_an,
     stage_ends,
@@ -54,6 +56,7 @@ from torsionpairs.torsion import (
     is_ntp,
     is_torsion_pair,
     mask_of,
+    objects_of,
 )
 
 A2 = linear_an(2)
@@ -242,8 +245,67 @@ class TestBijection:
             q = linear_an(n)
             model = model_for(q)
             want = [(mask_of(model, tp.torsion), mask_of(model, tp.free)) for tp in iter_torsion_pairs(q)]
-            got = list(_iter_class_masks(q))
+            got = [(torsion, free) for _, torsion, free in _mask_walk(model, STRONG_ONE, 0)]
             assert len(got) == catalan(n + 1) and got == want, n
+
+
+class TestMaskWalk:
+    """The mask walk yields the partitions `enumerate_partitions` yields,
+    in the same order, each with its `_stage_masks`."""
+
+    @staticmethod
+    def reference(partitions, model, lead=0):
+        # each partition with a fresh stage walk; with lead=1 the leading
+        # part is read as an empty stage and left out of the tail
+        out = []
+        for S in partitions:
+            tail = PartPartition((frozenset(),) * lead + S.parts[lead:], S.kind, complete=True)
+            out.append((S.parts[lead:],) + _stage_masks(model, tail))
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_path_strong_one(self, n):
+        q = linear_an(n)
+        model = model_for(q)
+        got = list(_mask_walk(model, STRONG_ONE, 0))
+        assert len(got) == catalan(n + 1)
+        assert got == self.reference(enumerate_partitions(q, STRONG_ONE, complete=True), model)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_path_strong_two(self, n):
+        q = linear_an(n)
+        model = model_for(q)
+        want = self.reference(enumerate_partitions(q, STRONG_TWO, complete=True), model)
+        assert list(_mask_walk(model, STRONG_TWO, 0)) == want
+
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_every_residual_of_the_cycle(self, rank):
+        # from stage 1 on a residual: the tails of the cycle's partitions
+        # with that leading part, both kinds
+        cycle = cyclic_an(rank)
+        for kind in (STRONG_ONE, STRONG_TWO):
+            by_lead = {}
+            for S in enumerate_partitions(cycle, kind, complete=True):
+                by_lead.setdefault(S.parts[0], []).append(S)
+            for k in range(1, rank + 1):
+                for delta in map(frozenset, combinations(cycle.vertices, k)):
+                    model = model_for(subquiver(cycle, cycle.vertex_set - delta))
+                    want = self.reference(by_lead[delta], model, lead=1)
+                    assert list(_mask_walk(model, kind, 1)) == want, (rank, kind, sorted(delta))
+
+    def test_empty_residual_is_one_empty_tail(self):
+        model = model_for(subquiver(cyclic_an(3), ()))
+        for kind in (STRONG_ONE, STRONG_TWO):
+            assert list(_mask_walk(model, kind, 1)) == [((), 0, 0)]
+
+    def test_a_later_stage_reads_its_own_generators(self):
+        # once 1 is gone, the injective stage generator of 3 is [2, 3], not
+        # the injective [1, 3] of A3, and the projective one of 2 is [2, 2]
+        model = model_for(A3)
+        got = {parts: (torsion, free) for parts, torsion, free in _mask_walk(model, STRONG_ONE, 0)}
+        torsion, free = got[parts({1}, {3}, {2})]
+        assert objects_of(model, torsion) == fs((1, 1), (1, 2), (1, 3), (2, 2))
+        assert objects_of(model, free) == fs((2, 3), (3, 3))
 
 
 class TestCounts:

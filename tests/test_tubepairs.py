@@ -34,6 +34,7 @@ from torsionpairs.tubepairs import (
     enumerate_tube_tps,
     partition_to_tube_tp,
     tube_membership,
+    _tube_pair,
     tube_tp_to_partition,
     truncated_check,
 )
@@ -72,6 +73,23 @@ class TestEnumerate:
 
     def test_deterministic(self):
         assert enumerate_tube_tps(2) == enumerate_tube_tps(2)
+
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_mask_walk_builds_the_pairs_of_the_cycle_walk(self, rank):
+        # one mask walk per (kind, delta) on the residual against the
+        # checked route's builder over the cycle's partition walk
+        cycle = cyclic_an(rank)
+        want = [
+            _tube_pair(cycle, S, kind)
+            for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO))
+            for S in enumerate_partitions(cycle, name, complete=True)
+            if S.parts[0]
+        ]
+        want.sort(key=TubeTorsionPair.sort_key)
+        got = enumerate_tube_tps(rank)
+        assert len(got) == len(want) == math.comb(2 * rank, rank)
+        for d, e in zip(got, want):
+            assert [getattr(d, f) for f in d._fields] == [getattr(e, f) for f in e._fields]
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_pairwise_distinct_at_cap_six(self, rank):
@@ -473,13 +491,16 @@ class TestDefects:
 
         good = PartPartition(parts({1}, {3}, {2}), STRONG_ONE, complete=True)
         bad = PartPartition(parts({1}, {2}, {3}), STRONG_ONE, complete=True)
-        real = tubepairs.enumerate_partitions
+        real = tubepairs._mask_walk
 
-        def walk(q, kind, complete=True):
-            found = real(q, kind, complete)
-            return [bad if S == good else S for S in found]
+        def walk(model, kind, start):
+            # the tails of delta {1} come from the walk on the segment 2 -> 3
+            for tail, torsion, free in real(model, kind, start):
+                if kind == STRONG_ONE and model.quiver.vertices == (2, 3) and tail == good.parts[1:]:
+                    tail = bad.parts[1:]
+                yield tail, torsion, free
 
-        monkeypatch.setattr(tubepairs, "enumerate_partitions", walk)
+        monkeypatch.setattr(tubepairs, "_mask_walk", walk)
         built = {(d.kind, d.delta, d.residual_partition) for d in enumerate_tube_tps(3)}
         assert (1, bad.parts[0], bad.parts[1:]) in built
         with pytest.raises(ClassificationDefectError, match=r"partition \[\[1\], \[2\], \[3\]\] is not"):
