@@ -670,12 +670,9 @@ class TestProcessEnd:
 
     @staticmethod
     def cli(*argv, unbuffered=False, python=(), stdout=subprocess.PIPE):
-        src = str(Path(torsionpairs.__file__).resolve().parent.parent)
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
         return subprocess.run(
             [sys.executable, *python, "-m", "torsionpairs", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=TestClosedPipe.env(unbuffered), timeout=120,
         )
 
     def test_out_file_holds_the_bytes_of_stdout(self, tmp_path):
