@@ -3,15 +3,17 @@
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 malformed
 certificate, 4 resource bound exceeded.  A reader that closes stdout
 early (`| head`) ends the command quietly with exit 0; a stdout that
-cannot be written (a full device) is a usage error, as is an `--out`
-file that cannot be written.  Output is
-deterministic for identical flags.  The tube modules are imported only
-by the commands on a tube.
+cannot be written (a full device, or closed from the start) is a usage
+error, as is an `--out` file that cannot be written.  A stderr that is
+closed or cannot be written loses the diagnostic line, not the exit
+code.  Output is deterministic for identical flags.  The tube modules
+are imported only by the commands on a tube.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -90,6 +92,8 @@ def _emit(args, text: str) -> None:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         try:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             print(text)
         except BrokenPipeError:
             raise
@@ -99,6 +103,16 @@ def _emit(args, text: str) -> None:
 
 def _unwritable_stdout(exc: OSError) -> str:
     return f"cannot write stdout: {exc.strerror}"
+
+
+def _report(line: str) -> None:
+    """Print a diagnostic line to stderr.  A stderr that is closed or cannot
+    be written loses the line, never the exit code."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:
+            pass
 
 
 def cmd_enumerate(args) -> int:
@@ -351,13 +365,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CertificateError as exc:
-        print(f"certificate error: {exc}", file=sys.stderr)
+        _report(f"certificate error: {exc}")
         return EXIT_CERTIFICATE
     except BoundExceededError as exc:
-        print(f"bound exceeded: {exc}", file=sys.stderr)
+        _report(f"bound exceeded: {exc}")
         return EXIT_BOUND
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return EXIT_USAGE
 
 
@@ -380,11 +394,12 @@ def entry() -> None:
     try:
         code = main()
         try:
-            sys.stdout.flush()
+            if sys.stdout is not None:
+                sys.stdout.flush()
         except BrokenPipeError:
             raise
         except OSError as exc:  # a full device, say
-            print(f"usage error: {_unwritable_stdout(exc)}", file=sys.stderr)
+            _report(f"usage error: {_unwritable_stdout(exc)}")
             code = EXIT_USAGE
             # drop what the buffer still holds rather than write it again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -394,7 +409,10 @@ def entry() -> None:
         code = EXIT_OK
     if _observed():
         sys.exit(code)
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr closed or unwritable: the lines are lost
+        pass
     os._exit(code)
 
 

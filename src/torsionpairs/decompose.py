@@ -185,8 +185,9 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
         if not support:
             break
     gone = sum(1 << k for k, v in enumerate(q.vertices) if v not in support)
-    torsion = _restrict(torsion, full.vertex_masks, gone)
-    free = _restrict(free, full.vertex_masks, gone)
+    # with no vertex left, every object meets a peeled one
+    torsion = _restrict(torsion, full.vertex_masks, gone) if support else 0
+    free = _restrict(free, full.vertex_masks, gone) if support else 0
     residual_quiver = subquiver(q, support)
     residual = TorsionPair(objects_of(full, torsion), objects_of(full, free))
     partition = PartPartition(tuple(parts), kind, complete=not support)

@@ -206,6 +206,15 @@ def _families(rank: int, cap: int) -> tuple[tuple[frozenset[TubeModule], ...], .
     return by_top, by_socle
 
 
+@lru_cache(maxsize=256)
+def _infinite_part(rank: int, cap: int, kind: str, delta: frozenset[int]) -> frozenset[TubeModule]:
+    """Modules of length at most cap in the coray (ray) families of delta
+    for a "coray+finite" ("ray+finite") descriptor; a "finite" one has no delta."""
+    by_top, by_socle = _families(rank, cap)
+    family = by_top if kind == CORAY_FINITE else by_socle
+    return frozenset().union(*(family[v - 1] for v in delta))
+
+
 def truncate(
     desc: TubeSubcatDescriptor | Callable[[TubeModule], bool],
     cap: int,
@@ -222,11 +231,7 @@ def truncate(
         raise ValueError("cap must be at least 1")
     if isinstance(desc, TubeSubcatDescriptor):
         members = {X for X in desc.finite_part if X.length <= cap}
-        if desc.kind != FINITE:
-            by_top, by_socle = _families(desc.rank, cap)
-            family = by_top if desc.kind == CORAY_FINITE else by_socle
-            for v in desc.delta:
-                members |= family[v - 1]
+        members |= _infinite_part(desc.rank, cap, desc.kind, desc.delta)
         return tuple(sorted(members, key=TubeModule.sort_key))
     if rank is None:
         raise ValueError("a raw predicate needs an explicit rank")

@@ -57,10 +57,10 @@ from .tube import (
     RAY_FINITE,
     TubeModule,
     TubeSubcatDescriptor,
+    _infinite_part,
     all_tube_modules,
     l_r_sets,
     module_index,
-    truncate,
 )
 
 TORSION = "torsion"
@@ -148,10 +148,16 @@ class TubeTorsionPair(Record):
         return NEITHER
 
     def fingerprint(self, cap: int) -> tuple[frozenset, frozenset]:
-        return (
-            frozenset(truncate(self.torsion_descriptor, cap)),
-            frozenset(truncate(self.free_descriptor, cap)),
+        """The two classes truncated at `cap`, as `truncate` reads them from
+        the descriptors, made from the residual classes and delta's families."""
+        rank = self.rank
+        torsion, free = (
+            frozenset(_interval_to_tube(rank, X) for X in side if (X.b - X.a) % rank < cap)
+            for side in (self.residual_pair.torsion, self.residual_pair.free)
         )
+        if self.kind == 1:
+            return torsion | _infinite_part(rank, cap, CORAY_FINITE, self.delta), free
+        return torsion, free | _infinite_part(rank, cap, RAY_FINITE, self.delta)
 
     def sort_key(self) -> tuple:
         return (
@@ -238,7 +244,10 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         ways and compared;
       - fingerprint: no two pairs share a membership fingerprint truncated
         at 2 rank + 2.  Kind collisions are impossible (finite versus
-        infinite torsion class), so any collision is a defect.
+        infinite torsion class), so any collision is a defect.  The
+        fingerprints are made from the residual classes, not the
+        descriptors, and keyed by hash, so no module sets are kept; a
+        shared hash is settled by making the earlier fingerprint again.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -274,19 +283,14 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         if not check_kind(residual, tp):
             raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
     cap = 2 * rank + 2
-    seen: dict[tuple[int, int], TubeTorsionPair] = {}
+    seen: dict[int, list[TubeTorsionPair]] = {}
     for datum in data:
-        # each side as a bitmask over the truncation: the same comparison,
-        # without keeping two module sets per pair
-        fp = tuple(
-            sum(1 << module_index(X.socle, X.length, rank) for X in side)
-            for side in datum.fingerprint(cap)
-        )
-        if fp in seen:
-            raise ClassificationDefectError(
-                f"kind {seen[fp].kind} and kind {datum.kind} describe the same pair"
-            )
-        seen[fp] = datum
+        fp = datum.fingerprint(cap)
+        same = seen.setdefault(hash(fp), [])
+        for earlier in same:
+            if earlier.fingerprint(cap) == fp:
+                raise ClassificationDefectError(f"kind {earlier.kind} and kind {datum.kind} describe the same pair")
+        same.append(datum)
     return value
 
 

@@ -1,3 +1,4 @@
+import errno
 import functools
 import importlib
 import json
@@ -725,6 +726,40 @@ class TestProcessEnd:
             proc = self.cli(*argv, unbuffered=unbuffered, stdout=full)
         assert proc.returncode == 2
         assert proc.stderr == "usage error: cannot write stdout: No space left on device\n"
+
+    @staticmethod
+    def cli_redirected(redirect, *argv):
+        """The command run by `sh` with one more redirection, `>&-` say."""
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "torsionpairs", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=TestClosedPipe.env(False), timeout=120,
+        )
+
+    def test_closed_stdout_is_a_usage_error(self, tmp_path):
+        # Python starts with sys.stdout None; the count cannot be written
+        proc = self.cli_redirected(">&-", "count", "--an", "2")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"usage error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+        # an --out file needs no stdout
+        target = tmp_path / "count.txt"
+        proc = self.cli_redirected(">&-", "count", "--an", "2", "--out", str(target))
+        assert (proc.returncode, proc.stderr, target.read_text()) == (0, "", "5\n")
+
+    @pytest.mark.parametrize("redirect", [
+        "2>&-",  # Python starts with sys.stderr None
+        pytest.param("2>/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ])
+    @pytest.mark.parametrize("code,argv", [
+        (0, ("count", "--an", "2")),
+        (2, ("count", "--an", "0")),
+        (3, ("verify", "{malformed}")),
+        (4, ("enumerate", "--an", "9")),
+    ])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, redirect, code, argv):
+        malformed = write_cert(tmp_path, {"schema": "torsion/1"}, "malformed.json")
+        proc = self.cli_redirected(redirect, *(malformed if arg == "{malformed}" else arg for arg in argv))
+        assert proc.returncode == code
+        assert proc.stdout == ("5\n" if code == 0 else "")
 
 
 class TestNumbersPastTheFloatRange:

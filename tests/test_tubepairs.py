@@ -273,8 +273,21 @@ class TestCachedDescriptors:
 
     def test_caching_leaves_equality_and_hash_alone(self):
         fresh, used = enumerate_tube_tps(3)[5], enumerate_tube_tps(3)[5]
-        used.fingerprint(8)
+        used.membership(U(1, 1, 3))
         assert fresh == used and hash(fresh) == hash(used)
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_fingerprint_is_the_truncation_of_the_descriptors(self, rank):
+        # cap 1 leaves out the longer residual modules, cap rank keeps them
+        # all, and cap 2 rank + 2 is the one the check uses
+        caps = (1, rank, 2 * rank + 2)
+        for d in enumerate_tube_tps(rank):
+            printed = [d.fingerprint(cap) for cap in caps]
+            # the fingerprint is made without the descriptors, which stay unbuilt
+            assert "torsion_descriptor" not in vars(d) and "free_descriptor" not in vars(d)
+            want = [(frozenset(truncate(d.torsion_descriptor, cap)), frozenset(truncate(d.free_descriptor, cap)))
+                    for cap in caps]
+            assert printed == want, d
 
 
 class TestPartitionIndexing:
@@ -510,6 +523,38 @@ class TestDefects:
         monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: ())
         with pytest.raises(ClassificationDefectError, match="same pair"):
             count_tube_tps(2, check=True)
+
+    @staticmethod
+    def count_fingerprints(monkeypatch):
+        calls = Counter()
+        real = TubeTorsionPair.fingerprint
+
+        def fingerprint(self, cap):
+            calls[cap] += 1
+            return real(self, cap)
+
+        monkeypatch.setattr(TubeTorsionPair, "fingerprint", fingerprint)
+        return calls
+
+    def test_equal_hashes_of_different_fingerprints_are_no_defect(self, monkeypatch):
+        # the scan keys by hash; one shared by every pair makes each pair
+        # meet every earlier one, whose fingerprint is recomputed and differs
+        from torsionpairs import tubepairs
+
+        calls = self.count_fingerprints(monkeypatch)
+        monkeypatch.setattr(tubepairs, "hash", lambda fp: 0, raising=False)
+        assert count_tube_tps(3, check=True) == 20
+        assert calls == {8: 20 + math.comb(20, 2)}
+
+    def test_each_leg_runs_once_per_pair(self, monkeypatch, count_calls):
+        calls = self.count_fingerprints(monkeypatch)
+        counts = count_calls(
+            "quiver.validate_partition", "decompose.is_cotilting_induced", "decompose.is_tilting_induced"
+        )
+        assert count_tube_tps(3, check=True) == 20
+        assert counts["quiver.validate_partition"] == 20
+        assert counts["decompose.is_cotilting_induced"] + counts["decompose.is_tilting_induced"] == 20
+        assert calls == {8: 20}
 
     def test_finite_finite_is_a_defect(self):
         d = enumerate_tube_tps(2)[0]
