@@ -18,6 +18,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from . import jsonio
 from .decompose import (
@@ -83,22 +85,47 @@ def _load_certificate(args) -> tuple[dict, str]:
     return obj, kind
 
 
+# pieces pulled from the generator and handed to the stream in one call
+_BATCH = 256
+
+
 def _emit(args, text: str) -> None:
+    _write(args, (text, "\n"))
+
+
+def _write(args, pieces: Iterable[str]) -> None:
+    """Write the pieces in order to `--out` or stdout, `_BATCH` at a time,
+    so output is written as it is made.  A write that fails ends the
+    command as a usage error and leaves what was written before it; on
+    stdout, what the buffer still holds is dropped, so the final flush does
+    not report the failure again."""
+    pieces = iter(pieces)
+
+    def drain(handle) -> None:
+        while batch := list(islice(pieces, _BATCH)):
+            handle.writelines(batch)
+
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                drain(handle)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise ValueError(_unwritable_stdout(OSError(errno.EBADF, os.strerror(errno.EBADF))))
     else:
         try:
-            if sys.stdout is None:  # the process started with stdout closed
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            print(text)
+            drain(sys.stdout)
         except BrokenPipeError:
             raise
         except OSError as exc:
+            _drop_stdout()
             raise ValueError(_unwritable_stdout(exc)) from exc
+
+
+def _drop_stdout() -> None:
+    """Send what stdout's buffer holds, and every later write, to devnull."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _unwritable_stdout(exc: OSError) -> str:
@@ -119,28 +146,38 @@ def cmd_enumerate(args) -> int:
     """Print every torsion pair of the path (`--an`) or the tube (`--tube`)
     as a certificate: one JSON array, or one numbered line per pair.
 
-    Each certificate is encoded as soon as its pair is built, so the run
-    keeps only the encoded text.  The path pairs come one at a time as
-    class masks from the mask walk (`decompose._mask_walk`), whose records
-    are joined from the model's fragment table without building the pairs'
-    objects.
+    The output is written as it is made: each certificate is encoded when
+    its pair is built and goes out in the next batch of `_write`, so the
+    run holds one batch of text, never the pairs or the whole output.  The
+    path pairs come one at a time as class masks from the mask walk
+    (`decompose._mask_walk`), whose records are joined from the byte-chunk
+    tables of `jsonio.PairRecords` without building the pairs' objects.
     """
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
         q = linear_an(args.an)
         records = jsonio.PairRecords(q)
         walk = _mask_walk(model_for(q), STRONG_ONE, 0)
-        texts = [records.record(torsion, free) for _, torsion, free in walk]
+        texts = (records.record(torsion, free) for _, torsion, free in walk)
     else:
         from .tubepairs import enumerate_tube_tps
 
         _check_bound(args.tube, args.max_n, "rank")
-        texts = [jsonio.dumps_canonical(jsonio.tube_certificate(d)) for d in enumerate_tube_tps(args.tube)]
+        pairs = enumerate_tube_tps(args.tube)
+        texts = (jsonio.dumps_canonical(jsonio.tube_certificate(d)) for d in pairs)
     if args.format == "json":
-        _emit(args, "[" + ",".join(texts) + "]")
+        _write(args, _json_array(texts))
     else:
-        _emit(args, "\n".join(f"{i}: {text}" for i, text in enumerate(texts)))
+        _write(args, (f"{i}: {text}\n" for i, text in enumerate(texts)))
     return EXIT_OK
+
+
+def _json_array(texts: Iterable[str]) -> Iterator[str]:
+    """The JSON array of the encoded texts and a newline, in pieces."""
+    yield "["
+    for i, text in enumerate(texts):
+        yield "," + text if i else text
+    yield "]\n"
 
 
 def _certificate_model(q, modules):
@@ -304,8 +341,18 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error through `_report`, so a stderr that is closed
+    loses the usage line rather than sending it to stdout; the subparsers
+    are made with the same class."""
+
+    def error(self, message: str):
+        _report(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsionpairs",
         description="Enumerate, verify and decompose torsion pairs on A-type "
         "path algebras and tubes.",
@@ -401,11 +448,9 @@ def entry() -> None:
         except OSError as exc:  # a full device, say
             _report(f"usage error: {_unwritable_stdout(exc)}")
             code = EXIT_USAGE
-            # drop what the buffer still holds rather than write it again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _drop_stdout()  # rather than write it again
     except BrokenPipeError:
-        # the reader is gone; send the interpreter's final flush to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()  # the reader is gone; so is the interpreter's final flush
         code = EXIT_OK
     if _observed():
         sys.exit(code)

@@ -26,7 +26,7 @@ from .quiver import (
     cyclic_an,
     linear_an,
 )
-from .torsion import NTorsionPair, TorsionPair, bit_indices
+from .torsion import NTorsionPair, TorsionPair
 
 if TYPE_CHECKING:
     from .tube import TubeModule, TubeSubcatDescriptor
@@ -142,24 +142,40 @@ class PairRecords:
 
     `fragments` holds the encoded `[a, b]` of every object in index order,
     which is the (a, b) order of `intervals_to_obj`, so a class is its
-    fragments joined in bit order.  A record puts the joined free and
-    torsion lists into the frame of the encoded certificate of the empty
-    pair: its keys are sorted, so the category comes before both lists.
+    fragments joined in bit order.  The fragments are cut into chunks of
+    eight, in index order, and each chunk gets the table of the joins of
+    all its 256 subsets, bit k of the table index picking its k-th
+    fragment (the byte tables of Knuth, TAOCP 4A, 7.1.3).  A record puts
+    the joined free and torsion lists into the frame of the encoded
+    certificate of the empty pair: its keys are sorted, so the category
+    comes before both lists.
     """
 
     def __init__(self, q: Quiver):
         self.fragments = tuple(dumps_canonical([X.a, X.b]) for X in model_for(q).objects)
+        chunks = range(0, len(self.fragments), 8)
+        self._tables = tuple(_subset_joins(self.fragments[i : i + 8]) for i in chunks)
         frame = dumps_canonical(pair_certificate(q, TorsionPair(frozenset(), frozenset())))
         head, middle, tail = frame.rsplit("[]", 2)
         self._head, self._middle, self._tail = head + "[", "]" + middle + "[", "]" + tail
 
     def join(self, mask: int) -> str:
-        """The class of the mask as comma-joined fragments."""
-        return ",".join(map(self.fragments.__getitem__, bit_indices(mask)))
+        """The class of the mask as comma-joined fragments: one table
+        lookup per nonzero byte of the mask, up to its highest set bit."""
+        chunks = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return ",".join([table[byte] for table, byte in zip(self._tables, chunks) if byte])
 
     def record(self, torsion: int, free: int) -> str:
         """`dumps_canonical(pair_certificate(q, pair))` for the pair of the masks."""
         return self._head + self.join(free) + self._middle + self.join(torsion) + self._tail
+
+
+def _subset_joins(fragments: tuple[str, ...]) -> tuple[str, ...]:
+    """The comma-joined fragments of every subset, indexed by its bitmask."""
+    table = [""]
+    for fragment in fragments:
+        table += [f"{joined},{fragment}" if joined else fragment for joined in table]
+    return tuple(table)
 
 
 def ntp_certificate(q: Quiver, ntp: NTorsionPair) -> dict:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -132,6 +133,20 @@ class TestEnumerate:
         want = "[" + ",".join(texts) + "]" if fmt == "json" else "\n".join(f"{i}: {t}" for i, t in enumerate(texts))
         argv = ("enumerate", "--an", str(n), "--max-n", str(n), "--format", fmt)
         assert run(capsys, *argv) == (0, want + "\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_is_written_as_it_is_made(self, tmp_path, fmt):
+        # the run holds a batch of records at a time, not the 4.5 MB of output
+        target = tmp_path / "pairs"
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", "--an", "9", "--max-n", "9", "--format", fmt, "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert code == 0 and size > 4_000_000
+        assert peak < size / 2, (peak, size)
 
 
 class TestVerify:
@@ -727,6 +742,33 @@ class TestProcessEnd:
         assert proc.returncode == 2
         assert proc.stderr == "usage error: cannot write stdout: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_write_failing_mid_stream_is_one_usage_error(self):
+        # a first batch that stays in stdout's buffer, then one that
+        # overflows it: the failed write drops what the buffer holds, so
+        # the final flush does not fail and report again
+        script = (
+            "import sys\n"
+            "from torsionpairs import cli\n"
+            "cli.cmd_count = lambda args: cli._write(args, ['x'] * cli._BATCH + ['y' * 100_000]) or 0\n"
+            "sys.argv = ['torsionpairs', 'count', '--an', '1']\n"
+            "cli.entry()\n"
+        )
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=TestClosedPipe.env(False), timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "usage error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_out_file_is_one_usage_error(self):
+        # the first batch fails, and so does the flush when the file closes
+        proc = self.cli("enumerate", "--an", "8", "--max-n", "8", "--out", "/dev/full")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "usage error: cannot write /dev/full: No space left on device\n"
+
     @staticmethod
     def cli_redirected(redirect, *argv):
         """The command run by `sh` with one more redirection, `>&-` say."""
@@ -760,6 +802,15 @@ class TestProcessEnd:
         proc = self.cli_redirected(redirect, *(malformed if arg == "{malformed}" else arg for arg in argv))
         assert proc.returncode == code
         assert proc.stdout == ("5\n" if code == 0 else "")
+
+    def test_parse_error_goes_to_stderr_or_nowhere(self):
+        # argparse would print its usage line on stdout once stderr is None
+        proc = self.cli("count", "--bogus")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: torsionpairs count [-h] (--an N | --tube N)")
+        assert proc.stderr.endswith("\ntorsionpairs count: error: one of the arguments --an --tube is required\n")
+        proc = self.cli_redirected("2>&-", "count", "--bogus")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
 
 
 class TestNumbersPastTheFloatRange:

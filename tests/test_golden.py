@@ -53,6 +53,8 @@ def _cases():
         for fmt in ("json", "text"):
             cases.append(("enumerate", "--an", str(n), "--format", fmt))
     cases.append(("enumerate", "--an", "7", "--max-n", "7", "--format", "json"))
+    for fmt in ("json", "text"):
+        cases.append(("enumerate", "--an", "9", "--max-n", "9", "--format", fmt))
     for r in range(1, 5):
         cases.append(("enumerate", "--tube", str(r)))
     cases.append(("enumerate", "--tube", "5", "--format", "json"))
@@ -94,6 +96,8 @@ GOLDEN = {
     'enumerate --an 6 --format json': (0, '29fd2ddee7638793451670a135c2ca5879540a387f1ec92f1d2144d5b19e87a5'),
     'enumerate --an 6 --format text': (0, 'd19cb04d99a6deb2f67da287a70a7d20352d26ef7d61942cf35f75a24dfd27a3'),
     'enumerate --an 7 --max-n 7 --format json': (0, '839fab590fe34f0e412f6b2ab756c68c40d1d9def2bffa785f2396815474f3ca'),
+    'enumerate --an 9 --max-n 9 --format json': (0, 'bed50efc8c2a0fb67c749444789b8e7b9d7fb1a2f05c9c0be09eab765c05c39c'),
+    'enumerate --an 9 --max-n 9 --format text': (0, 'ce7a2760bba134e986efdccac62b1412e67a032806d96fda5418dc2c9aa97733'),
     'enumerate --tube 1': (0, 'd7a71058da461128c6e3e225e6d3f8024dce94406614df893c3a27c71e8927c4'),
     'enumerate --tube 2': (0, '3f2b6981dba33242cacd9823665e5caa8b7cd0e22411380aa696e370355f3af9'),
     'enumerate --tube 3': (0, '59d64883e1ea7093a5458bd333b58cd4f586f6909afa52fd7fed44bbb622e87a'),

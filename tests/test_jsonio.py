@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionpairs import jsonio
-from torsionpairs.decompose import decompose_left, enumerate_torsion_pairs
+from torsionpairs.decompose import _mask_walk, decompose_left, enumerate_torsion_pairs
 from torsionpairs.intervals import Interval, model_for
 from torsionpairs.jsonio import CertificateError
 from torsionpairs.quiver import STRONG_ONE, PartPartition, cyclic_an, linear_an, subquiver
-from torsionpairs.torsion import NTorsionPair, TorsionPair
+from torsionpairs.torsion import NTorsionPair, TorsionPair, bit_indices
 from torsionpairs.tube import TubeModule, coray
 from torsionpairs.tubepairs import enumerate_tube_tps
 
@@ -24,6 +26,32 @@ class TestPairRecords:
         assert records.fragments == ("[1,1]", "[1,2]", "[2,2]", "[4,4]")
         tp = TorsionPair({Interval(2, 2), Interval(4, 4)}, {Interval(1, 1)})
         assert records.record(0b1100, 0b0001) == jsonio.dumps_canonical(jsonio.pair_certificate(q, tp))
+
+    @staticmethod
+    def bit_join(records, mask):
+        return ",".join(records.fragments[i] for i in bit_indices(mask))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chunk_join_is_the_bit_join_on_the_walked_classes(self, n):
+        q = linear_an(n)
+        records = jsonio.PairRecords(q)
+        for _, torsion, free in _mask_walk(model_for(q), STRONG_ONE, 0):
+            for mask in (torsion, free):
+                assert records.join(mask) == self.bit_join(records, mask)
+
+    # 8 and 16 objects: the top bit ends the last chunk exactly
+    CHUNK_QUIVERS = [subquiver(linear_an(7), {1, 2, 3, 5, 7}), subquiver(linear_an(7), {1, 2, 3, 4, 5, 7})]
+
+    @pytest.mark.parametrize("q", CHUNK_QUIVERS, ids=["N8", "N16"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_chunk_join_is_the_bit_join_up_to_the_top_bit(self, q, data):
+        records = jsonio.PairRecords(q)
+        size = len(records.fragments)
+        assert size % 8 == 0
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << (size - 1)) - 1)) | 1 << (size - 1)
+        assert records.join(mask) == self.bit_join(records, mask)
+        assert records.join(mask).endswith(records.fragments[-1])
 
 
 class TestQuiverRoundTrip:
