@@ -764,7 +764,7 @@ class TestProcessEnd:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_out_file_is_one_usage_error(self):
-        # the first batch fails, and so does the flush when the file closes
+        # one line, though the flush at close fails after the write did
         proc = self.cli("enumerate", "--an", "8", "--max-n", "8", "--out", "/dev/full")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "usage error: cannot write /dev/full: No space left on device\n"

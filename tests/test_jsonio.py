@@ -49,7 +49,7 @@ class TestPairRecords:
         records = jsonio.PairRecords(q)
         size = len(records.fragments)
         assert size % 8 == 0
-        mask = data.draw(st.integers(min_value=0, max_value=(1 << (size - 1)) - 1)) | 1 << (size - 1)
+        mask = data.draw(st.integers(min_value=1 << (size - 1), max_value=(1 << size) - 1))
         assert records.join(mask) == self.bit_join(records, mask)
         assert records.join(mask).endswith(records.fragments[-1])
 
