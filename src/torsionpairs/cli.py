@@ -254,38 +254,36 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _dot_ar_linear(n: int) -> str:
-    q = linear_an(n)
-    model = model_for(q)
-    lines = ["digraph ar {"]
-    for X in model.objects:
-        lines.append(f'  "[{X.a},{X.b}]";')
-    for X in model.objects:
+def _dot_ar_linear(q) -> Iterator[str]:
+    objects = model_for(q).objects
+    yield "digraph ar {\n"
+    for X in objects:
+        yield f'  "[{X.a},{X.b}]";\n'
+    for X in objects:
         if X.b > X.a:  # drop the socle
-            lines.append(f'  "[{X.a},{X.b}]" -> "[{X.a},{X.b - 1}]";')
+            yield f'  "[{X.a},{X.b}]" -> "[{X.a},{X.b - 1}]";\n'
         if X.a > 1:  # extend at the top
-            lines.append(f'  "[{X.a},{X.b}]" -> "[{X.a - 1},{X.b}]";')
-    lines.append("}")
-    return "\n".join(lines)
+            yield f'  "[{X.a},{X.b}]" -> "[{X.a - 1},{X.b}]";\n'
+    yield "}\n"
 
 
-def _dot_ar_tube(rank: int, cap: int) -> str:
+def _dot_ar_tube(rank: int, cap: int) -> Iterator[str]:
     from .tube import all_tube_modules, tau_inv_tube
 
-    lines = ["digraph ar {"]
-    for X in all_tube_modules(rank, cap):
-        lines.append(f'  "U({X.socle},{X.length})";')
-    for X in all_tube_modules(rank, cap):
+    modules = all_tube_modules(rank, cap)
+    yield "digraph ar {\n"
+    for X in modules:
+        yield f'  "U({X.socle},{X.length})";\n'
+    for X in modules:
         if X.length > 1:
             down = tau_inv_tube(X)
-            lines.append(f'  "U({X.socle},{X.length})" -> "U({down.socle},{X.length - 1})";')
+            yield f'  "U({X.socle},{X.length})" -> "U({down.socle},{X.length - 1})";\n'
         if X.length < cap:
-            lines.append(f'  "U({X.socle},{X.length})" -> "U({X.socle},{X.length + 1})";')
-    lines.append("}")
-    return "\n".join(lines)
+            yield f'  "U({X.socle},{X.length})" -> "U({X.socle},{X.length + 1})";\n'
+    yield "}\n"
 
 
-def _dot_lattice(n: int) -> str:
+def _dot_lattice(q) -> Iterator[str]:
     """Hasse diagram of the torsion classes of the path, ordered by size
     and then by their sorted intervals, with its edges in that order.
 
@@ -294,8 +292,11 @@ def _dot_lattice(n: int) -> str:
     lower cover of T is one of these, labelled by its brick
     (Demonet-Iyama-Reading-Reiten-Thomas).  Every interval is a brick, so
     the lower covers of T are the maximal classes T & perp(B), B in T.
+
+    The classes, their covers and their labels are made before the first
+    line and the lines one at a time, so the run holds the labels but
+    never the whole text.
     """
-    q = linear_an(n)
     model = model_for(q)
     records = jsonio.PairRecords(q)
     # the model lists its objects in (a, b) order, so bit order is interval order
@@ -306,27 +307,33 @@ def _dot_lattice(n: int) -> str:
     position = {T: k for k, T in enumerate(classes)}
     rows = model.hom_rows
     perp = [~sum(1 << i for i, row in enumerate(rows) if row >> b & 1) for b in range(len(rows))]
-    edges = []
+    # the upper covers of each class, each list in increasing order
+    uppers: list[list[int]] = [[] for _ in classes]
     for k, T in enumerate(classes):
         # a candidate inside another lies inside a maximal one, found earlier
         maxima: list[int] = []
         for low in sorted({T & perp[b] for b in bit_indices(T)}, key=int.bit_count, reverse=True):
             if all(low & high != low for high in maxima):
                 maxima.append(low)
-        edges.extend((position[low], k) for low in maxima)
-    edges.sort()
+        for low in maxima:
+            uppers[position[low]].append(k)
     labels = ['"{' + records.join(T) + '}"' for T in classes]
-    lines = ["digraph lattice {"]
-    lines.extend(f"  {label};" for label in labels)
-    lines.extend(f"  {labels[low]} -> {labels[high]};" for low, high in edges)
-    lines.append("}")
-    return "\n".join(lines)
+    yield "digraph lattice {\n"
+    for label in labels:
+        yield f"  {label};\n"
+    for low, highs in enumerate(uppers):
+        for high in highs:
+            yield f"  {labels[low]} -> {labels[high]};\n"
+    yield "}\n"
 
 
 def cmd_export(args) -> int:
+    """Write the DOT text line by line as it is made.  Every check that can
+    fail runs first, so a failing command leaves no `--out` file."""
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
-        text = _dot_ar_linear(args.an) if args.dot == "ar" else _dot_lattice(args.an)
+        q = linear_an(args.an)
+        lines = _dot_ar_linear(q) if args.dot == "ar" else _dot_lattice(q)
     else:
         _check_bound(args.tube, args.max_n, "rank")
         if args.tube < 1:
@@ -336,8 +343,8 @@ def cmd_export(args) -> int:
         if args.cap < 1:
             raise ValueError("cap must be at least 1")
         _check_bound(args.cap, args.max_cap, "cap")
-        text = _dot_ar_tube(args.tube, args.cap)
-    _emit(args, text)
+        lines = _dot_ar_tube(args.tube, args.cap)
+    _write(args, lines)
     return EXIT_OK
 
 
@@ -368,14 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all torsion pairs")
     add_target(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("decompose", help="peel a torsion pair certificate")
     p.add_argument("certificate")
     p.add_argument("--side", choices=("left", "right", "both"), default="left")
     p.add_argument("--max-n", type=int, default=DEFAULT_CERTIFICATE_MAX_N, help="vertex bound")
-    p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="check a certificate")
@@ -383,13 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=6, help="tube truncation cap")
     p.add_argument("--max-cap", type=int, default=DEFAULT_CAP, help="cap bound")
     p.add_argument("--max-n", type=int, default=DEFAULT_CERTIFICATE_MAX_N, help="vertex bound")
-    p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="count torsion pairs")
     add_target(p)
     p.add_argument("--check", action="store_true", help="cross-verify the count")
-    p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("export", help="DOT export of the AR quiver or the lattice")
@@ -397,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", choices=("ar", "lattice"), required=True)
     p.add_argument("--cap", type=int, default=4, help="tube truncation cap")
     p.add_argument("--max-cap", type=int, default=DEFAULT_CAP, help="cap bound")
-    p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_export)
 
+    for p in sub.choices.values():  # after each command's own options, as `--help` lists them
+        p.add_argument("--out", help="write to a file instead of stdout")
     return parser
 
 

@@ -78,16 +78,6 @@ class TraceStage(Record):
         _set(self, "vertices", vertices)
         _set(self, "generators", generators)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.side, self.vertices, self.generators) == (
-            other.index, other.side, other.vertices, other.generators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.side, self.vertices, self.generators))
-
 
 class DecompositionResult(Record):
     _fields = ("partition", "residual", "residual_quiver", "trace")
@@ -100,16 +90,6 @@ class DecompositionResult(Record):
         _set(self, "residual", residual)
         _set(self, "residual_quiver", residual_quiver)
         _set(self, "trace", trace)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.partition, self.residual, self.residual_quiver, self.trace) == (
-            other.partition, other.residual, other.residual_quiver, other.trace
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.partition, self.residual, self.residual_quiver, self.trace))
 
 
 def _stage_generators(

@@ -20,13 +20,14 @@ Euler form, and the rows against hom.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterable
 
 from .quiver import Quiver, Record, _set
 from .torsion import ChainModel, extension_closure as _closure, objects_of
 
 
+@total_ordering
 class Interval(Record):
     """Indecomposable module supported on the directed path from a to b.
 
@@ -41,6 +42,7 @@ class Interval(Record):
         _set(self, "a", a)
         _set(self, "b", b)
 
+    # written out, as the path routes hash and compare intervals by the thousand
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -53,21 +55,6 @@ class Interval(Record):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.a, self.b) < (other.a, other.b)
-
-    def __le__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) <= (other.a, other.b)
-
-    def __gt__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) > (other.a, other.b)
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) >= (other.a, other.b)
 
     def __repr__(self) -> str:
         return f"[{self.a},{self.b}]"

@@ -49,14 +49,27 @@ _set = object.__setattr__
 class Record:
     """Immutable value with named fields.
 
-    A subclass names its fields in `_fields`, sets them with `_set` in
-    `__init__`, and defines `__eq__` (equal field tuples in the same
-    class, else NotImplemented) and `__hash__` (the hash of the field
-    tuple).  Assignment and deletion raise AttributeError;
-    `cached_property` writes `__dict__` directly and still works.
+    A subclass names its fields in `_fields` and sets them with `_set` in
+    `__init__`.  Two records are equal when they are of the same class
+    with equal field tuples (any other operand gives NotImplemented), and
+    a record hashes as its field tuple; a subclass on a hot path may write
+    the two out for its own fields.  Assignment and deletion raise
+    AttributeError; `cached_property` writes `__dict__` directly and still
+    works.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -264,14 +277,6 @@ class PartPartition(Record):
         _set(self, "parts", tuple(frozenset(p) for p in parts))
         _set(self, "kind", kind)
         _set(self, "complete", complete)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parts, self.kind, self.complete) == (other.parts, other.kind, other.complete)
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.kind, self.complete))
 
     @property
     def support(self) -> frozenset[int]:

@@ -59,14 +59,6 @@ class CheckResult(Record):
         _set(self, "witness", witness)
         _set(self, "reason", reason)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.witness, self.reason) == (other.ok, other.witness, other.reason)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.witness, self.reason))
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -77,14 +69,6 @@ class TorsionPair(Record):
     def __init__(self, torsion: Iterable, free: Iterable) -> None:
         _set(self, "torsion", frozenset(torsion))
         _set(self, "free", frozenset(free))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.torsion, self.free) == (other.torsion, other.free)
-
-    def __hash__(self) -> int:
-        return hash((self.torsion, self.free))
 
 
 class NTorsionPair(Record):
@@ -97,14 +81,6 @@ class NTorsionPair(Record):
         if not parts:
             raise ValueError("an n-torsion pair needs at least one part")
         _set(self, "parts", parts)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
 
 class TorsionPairSeries(Record):
@@ -121,14 +97,6 @@ class TorsionPairSeries(Record):
                 raise ValueError("torsion classes in a series must be nested")
         _set(self, "pairs", pairs)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
-
 
 class Filtration(Record):
     """Chain 0 = X_0 <= ... <= X_{n+1} = X with factor i attributed to part i.
@@ -143,14 +111,6 @@ class Filtration(Record):
     def __init__(self, chain: tuple, factors: tuple) -> None:
         _set(self, "chain", chain)
         _set(self, "factors", factors)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.chain, self.factors) == (other.chain, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.chain, self.factors))
 
     def nonzero_factors(self) -> tuple:
         return tuple((i + 1, f) for i, f in enumerate(self.factors) if f is not None)

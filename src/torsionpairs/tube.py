@@ -49,6 +49,7 @@ class TubeModule(Record):
         _set(self, "length", length)
         _set(self, "rank", rank)
 
+    # written out, as the tube routes hash modules by the thousand
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -131,16 +132,6 @@ class TubeSubcatDescriptor(Record):
         _set(self, "rank", rank)
         _set(self, "delta", delta)
         _set(self, "finite_part", finite_part)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.rank, self.delta, self.finite_part) == (
-            other.kind, other.rank, other.delta, other.finite_part
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.rank, self.delta, self.finite_part))
 
     def contains(self, X: TubeModule) -> bool:
         if X.rank != self.rank:

@@ -105,20 +105,6 @@ class TubeTorsionPair(Record):
         _set(self, "residual_pair", residual_pair)
         _set(self, "residual_partition", residual_partition)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.rank, self.kind, self.delta, self.residual_quiver, self.residual_pair, self.residual_partition
-        ) == (
-            other.rank, other.kind, other.delta, other.residual_quiver, other.residual_pair, other.residual_partition
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.rank, self.kind, self.delta, self.residual_quiver, self.residual_pair, self.residual_partition)
-        )
-
     def _finite_side(self, intervals: frozenset[Interval]) -> frozenset[TubeModule]:
         return frozenset(_interval_to_tube(self.rank, X) for X in intervals)
 
@@ -346,14 +332,6 @@ class CombinedTorsionPair(Record):
 
     def __init__(self, components: tuple) -> None:
         _set(self, "components", components)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((self.components,))
 
     def membership(self, index: int, X) -> str:
         part = self.components[index]

@@ -494,6 +494,27 @@ class TestExport:
         assert code == 0
         assert out_file.read_text().startswith("digraph")
 
+    def test_lattice_is_written_as_it_is_made(self, tmp_path):
+        # the run holds the classes and their labels, not the 3.7 MB of output
+        target = tmp_path / "lattice.dot"
+        tracemalloc.start()
+        try:
+            code = main(["export", "--an", "8", "--max-n", "8", "--dot", "lattice", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert code == 0 and size > 3_500_000
+        assert peak < size, (peak, size)
+
+    @pytest.mark.parametrize("dot", ["ar", "lattice"])
+    def test_failing_export_leaves_no_out_file(self, tmp_path, capsys, dot):
+        # the quiver is built before the file is opened
+        target = tmp_path / "g.dot"
+        assert main(["export", "--an", "0", "--dot", dot, "--out", str(target)]) == 2
+        assert not target.exists()
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestCertificateSizeBound:
     """`verify` and `decompose` check the certificate's vertex count on the
