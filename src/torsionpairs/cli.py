@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import islice
 
 from . import jsonio
 from .decompose import (
@@ -78,6 +77,8 @@ def _load_certificate(args) -> tuple[dict, str]:
         raise CertificateError(f"cannot read {args.certificate}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
         raise CertificateError(f"{args.certificate} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise CertificateError(f"{args.certificate} is nested too deeply") from exc
     kind = jsonio.certificate_kind(obj)
     vertices = _certificate_vertices(obj)
     if vertices is not None:
@@ -85,37 +86,27 @@ def _load_certificate(args) -> tuple[dict, str]:
     return obj, kind
 
 
-# pieces pulled from the generator and handed to the stream in one call
-_BATCH = 256
-
-
 def _emit(args, text: str) -> None:
     _write(args, (text, "\n"))
 
 
 def _write(args, pieces: Iterable[str]) -> None:
-    """Write the pieces in order to `--out` or stdout, `_BATCH` at a time,
-    so output is written as it is made.  A write that fails ends the
-    command as a usage error and leaves what was written before it; on
-    stdout, what the buffer still holds is dropped, so the final flush does
-    not report the failure again."""
-    pieces = iter(pieces)
-
-    def drain(handle) -> None:
-        while batch := list(islice(pieces, _BATCH)):
-            handle.writelines(batch)
-
+    """Write the pieces in order to `--out` or stdout.  `writelines` pulls
+    them one at a time, so output is written as it is made.  A write that
+    fails ends the command as a usage error and leaves what was written
+    before it; on stdout, what the buffer still holds is dropped, so the
+    final flush does not report the failure again."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                drain(handle)
+                handle.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     elif sys.stdout is None:  # the process started with stdout closed
         raise ValueError(_unwritable_stdout(OSError(errno.EBADF, os.strerror(errno.EBADF))))
     else:
         try:
-            drain(sys.stdout)
+            sys.stdout.writelines(pieces)
         except BrokenPipeError:
             raise
         except OSError as exc:
@@ -147,8 +138,8 @@ def cmd_enumerate(args) -> int:
     as a certificate: one JSON array, or one numbered line per pair.
 
     The output is written as it is made: each certificate is encoded when
-    its pair is built and goes out in the next batch of `_write`, so the
-    run holds one batch of text, never the pairs or the whole output.  The
+    its pair is built and `_write` hands it on at once, so the run holds
+    one certificate's text, never the pairs or the whole output.  The
     path pairs come one at a time as class masks from the mask walk
     (`decompose._mask_walk`), whose records are joined from the byte-chunk
     tables of `jsonio.PairRecords` without building the pairs' objects.

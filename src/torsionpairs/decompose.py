@@ -5,10 +5,11 @@ Peeling a torsion pair alternates two moves: collect the vertices of the
 indecomposable projectives of the current support quiver lying in the
 torsion class, then the vertices of the current injectives lying in the
 free class, restricting the support after each move.  On A-type quivers
-the residual pair is always empty, the recorded vertex sets form a
-complete strong part partition, and the peeling is a bijection onto those
-partitions; this yields the Catalan count of torsion pairs, canonical
-generator sets, and the tilting/cotilting criteria.
+every vertex is taken (the residual pair is always empty), the recorded
+vertex sets form a complete strong part partition, and the peeling is a
+bijection onto those partitions; this yields the Catalan count of
+torsion pairs, canonical generator sets, and the tilting/cotilting
+criteria.
 
 Peeling and assembly share one stage walk: a stage is a vertex set of the
 home quiver, whose projectives or injectives `_stage_generators` reads
@@ -52,7 +53,6 @@ from .quiver import (
 from .torsion import (
     NTorsionPair,
     TorsionPair,
-    bit_indices,
     ext_injectives_in,
     ext_projectives_in,
     filtration,
@@ -113,22 +113,16 @@ def _stage_generators(
     return out
 
 
-def _restrict(mask: int, vertex_masks: tuple[int, ...], gone: int) -> int:
-    """Drop the objects whose support meets the vertices in `gone`."""
-    for i in bit_indices(mask):
-        if vertex_masks[i] & gone:
-            mask ^= 1 << i
-    return mask
-
-
 def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionResult:
-    """Peel a torsion pair into a part partition plus a residual pair.
+    """Peel a torsion pair into a complete part partition.
 
     side="left" starts on the projective side and produces a 1-type
     partition; side="right" starts on the injective side and produces the
     2-type mirror.  Stage zero may be empty (the only stage on a quiver with
-    no vertices); the first later empty stage stops the peeling.  Only the
-    input is checked, once per call: a pair that is not a torsion pair
+    no vertices); the first later empty stage stops the peeling.  By then
+    every vertex is taken, so the result's residual pair and quiver are
+    empty; a vertex left over raises RuntimeError as a model defect.  Only
+    the input is checked, once per call: a pair that is not a torsion pair
     raises ValueError.  The tests check that the partition is valid.
     """
     if side not in ("left", "right"):
@@ -164,14 +158,10 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
         stage += 1
         if not support:
             break
-    gone = sum(1 << k for k, v in enumerate(q.vertices) if v not in support)
-    # with no vertex left, every object meets a peeled one
-    torsion = _restrict(torsion, full.vertex_masks, gone) if support else 0
-    free = _restrict(free, full.vertex_masks, gone) if support else 0
-    residual_quiver = subquiver(q, support)
-    residual = TorsionPair(objects_of(full, torsion), objects_of(full, free))
-    partition = PartPartition(tuple(parts), kind, complete=not support)
-    return DecompositionResult(partition, residual, residual_quiver, tuple(trace))
+    if support:
+        raise RuntimeError(f"peeling left vertices {sorted(support)}; model defect")
+    partition = PartPartition(tuple(parts), kind, complete=True)
+    return DecompositionResult(partition, TorsionPair((), ()), subquiver(q, ()), tuple(trace))
 
 
 def decompose_left(q: Quiver, tp: TorsionPair) -> DecompositionResult:

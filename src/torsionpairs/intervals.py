@@ -89,10 +89,9 @@ class LinearModel(ChainModel):
         self._projectives = tuple(sorted(row[-1] for g in grid for row in g))  # [v, sink]
         self._injectives = tuple(sorted(X for g in grid for X in g[0]))  # [source, v]
         n_obj = len(flat)
-        subs, quots, vmasks, homs = [()] * n_obj, [()] * n_obj, [0] * n_obj, [0] * n_obj
+        subs, quots, homs = [()] * n_obj, [()] * n_obj, [0] * n_obj
         before, same_socle = [None] * n_obj, [0] * n_obj
         end_quots, end_subs = {}, {}
-        vertex_bit = {v: 1 << k for k, v in enumerate(q.vertices)}
         grid_at = iter(at)
         for comp, g in zip(q.components, grid):
             rows = [[next(grid_at) for _ in row] for row in g]
@@ -105,7 +104,6 @@ class LinearModel(ChainModel):
                     homs[i] = hom
                     quots[i] = tuple(row[: k + 1])
                     subs[i] = tuple(rows[p + k - m][m] for m in range(k + 1))
-                    vmasks[i] = sum(vertex_bit[v] for v in comp[p : p + k + 1])
                     # [0, p-1] and [0, p+k] by offsets
                     if p > 0:
                         before[i] = rows[0][p - 1]
@@ -119,7 +117,6 @@ class LinearModel(ChainModel):
             tuple(homs),
             tuple(subs),
             tuple(quots),
-            tuple(vmasks),
             (tuple(before), tuple(same_socle)),
         )
 

@@ -7,8 +7,6 @@ indecomposables with, per object in that order,
     submodules and quotients, shortest first, so entry h - 1 has
     length h), and `sub_masks` and `quot_masks` (the same sets as
     bitmasks);
-  - `vertex_masks` (bit k set iff the k-th vertex of the quiver lies in
-    the support of X);
   - `glue_chains` (two such tuples: the indices of the longest objects
     ending right before the top of X, None where there is no such
     vertex, and ending at its socle);
@@ -121,10 +119,10 @@ class Filtration(Record):
 
 class ChainModel:
     """The model protocol of this module: a subclass computes the tables
-    `hom_rows`, `sub_chains`, `quot_chains`, `vertex_masks` and
-    `glue_chains`, and the base derives the rest from them."""
+    `hom_rows`, `sub_chains`, `quot_chains` and `glue_chains`, and the
+    base derives the rest from them."""
 
-    def __init__(self, objects, hom_rows, sub_chains, quot_chains, vertex_masks, glue_chains):
+    def __init__(self, objects, hom_rows, sub_chains, quot_chains, glue_chains):
         self.objects: tuple = objects
         self.index: dict = {X: i for i, X in enumerate(objects)}
         self.hom_rows: tuple[int, ...] = hom_rows
@@ -132,7 +130,6 @@ class ChainModel:
         self.quot_chains: tuple[tuple[int, ...], ...] = quot_chains
         self.sub_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in sub_chains)
         self.quot_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in quot_chains)
-        self.vertex_masks: tuple[int, ...] = vertex_masks
         self.glue_chains: tuple[tuple, tuple] = glue_chains
 
     @cached_property

@@ -236,7 +236,7 @@ class TubeModel(ChainModel):
     can run on it; gluings that would leave the truncation are reported
     as absent.  U(s, l) sits at `module_index(s, l, rank)` of `objects`,
     and the per-object tables are built from that arithmetic, `hom_rows`
-    from `hom_dim_tube`; vertex v is bit v - 1 of a vertex mask.
+    from `hom_dim_tube`.
     """
 
     def __init__(self, rank: int, cap: int):
@@ -259,16 +259,12 @@ class TubeModel(ChainModel):
         quot_chains = tuple(
             tuple(at(X.socle - X.length + h, h) for h in range(1, X.length + 1)) for X in objs
         )
-        vertex_masks = tuple(
-            sum(1 << norm_vertex(X.socle - k, rank) - 1 for k in range(min(X.length, rank)))
-            for X in objs
-        )
         # the longest modules with socle before the top, and with the same socle
         glue_chains = (
             tuple(at(X.socle - X.length, cap) for X in objs),
             tuple(at(X.socle, cap) for X in objs),
         )
-        super().__init__(objs, hom_rows, sub_chains, quot_chains, vertex_masks, glue_chains)
+        super().__init__(objs, hom_rows, sub_chains, quot_chains, glue_chains)
 
     def hom(self, X: TubeModule, Y: TubeModule) -> int:
         return hom_dim_tube(X, Y)

@@ -16,9 +16,11 @@ classification is built from this bijection, one pair per partition
 (Baur-Buan-Marsh, "Torsion pairs and rigid objects in tubes", 2014), so
 there are binom(2n, n) pairs.
 
-The mask walk yields only valid partitions, so each pair is built from
-its tail's stage masks unchecked; partitions from outside are validated
-by `partition_to_tube_tp`, and walked ones by `count_tube_tps(check=True)`.
+The mask walk yields only valid partitions, so `enumerate_tube_tps`
+builds each pair from its tail's stage masks unchecked; the walked
+partitions are validated by `count_tube_tps(check=True)`.  Partitions
+from outside (certificates) go through `partition_to_tube_tp`, which
+validates them and builds the residual pair with the checked `assemble`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .decompose import (
     _mask_walk,
-    _stage_masks,
+    assemble,
     catalan,
     decompose,
     is_cotilting_induced,
@@ -167,21 +169,6 @@ def check_l_r(data: TubeTorsionPair) -> tuple[frozenset[int], frozenset[int]]:
     return l_t, r_f
 
 
-def _tube_pair(cycle: Quiver, S: PartPartition, kind: int) -> TubeTorsionPair:
-    """Pair of kind `kind` of a valid partition S of `cycle`, nothing checked.
-
-    The tail, read with an empty leading stage, is a partition of the
-    residual segments; its stage masks make the residual classes, which
-    need no closure.  `enumerate_tube_tps` builds the same pairs from the
-    mask walk."""
-    residual = subquiver(cycle, cycle.vertex_set - S.parts[0])
-    model = model_for(residual)
-    tail = PartPartition((frozenset(),) + S.parts[1:], S.kind, complete=True)
-    torsion, free = _stage_masks(model, tail)
-    tp = TorsionPair(objects_of(model, torsion), objects_of(model, free))
-    return TubeTorsionPair(len(cycle.vertices), kind, S.parts[0], residual, tp, S.parts[1:])
-
-
 def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     """All torsion pairs on the tube of the given rank, in `sort_key` order.
 
@@ -289,8 +276,8 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     stage, is a partition of the residual segments whose pair is
     cotilting-induced.  Kind 2 is the mirror.  The cycle has `rank`
     vertices, by default as many as the partition covers; the partition
-    must cover exactly 1..rank and is validated once, on the cycle, before
-    `enumerate_tube_tps`'s builder makes the pair.
+    must cover exactly 1..rank and is validated on the cycle; `assemble`
+    then builds the residual pair from the tail, checking it again.
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
@@ -309,7 +296,9 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     cycle = cyclic_an(rank)
     if not validate_partition(cycle, S):
         raise ValueError(f"invalid partition {S}")
-    return _tube_pair(cycle, S, kind)
+    residual = subquiver(cycle, cycle.vertex_set - S.parts[0])
+    tail = PartPartition((frozenset(),) + S.parts[1:], S.kind, complete=True)
+    return TubeTorsionPair(rank, kind, S.parts[0], residual, assemble(residual, tail), S.parts[1:])
 
 
 def tube_tp_to_partition(data: TubeTorsionPair) -> PartPartition:

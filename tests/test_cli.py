@@ -136,7 +136,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_output_is_written_as_it_is_made(self, tmp_path, fmt):
-        # the run holds a batch of records at a time, not the 4.5 MB of output
+        # the run holds a record at a time, not the 4.5 MB of output
         target = tmp_path / "pairs"
         tracemalloc.start()
         try:
@@ -661,6 +661,15 @@ class TestCertificateBoundary:
         assert (code, out) == (3, "")
         assert err.startswith("certificate error:") and "[3,1]" in err
 
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_deeply_nested_json_is_exit_3(self, tmp_path, command):
+        # the JSON decoder recurses once per level, past any stack limit here
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = self.cli(command, str(path))
+        assert (code, out) == (3, "")
+        assert err == f"certificate error: {path} is nested too deeply\n"
+
 
 class TestClosedPipe:
     """A reader that stops early (`| head -c 10`) ends the command quietly:
@@ -765,13 +774,13 @@ class TestProcessEnd:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_write_failing_mid_stream_is_one_usage_error(self):
-        # a first batch that stays in stdout's buffer, then one that
-        # overflows it: the failed write drops what the buffer holds, so
-        # the final flush does not fail and report again
+        # pieces that stay in stdout's buffer, then one that overflows
+        # it: the failed write drops what the buffer holds, so the final
+        # flush does not fail and report again
         script = (
             "import sys\n"
             "from torsionpairs import cli\n"
-            "cli.cmd_count = lambda args: cli._write(args, ['x'] * cli._BATCH + ['y' * 100_000]) or 0\n"
+            "cli.cmd_count = lambda args: cli._write(args, ['x'] * 256 + ['y' * 100_000]) or 0\n"
             "sys.argv = ['torsionpairs', 'count', '--an', '1']\n"
             "cli.entry()\n"
         )

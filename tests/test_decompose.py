@@ -174,6 +174,22 @@ class TestResiduals:
         for tp in enumerate_torsion_pairs(q):
             assert residuals_agree(q, tp)
 
+    def test_leftover_vertices_are_a_model_defect(self, monkeypatch):
+        # a later stage that misses a vertex ends the peeling with that
+        # vertex left; the peeling reports it instead of a residual pair
+        module = importlib.import_module("torsionpairs.decompose")
+
+        def drop_last_injective(model, support, vertices, projective):
+            out = _stage_generators(model, support, vertices, projective)
+            if not projective:
+                out.pop(max(out), None)
+            return out
+
+        monkeypatch.setattr(module, "_stage_generators", drop_last_injective)
+        everything_free = TorsionPair(frozenset(), model_for(A3).object_set)
+        with pytest.raises(RuntimeError, match=r"^peeling left vertices \[3\]; model defect$"):
+            decompose(A3, everything_free, "left")
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_e_is_empty(self, n):
         # every torsion pair keeps a projective in the torsion class or an

@@ -311,7 +311,6 @@ def test_index_chains_and_masks_match_the_objects(make):
     assert isinstance(model, ChainModel)
     objs = model.objects
     intervals_model = hasattr(model, "quiver")
-    vertices = model.quiver.vertices if intervals_model else range(1, model.rank + 1)
     for i, X in enumerate(objs):
         n = model.length(X)
         # the chain length against the interval's support or the module's length
@@ -320,9 +319,6 @@ def test_index_chains_and_masks_match_the_objects(make):
         assert [objs[j] for j in model.quot_chains[i]] == [model.slice(X, n - h, n) for h in range(1, n + 1)]
         assert bits(model.sub_masks[i]) == set(model.sub_chains[i])
         assert bits(model.quot_masks[i]) == set(model.quot_chains[i])
-        support = {model.slice(X, h, h + 1) for h in range(n)}  # the composition factors
-        simple_tops = {glue_ends(model, S)[0] for S in support}
-        assert bits(model.vertex_masks[i]) == {k for k, v in enumerate(vertices) if v in simple_tops}
 
 
 @pytest.mark.parametrize("make", KERNEL_MODELS)

@@ -34,7 +34,6 @@ from torsionpairs.tubepairs import (
     enumerate_tube_tps,
     partition_to_tube_tp,
     tube_membership,
-    _tube_pair,
     tube_tp_to_partition,
     truncated_check,
 )
@@ -77,10 +76,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("rank", range(1, 8))
     def test_mask_walk_builds_the_pairs_of_the_cycle_walk(self, rank):
         # one mask walk per (kind, delta) on the residual against the
-        # checked route's builder over the cycle's partition walk
+        # checked route over the cycle's partition walk
         cycle = cyclic_an(rank)
         want = [
-            _tube_pair(cycle, S, kind)
+            partition_to_tube_tp(S, kind)
             for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO))
             for S in enumerate_partitions(cycle, name, complete=True)
             if S.parts[0]
