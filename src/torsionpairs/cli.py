@@ -138,11 +138,13 @@ def cmd_enumerate(args) -> int:
     as a certificate: one JSON array, or one numbered line per pair.
 
     The output is written as it is made: each certificate is encoded when
-    its pair is built and `_write` hands it on at once, so the run holds
-    one certificate's text, never the pairs or the whole output.  The
-    path pairs come one at a time as class masks from the mask walk
-    (`decompose._mask_walk`), whose records are joined from the byte-chunk
-    tables of `jsonio.PairRecords` without building the pairs' objects.
+    the walk reaches it and `_write` hands it on at once, so the run holds
+    one certificate's text, never the whole output.  The path pairs come
+    one at a time as class masks from the mask walk (`decompose._mask_walk`),
+    whose records are joined from the byte-chunk tables of
+    `jsonio.PairRecords` without building the pairs' objects.  The tube
+    certificates are encoded from the partitions of `tubepairs._classified`,
+    without pair objects; the run holds one (kind, delta) group's walk.
     """
     if args.an is not None:
         _check_bound(args.an, args.max_n, "n")
@@ -151,11 +153,14 @@ def cmd_enumerate(args) -> int:
         walk = _mask_walk(model_for(q), STRONG_ONE, 0)
         texts = (records.record(torsion, free) for _, torsion, free in walk)
     else:
-        from .tubepairs import enumerate_tube_tps
+        from .tubepairs import _classified
 
         _check_bound(args.tube, args.max_n, "rank")
-        pairs = enumerate_tube_tps(args.tube)
-        texts = (jsonio.dumps_canonical(jsonio.tube_certificate(d)) for d in pairs)
+        texts = (
+            jsonio.dumps_canonical(jsonio.tube_partition_obj(args.tube, kind, delta, tail))
+            for kind, delta, _, walk in _classified(args.tube)
+            for tail, _, _ in walk
+        )
     if args.format == "json":
         _write(args, _json_array(texts))
     else:

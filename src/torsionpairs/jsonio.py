@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .decompose import DecompositionResult
 from .intervals import Interval, model_for
@@ -187,12 +187,17 @@ def ntp_certificate(q: Quiver, ntp: NTorsionPair) -> dict:
 
 
 def tube_certificate(data: TubeTorsionPair) -> dict:
+    return tube_partition_obj(data.rank, data.kind, data.delta, data.residual_partition)
+
+
+def tube_partition_obj(rank: int, kind: int, delta: Iterable[int], tail: Iterable[Iterable[int]]) -> dict:
+    """The certificate of a classified tube pair, from its partition alone."""
     return {
         "schema": SCHEMA,
-        "rank": data.rank,
-        "kind": data.kind,
-        "delta": sorted(data.delta),
-        "residual_partition": [sorted(p) for p in data.residual_partition],
+        "rank": rank,
+        "kind": kind,
+        "delta": sorted(delta),
+        "residual_partition": [sorted(p) for p in tail],
     }
 
 

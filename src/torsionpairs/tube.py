@@ -197,10 +197,11 @@ def _families(rank: int, cap: int) -> tuple[tuple[frozenset[TubeModule], ...], .
     return by_top, by_socle
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _infinite_part(rank: int, cap: int, kind: str, delta: frozenset[int]) -> frozenset[TubeModule]:
     """Modules of length at most cap in the coray (ray) families of delta
-    for a "coray+finite" ("ray+finite") descriptor; a "finite" one has no delta."""
+    for a "coray+finite" ("ray+finite") descriptor; a "finite" one has no delta.
+    Only the latest is kept: the classification's groups come one by one."""
     by_top, by_socle = _families(rank, cap)
     family = by_top if kind == CORAY_FINITE else by_socle
     return frozenset().union(*(family[v - 1] for v in delta))

@@ -16,8 +16,9 @@ classification is built from this bijection, one pair per partition
 (Baur-Buan-Marsh, "Torsion pairs and rigid objects in tubes", 2014), so
 there are binom(2n, n) pairs.
 
-The mask walk yields only valid partitions, so `enumerate_tube_tps`
-builds each pair from its tail's stage masks unchecked; the walked
+The mask walk yields only valid partitions, so `_classified` makes the
+classification from its tails' stage masks unchecked, one (kind, delta)
+group at a time, in `TubeTorsionPair.sort_key` order; the walked
 partitions are validated by `count_tube_tps(check=True)`.  Partitions
 from outside (certificates) go through `partition_to_tube_tp`, which
 validates them and builds the residual pair with the checked `assemble`.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .decompose import (
     _mask_walk,
@@ -38,7 +39,7 @@ from .decompose import (
     is_cotilting_induced,
     is_tilting_induced,
 )
-from .intervals import Interval, model_for
+from .intervals import Interval, LinearModel, model_for
 from .quiver import (
     STRONG_ONE,
     STRONG_TWO,
@@ -52,7 +53,7 @@ from .quiver import (
     subquiver,
     validate_partition,
 )
-from .torsion import TorsionPair, objects_of
+from .torsion import TorsionPair, bit_indices, mask_of, objects_of
 from .tube import (
     CORAY_FINITE,
     FINITE,
@@ -88,7 +89,9 @@ def _interval_to_tube(rank: int, X: Interval) -> TubeModule:
 class TubeTorsionPair(Record):
     """One classified torsion pair on the tube of the given rank, with the
     partition it was built from: `delta`, then `residual_partition`, the tail
-    whose stage masks make `residual_pair` on `residual_quiver`."""
+    whose stage masks make `residual_pair` on `residual_quiver`.  The pair
+    keeps the residual classes as two masks over the residual model and
+    builds `residual_pair`, of the model's own intervals, on each access."""
 
     _fields = ("rank", "kind", "delta", "residual_quiver", "residual_pair", "residual_partition")
 
@@ -100,26 +103,38 @@ class TubeTorsionPair(Record):
             raise ValueError("kind must be 1 or 2")
         if not delta:
             raise ValueError("delta must be nonempty")
-        _set(self, "rank", rank)
-        _set(self, "kind", kind)
-        _set(self, "delta", delta)
-        _set(self, "residual_quiver", residual_quiver)
-        _set(self, "residual_pair", residual_pair)
-        _set(self, "residual_partition", residual_partition)
+        model = model_for(residual_quiver)
+        try:
+            masks = [mask_of(model, side) for side in (residual_pair.torsion, residual_pair.free)]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not an interval of the residual quiver") from None
+        _fill(self, rank, kind, delta, model, *masks, residual_partition)
 
-    def _finite_side(self, intervals: frozenset[Interval]) -> frozenset[TubeModule]:
-        return frozenset(_interval_to_tube(self.rank, X) for X in intervals)
+    @property
+    def residual_pair(self) -> TorsionPair:
+        return TorsionPair(objects_of(self._model, self._torsion), objects_of(self._model, self._free))
+
+    @property
+    def residual_quiver(self) -> Quiver:
+        return self._model.quiver
+
+    def _finite_side(self, mask: int, cap: int) -> frozenset[TubeModule]:
+        """The residual intervals of the mask, as tube modules of length at
+        most `cap`; a cap of `rank` keeps them all."""
+        rank = self.rank
+        intervals = map(self._model.objects.__getitem__, bit_indices(mask))
+        return frozenset(_interval_to_tube(rank, X) for X in intervals if (X.b - X.a) % rank < cap)
 
     @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:
-        finite = self._finite_side(self.residual_pair.torsion)
+        finite = self._finite_side(self._torsion, self.rank)
         if self.kind == 1:
             return TubeSubcatDescriptor(CORAY_FINITE, self.rank, self.delta, finite)
         return TubeSubcatDescriptor(FINITE, self.rank, frozenset(), finite)
 
     @cached_property
     def free_descriptor(self) -> TubeSubcatDescriptor:
-        finite = self._finite_side(self.residual_pair.free)
+        finite = self._finite_side(self._free, self.rank)
         if self.kind == 2:
             return TubeSubcatDescriptor(RAY_FINITE, self.rank, self.delta, finite)
         return TubeSubcatDescriptor(FINITE, self.rank, frozenset(), finite)
@@ -137,22 +152,27 @@ class TubeTorsionPair(Record):
 
     def fingerprint(self, cap: int) -> tuple[frozenset, frozenset]:
         """The two classes truncated at `cap`, as `truncate` reads them from
-        the descriptors, made from the residual classes and delta's families."""
+        the descriptors, made from the residual masks and delta's families."""
         rank = self.rank
-        torsion, free = (
-            frozenset(_interval_to_tube(rank, X) for X in side if (X.b - X.a) % rank < cap)
-            for side in (self.residual_pair.torsion, self.residual_pair.free)
-        )
+        torsion, free = self._finite_side(self._torsion, cap), self._finite_side(self._free, cap)
         if self.kind == 1:
             return torsion | _infinite_part(rank, cap, CORAY_FINITE, self.delta), free
         return torsion, free | _infinite_part(rank, cap, RAY_FINITE, self.delta)
 
     def sort_key(self) -> tuple:
-        return (
-            self.kind,
-            tuple(sorted(self.delta)),
-            tuple(sorted((X.a, X.b) for X in self.residual_pair.torsion)),
-        )
+        """Kind, sorted delta, then the torsion class's bits: the residual
+        model lists its intervals in (a, b) order."""
+        return (self.kind, tuple(sorted(self.delta)), tuple(bit_indices(self._torsion)))
+
+
+_STORED = ("rank", "kind", "delta", "_model", "_torsion", "_free", "residual_partition")
+
+
+def _fill(data: TubeTorsionPair, *values) -> TubeTorsionPair:
+    """Set a pair's stored attributes, given in `_STORED` order, unchecked."""
+    for name, value in zip(_STORED, values):
+        _set(data, name, value)
+    return data
 
 
 def tube_membership(data: TubeTorsionPair, X: TubeModule) -> str:
@@ -169,32 +189,44 @@ def check_l_r(data: TubeTorsionPair) -> tuple[frozenset[int], frozenset[int]]:
     return l_t, r_f
 
 
+def _classified(rank: int) -> Iterator[tuple[int, frozenset[int], LinearModel, list]]:
+    """The classification one group at a time, as (kind, delta, residual
+    model, walk), in `TubeTorsionPair.sort_key` order: kind 1 then kind 2,
+    the deltas by their sorted vertices, and each group's mask walk
+    (`decompose._mask_walk`, tails from stage 1 on with their stage masks,
+    which are the residual classes) sorted by the torsion mask's bits."""
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    cycle = cyclic_an(rank)
+    deltas = sorted(_subsets(cycle.vertices, include_empty=False), key=sorted)
+    # one model of the residual segments serves both kinds
+    models = [model_for(subquiver(cycle, cycle.vertex_set - delta)) for delta in deltas]
+
+    def groups():
+        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
+            for delta, model in zip(deltas, models):
+                walk = sorted(_mask_walk(model, name, 1), key=lambda step: bit_indices(step[1]))
+                yield kind, delta, model, walk
+
+    return groups()
+
+
 def enumerate_tube_tps(rank: int) -> list[TubeTorsionPair]:
     """All torsion pairs on the tube of the given rank, in `sort_key` order.
 
     Built from the bijection: for each kind, every complete strong
     partition of the cycle with nonempty leading part Delta gives one
-    pair, which keeps it.  For each Delta, one model of the residual
-    segments serves both kinds, and the mask walk (`decompose._mask_walk`)
-    yields the tails, from stage 1 on, with their stage masks, which are
-    the residual classes.  The walk yields only valid partitions, so none
-    is validated again here; that each is valid, that each pair is a
-    torsion pair of its kind and that no two pairs coincide are checked by
-    `count_tube_tps(check=True)`.
+    pair, which keeps it and the walk's masks.  `_classified` yields the
+    groups in order, each sorted, so there is no global sort.  The walk
+    yields only valid partitions, so none is validated again here; that
+    each is valid, that each pair is a torsion pair of its kind and that
+    no two pairs coincide are checked by `count_tube_tps(check=True)`.
     """
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    cycle = cyclic_an(rank)
-    data = []
-    for delta in _subsets(cycle.vertices, include_empty=False):
-        residual = subquiver(cycle, cycle.vertex_set - delta)
-        model = model_for(residual)
-        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
-            for tail, torsion, free in _mask_walk(model, name, 1):
-                tp = TorsionPair(objects_of(model, torsion), objects_of(model, free))
-                data.append(TubeTorsionPair(rank, kind, delta, residual, tp, tail))
-    data.sort(key=TubeTorsionPair.sort_key)
-    return data
+    return [
+        _fill(object.__new__(TubeTorsionPair), rank, kind, delta, model, torsion, free, tail)
+        for kind, delta, model, walk in _classified(rank)
+        for tail, torsion, free in walk
+    ]
 
 
 def count_tube_tps(rank: int, check: bool = False) -> int:
@@ -218,9 +250,10 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
       - fingerprint: no two pairs share a membership fingerprint truncated
         at 2 rank + 2.  Kind collisions are impossible (finite versus
         infinite torsion class), so any collision is a defect.  The
-        fingerprints are made from the residual classes, not the
-        descriptors, and keyed by hash, so no module sets are kept; a
-        shared hash is settled by making the earlier fingerprint again.
+        fingerprints are made from the residual masks, not the
+        descriptors, and keyed by hash, so the scan keeps one int per pair
+        and no module sets; a shared hash is settled by making each
+        earlier fingerprint with it again.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -256,14 +289,19 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         if not check_kind(residual, tp):
             raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
     cap = 2 * rank + 2
-    seen: dict[int, list[TubeTorsionPair]] = {}
-    for datum in data:
+    latest: dict[int, int] = {}  # fingerprint hash -> index of the latest pair with it
+    before: dict[int, int] = {}  # index -> index of the pair before it with the same hash
+    for i, datum in enumerate(data):
         fp = datum.fingerprint(cap)
-        same = seen.setdefault(hash(fp), [])
-        for earlier in same:
+        j = latest.get(key := hash(fp))
+        latest[key] = i
+        if j is not None:
+            before[i] = j
+        while j is not None:
+            earlier = data[j]
             if earlier.fingerprint(cap) == fp:
                 raise ClassificationDefectError(f"kind {earlier.kind} and kind {datum.kind} describe the same pair")
-        same.append(datum)
+            j = before.get(j)
     return value
 
 

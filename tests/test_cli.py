@@ -148,6 +148,22 @@ class TestEnumerate:
         assert code == 0 and size > 4_000_000
         assert peak < size / 2, (peak, size)
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_tube_output_is_written_as_it_is_made(self, tmp_path, fmt):
+        # the run holds one (kind, delta) group's walk, not the 12870 pairs
+        # (holding them took over 30 MB)
+        target = tmp_path / "pairs"
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", "--tube", "8", "--max-n", "8", "--format", fmt, "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(target, "rb") as handle:
+            lines = sum(1 for _ in handle)
+        assert code == 0 and lines == (1 if fmt == "json" else 12870)
+        assert peak < 4_000_000, peak
+
 
 class TestVerify:
     def test_all_enumerated_pairs_verify(self, tmp_path, capsys):

@@ -61,6 +61,8 @@ def _cases():
     cases.append(("enumerate", "--tube", "5", "--format", "text"))
     for fmt in ("json", "text"):
         cases.append(("enumerate", "--tube", "6", "--format", fmt))
+        cases.append(("enumerate", "--tube", "7", "--max-n", "7", "--format", fmt))
+    cases.append(("enumerate", "--tube", "8", "--max-n", "8", "--format", "text"))
     for n in range(1, 7):
         cases.append(("count", "--an", str(n), "--check"))
     for r in range(1, 7):
@@ -107,6 +109,9 @@ GOLDEN = {
     'enumerate --tube 5 --format text': (0, 'df08fed3f219da1e7cf0cdcca5943b126be574a3b6dd301ad6af5b4bd3d90f53'),
     'enumerate --tube 6 --format json': (0, '24d66b4bb415776f1852a5c6a2fe01aba3348ea0a310edc1a9d1eab5f8af5147'),
     'enumerate --tube 6 --format text': (0, 'f85295d5655d6380826bf84b74c41e32a190507a9a772f29f0737790213f0c68'),
+    'enumerate --tube 7 --max-n 7 --format json': (0, '8a566848eb55db22e228e5e0bfec091abf547b2c5b96a2e12a86bea46e0ddc2f'),
+    'enumerate --tube 7 --max-n 7 --format text': (0, '4c4c9a0bb53d77dd92f7b6d4263ac94204b16a048969b8fae7e550da7aa12c85'),
+    'enumerate --tube 8 --max-n 8 --format text': (0, '6d8dc6e017e90d044de7566eafdb54b266508c30772c748e373655b32610d3a9'),
     'count --an 1 --check': (0, '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3'),
     'count --an 2 --check': (0, 'f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06'),
     'count --an 3 --check': (0, '9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25'),

@@ -12,7 +12,7 @@ from torsionpairs.decompose import (
     is_cotilting_induced,
     is_tilting_induced,
 )
-from torsionpairs.intervals import Interval
+from torsionpairs.intervals import Interval, model_for
 from torsionpairs.quiver import (
     STRONG_ONE,
     STRONG_TWO,
@@ -89,6 +89,12 @@ class TestEnumerate:
         assert len(got) == len(want) == math.comb(2 * rank, rank)
         for d, e in zip(got, want):
             assert [getattr(d, f) for f in d._fields] == [getattr(e, f) for f in e._fields]
+
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_groups_come_in_sort_key_order(self, rank):
+        # the pairs are made group by group with no global sort
+        data = enumerate_tube_tps(rank)
+        assert data == sorted(data, key=TubeTorsionPair.sort_key)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_pairwise_distinct_at_cap_six(self, rank):
@@ -348,6 +354,48 @@ class TestPartitionIndexing:
             assert again.fingerprint(2 * rank + 2) == d.fingerprint(2 * rank + 2)
 
 
+class TestMaskBackedRecord:
+    """A classified pair keeps its residual classes as masks over the
+    residual model and builds `residual_pair` on access."""
+
+    @pytest.mark.parametrize("rank", range(1, 5))
+    def test_walked_pair_equals_and_hashes_like_the_checked_one(self, rank):
+        walked = {(d.kind, d.delta, d.residual_partition): d for d in enumerate_tube_tps(rank)}
+        cycle = cyclic_an(rank)
+        seen = 0
+        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
+            for S in enumerate_partitions(cycle, name, complete=True):
+                if not S.parts[0]:
+                    continue
+                checked = partition_to_tube_tp(S, kind)
+                d = walked[kind, S.parts[0], S.parts[1:]]
+                assert d == checked and hash(d) == hash(checked)
+                assert d.residual_pair == checked.residual_pair
+                assert d.sort_key() == checked.sort_key()
+                # the public constructor, from the classes, makes the same record
+                again = TubeTorsionPair(rank, kind, d.delta, d.residual_quiver, d.residual_pair, d.residual_partition)
+                assert again == d and hash(again) == hash(d) and repr(again) == repr(d)
+                seen += 1
+        assert seen == len(walked) == math.comb(2 * rank, rank)
+
+    def test_residual_pair_holds_the_models_own_intervals(self):
+        for d in enumerate_tube_tps(4):
+            objects = model_for(d.residual_quiver).objects
+            tp = d.residual_pair
+            for X in tp.torsion | tp.free:
+                assert any(X is Y for Y in objects)
+            assert d.residual_pair == tp and d.residual_pair is not tp
+
+    def test_interval_outside_the_residual_is_a_value_error(self):
+        residual = subquiver(cyclic_an(3), frozenset({2, 3}))
+        for tp in (
+            TorsionPair(frozenset({Interval(1, 1)}), frozenset()),
+            TorsionPair(frozenset(), frozenset({Interval(3, 2)})),
+        ):
+            with pytest.raises(ValueError, match="is not an interval of the residual quiver"):
+                TubeTorsionPair(3, 1, frozenset({1}), residual, tp, (frozenset({2, 3}),))
+
+
 class TestTruncatedChecks:
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("cap", [4, 5, 6])
@@ -522,6 +570,22 @@ class TestDefects:
         monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: ())
         with pytest.raises(ClassificationDefectError, match="same pair"):
             count_tube_tps(2, check=True)
+
+    def test_collision_with_an_earlier_group_is_a_defect(self, monkeypatch):
+        # the last pair, of the last (kind, delta) group, claims the first
+        # pair's fingerprint: the scan makes the first one's again, long
+        # after the families cache has moved on to other groups
+        data = enumerate_tube_tps(3)
+        first, last = data[0], data[-1]
+        assert (first.kind, first.delta) != (last.kind, last.delta)
+        real = TubeTorsionPair.fingerprint
+
+        def fingerprint(self, cap):
+            return real(first if self == last else self, cap)
+
+        monkeypatch.setattr(TubeTorsionPair, "fingerprint", fingerprint)
+        with pytest.raises(ClassificationDefectError, match="kind 1 and kind 2 describe the same pair"):
+            count_tube_tps(3, check=True)
 
     @staticmethod
     def count_fingerprints(monkeypatch):
