@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
@@ -69,7 +68,10 @@ def _certificate_vertices(obj: dict) -> int | None:
 
 def _load_certificate(args) -> tuple[dict, str]:
     """The certificate and its payload kind, once its size is within
-    `--max-n`, before any quiver or model is built."""
+    `--max-n`, before any quiver or model is built.  Only here is `json`
+    imported: the commands that print load none of it."""
+    import json
+
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             obj = json.load(handle)

@@ -12,11 +12,11 @@ torsion pairs, canonical generator sets, and the tilting/cotilting
 criteria.
 
 Peeling and assembly share one stage walk: a stage is a vertex set of the
-home quiver, whose projectives or injectives `_stage_generators` reads
-off the home quiver's arrows and the home model's `end_chains`, with no
-subquiver or model per stage.  The mask walk (`_mask_walk`) runs the same
-rule down the tree of complete strong partitions, carrying each prefix's
-class masks to its extensions; `enumerate --an` and the tube
+home quiver, whose projectives or injectives `_stage_row` reads off the
+home quiver's arrows and the home model's `end_chains`, with no subquiver
+or model per stage, and caches.  The mask walk (`_mask_walk`) runs the
+same rule down the tree of complete strong partitions, carrying each
+prefix's class masks to its extensions; `enumerate --an` and the tube
 classification read it.
 `generators` and `trace_ntp` read the generators `decompose` records.
 """
@@ -24,7 +24,7 @@ classification read it.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterator
 
@@ -57,12 +57,13 @@ from .torsion import (
     ext_projectives_in,
     filtration,
     is_torsion_pair,
-    mask_of,
     objects_of,
 )
 
 PROJECTIVE = "projective"
 INJECTIVE = "injective"
+# the residual pair of every peeling: on A-type quivers no vertex is left
+_EMPTY = TorsionPair((), ())
 
 
 class TraceStage(Record):
@@ -92,25 +93,34 @@ class DecompositionResult(Record):
         _set(self, "trace", trace)
 
 
-def _stage_generators(
-    model: LinearModel, support: frozenset[int], vertices: frozenset[int], projective: bool
-) -> dict[int, int]:
-    """Each of `vertices` with the index in `model` (of the home quiver) of
-    its projective [v, w] (injective [u, v]) of the full subquiver on
-    `support`: w is the last vertex reached from v inside `support` (u the
-    first reaching v).  With w k steps from v, [v, w] is entry k of the
-    quotient chain of the projective of v in the home quiver (the mirror
-    for [u, v]), read off `model.end_chains`."""
+@lru_cache(maxsize=64)
+def _stage_row(model: LinearModel, support: frozenset[int], projective: bool) -> dict[int, int]:
+    """Each vertex v of `support` with the index in `model` (of the home
+    quiver) of its projective [v, w] (injective [u, v]) of the full
+    subquiver on `support`: w is the last vertex reached from v inside
+    `support` (u the first reaching v).  With w k steps from v, [v, w] is
+    entry k of the quotient chain of the projective of v in the home quiver
+    (the mirror for [u, v]), read off `model.end_chains`.  Shared, so read
+    only: a model's walk and the peelings of its pairs visit the same
+    supports."""
     q = model.quiver
     step = q.succ if projective else q.pred
     chains = model.end_chains[0 if projective else 1]
     out = {}
-    for v in vertices:
+    for v in support:
         w, k = v, 0
         while step.get(w) in support:
             w, k = step[w], k + 1
         out[v] = chains[v][k]
     return out
+
+
+def _stage_generators(
+    model: LinearModel, support: frozenset[int], vertices: frozenset[int], projective: bool
+) -> dict[int, int]:
+    """The `_stage_row` entries of `vertices`, in a dict of their own."""
+    row = _stage_row(model, support, projective)
+    return dict(row) if vertices is support else {v: row[v] for v in vertices}
 
 
 def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionResult:
@@ -131,37 +141,29 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
     check = is_torsion_pair(full, tp.torsion, tp.free)
     if not check:
         raise ValueError(f"not a torsion pair: {check.reason}")
-    kind = STRONG_ONE if side == "left" else STRONG_TWO
-    support = q.vertex_set
-    torsion, free = mask_of(full, tp.torsion), mask_of(full, tp.free)
+    objects, support = full.objects, q.vertex_set
     parts: list[frozenset[int]] = []
     trace: list[TraceStage] = []
-    stage = 0
+    stage, projective = 0, side == "left"
     while True:
-        projective = projective_stage(kind, stage)
         # a stage generator lies inside the support, so the classes need
         # no restriction before the membership test
-        members = torsion if projective else free
-        taken = {
-            v: i
-            for v, i in _stage_generators(full, support, support, projective).items()
-            if members >> i & 1
-        }
-        found = frozenset(taken)
+        members = tp.torsion if projective else tp.free
+        gens = _stage_generators(full, support, support, projective)
+        found = frozenset(v for v, i in gens.items() if objects[i] in members)
         if stage > 0 and not found:
             break
         parts.append(found)
-        side_name = PROJECTIVE if projective else INJECTIVE
-        generated = frozenset(map(full.objects.__getitem__, taken.values()))
-        trace.append(TraceStage(stage, side_name, found, generated))
+        generated = frozenset(objects[gens[v]] for v in found)
+        trace.append(TraceStage(stage, PROJECTIVE if projective else INJECTIVE, found, generated))
         support -= found
-        stage += 1
+        stage, projective = stage + 1, not projective
         if not support:
             break
     if support:
         raise RuntimeError(f"peeling left vertices {sorted(support)}; model defect")
-    partition = PartPartition(tuple(parts), kind, complete=True)
-    return DecompositionResult(partition, TorsionPair((), ()), subquiver(q, ()), tuple(trace))
+    partition = PartPartition(parts, STRONG_ONE if side == "left" else STRONG_TWO, complete=True)
+    return DecompositionResult(partition, _EMPTY, subquiver(q, ()), tuple(trace))
 
 
 def decompose_left(q: Quiver, tp: TorsionPair) -> DecompositionResult:
@@ -228,7 +230,7 @@ def _mask_walk(model: LinearModel, kind: str, start: int) -> Iterator[tuple[tupl
         key = (projective, remaining)
         if key not in offers:
             table = model.quot_masks if projective else model.sub_masks
-            gens = {v: table[i] for v, i in _stage_generators(model, remaining, remaining, projective).items()}
+            gens = {v: table[i] for v, i in _stage_row(model, remaining, projective).items()}
             found = []
             for part in strong_stage_parts(q, remaining, stage, projective):
                 left = remaining - part
@@ -355,7 +357,7 @@ def _induced(q: Quiver, tp: TorsionPair, side: str) -> bool:
         name, modules, members, ends = "tilting", model.injectives(), tp.torsion, q.sources
     else:
         name, modules, members, ends = "cotilting", model.projectives(), tp.free, q.sinks
-    direct = all(X in members for X in modules)
+    direct = members.issuperset(modules)
     if direct != (ends <= decompose(q, tp, side).partition.parts[0]):
         raise RuntimeError(f"{name} criteria disagree; model defect")
     return direct

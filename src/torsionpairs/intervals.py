@@ -41,15 +41,17 @@ class Interval(Record):
     def __init__(self, a: int, b: int) -> None:
         _set(self, "a", a)
         _set(self, "b", b)
+        _set(self, "_hash", hash((a, b)))
 
-    # written out, as the path routes hash and compare intervals by the thousand
+    # written out, and the hash kept, as the path and tube routes hash and
+    # compare intervals by the thousand
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.a, self.b) == (other.a, other.b)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return self._hash
 
     def __lt__(self, other) -> bool:
         if other.__class__ is not self.__class__:

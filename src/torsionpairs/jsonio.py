@@ -8,7 +8,7 @@ data, so the path commands do not load them.
 
 from __future__ import annotations
 
-import json
+from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -46,12 +46,17 @@ def json_int(value: Any) -> int:
     return value
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+@lru_cache(maxsize=1)
+def _canonical():
+    """`dumps_canonical`'s encoder: a command that prints no JSON loads no `json`."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps_canonical(obj: Any) -> str:
     """Compact JSON with sorted keys, the one form every command prints."""
-    return _CANONICAL.encode(obj)
+    return _canonical().encode(obj)
 
 
 # -- quivers ----------------------------------------------------------------

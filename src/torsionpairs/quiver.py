@@ -274,7 +274,7 @@ class PartPartition(Record):
     def __init__(self, parts: Iterable[Iterable[int]], kind: str, complete: bool) -> None:
         if kind not in PARTITION_KINDS:
             raise ValueError(f"unknown partition kind {kind!r}")
-        _set(self, "parts", tuple(frozenset(p) for p in parts))
+        _set(self, "parts", tuple(map(frozenset, parts)))
         _set(self, "kind", kind)
         _set(self, "complete", complete)
 
@@ -290,19 +290,21 @@ class PartPartition(Record):
         return f"PartPartition([{inner}], {self.kind})"
 
 
-def _check_structure(q: Quiver, partition: PartPartition) -> None:
+def _check_structure(q: Quiver, partition: PartPartition) -> set[int]:
+    """The union of the parts, checked to be disjoint with no empty middle part."""
     seen: set[int] = set()
-    vs = set(q.vertices)
+    vs = q.vertex_set
     for j, part in enumerate(partition.parts):
         if not part <= vs:
             raise MalformedPartitionError(f"part {j} is not a subset of the vertices")
         if j >= 1 and not part:
             raise MalformedPartitionError(f"part {j} is empty")
-        if part & seen:
+        if not seen.isdisjoint(part):
             raise MalformedPartitionError(f"part {j} overlaps an earlier part")
         seen |= part
     if not partition.parts:
         raise MalformedPartitionError("a partition needs at least the part Delta_0")
+    return seen
 
 
 def projective_stage(kind: str, j: int) -> bool:
@@ -340,18 +342,20 @@ def validate_partition(q: Quiver, partition: PartPartition) -> bool:
     MalformedPartitionError; a completeness flag that disagrees with the
     actual union, or a failed kind condition, just returns False.
     """
-    _check_structure(q, partition)
-    if partition.complete != (partition.support == q.vertex_set):
+    if partition.complete != (_check_structure(q, partition) == q.vertex_set):
         return False
     strong = partition.kind in (STRONG_ONE, STRONG_TWO)
-    support = q.vertex_set
+    support, projective = q.vertex_set, projective_stage(partition.kind, 0)
     for j, part in enumerate(partition.parts):
-        projective = projective_stage(partition.kind, j)
-        if j >= 1 and strong and not stage_ends(q, support, projective) <= part:
+        rest = support - part
+        # the stage ends of `support` lie in `part`: no vertex left has its
+        # predecessor (successor) outside `support`, as `stage_ends` reads it
+        step = q.pred if projective else q.succ
+        if j >= 1 and strong and not all(step.get(v) in support for v in rest):
             return False
         if j >= 2 and not strong and _linked(q, partition.parts[j - 1], support, part, projective) != part:
             return False
-        support -= part
+        support, projective = rest, not projective
     return True
 
 

@@ -61,6 +61,9 @@ class CheckResult(Record):
         return self.ok
 
 
+_HOLDS = CheckResult(True)  # the verdict of every check that holds
+
+
 class TorsionPair(Record):
     _fields = ("torsion", "free")
 
@@ -185,10 +188,16 @@ def _ambient(model, ambient) -> tuple[frozenset, int]:
     return amb, mask_of(model, amb)
 
 
-def _mask_within(model, objs: Iterable, within: int) -> int | None:
-    """Bitmask of the objects, or None if one lies outside `within`."""
+@lru_cache(maxsize=1)
+def _bits(model) -> dict:
+    """Each object of the latest model with its bit, `1 << index`."""
+    return {X: 1 << i for i, X in enumerate(model.objects)}
+
+
+def _mask_within(model, objs: frozenset, within: int) -> int | None:
+    """Bitmask of a set of objects, or None if one lies outside `within`."""
     try:
-        mask = mask_of(model, objs)
+        mask = sum(map(_bits(model).__getitem__, objs))  # a set holds no object twice
     except KeyError:
         return None
     return None if mask & ~within else mask
@@ -323,7 +332,7 @@ def is_torsion_pair(model, torsion: Iterable, free: Iterable, ambient=None) -> C
     if am & ~covered:
         X = _first_uncovered(model, amb, covered)
         return CheckResult(False, X, f"no canonical sequence for {X}")
-    return CheckResult(True)
+    return _HOLDS
 
 
 def decompose_along(model, tp: TorsionPair, D: Iterable) -> tuple[frozenset, frozenset]:
@@ -394,7 +403,7 @@ def is_ntp(model, parts: Sequence[frozenset], ambient=None) -> CheckResult:
     if am & ~reach:
         X = _first_uncovered(model, amb, reach)
         return CheckResult(False, X, f"no ordered filtration for {X}")
-    return CheckResult(True)
+    return _HOLDS
 
 
 def filtration(model, ntp: NTorsionPair, X) -> Filtration:

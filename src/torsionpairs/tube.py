@@ -48,15 +48,16 @@ class TubeModule(Record):
         _set(self, "socle", socle)
         _set(self, "length", length)
         _set(self, "rank", rank)
+        _set(self, "_hash", hash((socle, length, rank)))
 
-    # written out, as the tube routes hash modules by the thousand
+    # written out, and the hash kept, as the tube routes hash modules by the thousand
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.socle, self.length, self.rank) == (other.socle, other.length, other.rank)
 
     def __hash__(self) -> int:
-        return hash((self.socle, self.length, self.rank))
+        return self._hash
 
     @property
     def top(self) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .decompose import (
@@ -86,6 +86,14 @@ def _interval_to_tube(rank: int, X: Interval) -> TubeModule:
     return all_tube_modules(rank, rank)[module_index(X.b, (X.b - X.a) % rank + 1, rank)]
 
 
+@lru_cache(maxsize=1)
+def _tube_table(rank: int, model: LinearModel) -> tuple[tuple[TubeModule, ...], tuple[int, ...]]:
+    """A residual model's intervals as tube modules, and their lengths.  Only
+    the latest is kept: the classification's groups come one by one."""
+    modules = tuple(_interval_to_tube(rank, X) for X in model.objects)
+    return modules, tuple(Y.length for Y in modules)
+
+
 class TubeTorsionPair(Record):
     """One classified torsion pair on the tube of the given rank, with the
     partition it was built from: `delta`, then `residual_partition`, the tail
@@ -118,12 +126,14 @@ class TubeTorsionPair(Record):
     def residual_quiver(self) -> Quiver:
         return self._model.quiver
 
-    def _finite_side(self, mask: int, cap: int) -> frozenset[TubeModule]:
-        """The residual intervals of the mask, as tube modules of length at
-        most `cap`; a cap of `rank` keeps them all."""
-        rank = self.rank
-        intervals = map(self._model.objects.__getitem__, bit_indices(mask))
-        return frozenset(_interval_to_tube(rank, X) for X in intervals if (X.b - X.a) % rank < cap)
+    def _finite_side(self, mask: int, cap: int, base: frozenset = frozenset()) -> frozenset[TubeModule]:
+        """`base` and the residual intervals of the mask, as tube modules of
+        length at most `cap`; a cap of `rank` keeps them all."""
+        modules, lengths = _tube_table(self.rank, self._model)
+        bits = bit_indices(mask)
+        if cap < self.rank:
+            bits = [i for i in bits if lengths[i] <= cap]
+        return base.union(map(modules.__getitem__, bits))
 
     @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:
@@ -153,11 +163,12 @@ class TubeTorsionPair(Record):
     def fingerprint(self, cap: int) -> tuple[frozenset, frozenset]:
         """The two classes truncated at `cap`, as `truncate` reads them from
         the descriptors, made from the residual masks and delta's families."""
-        rank = self.rank
-        torsion, free = self._finite_side(self._torsion, cap), self._finite_side(self._free, cap)
+        rank, torsion, free = self.rank, self._torsion, self._free
         if self.kind == 1:
-            return torsion | _infinite_part(rank, cap, CORAY_FINITE, self.delta), free
-        return torsion, free | _infinite_part(rank, cap, RAY_FINITE, self.delta)
+            coray = _infinite_part(rank, cap, CORAY_FINITE, self.delta)
+            return self._finite_side(torsion, cap, coray), self._finite_side(free, cap)
+        ray = _infinite_part(rank, cap, RAY_FINITE, self.delta)
+        return self._finite_side(torsion, cap), self._finite_side(free, cap, ray)
 
     def sort_key(self) -> tuple:
         """Kind, sorted delta, then the torsion class's bits: the residual
@@ -189,6 +200,15 @@ def check_l_r(data: TubeTorsionPair) -> tuple[frozenset[int], frozenset[int]]:
     return l_t, r_f
 
 
+_FLIP = str.maketrans("01", "10")
+
+
+def _torsion_order(step: tuple) -> str:
+    """A walk step's torsion bits from the lowest up, a set bit read "0": the
+    strings compare as the lists of set bits do, in `sort_key` order."""
+    return bin(step[1])[:1:-1].translate(_FLIP) if step[1] else ""
+
+
 def _classified(rank: int) -> Iterator[tuple[int, frozenset[int], LinearModel, list]]:
     """The classification one group at a time, as (kind, delta, residual
     model, walk), in `TubeTorsionPair.sort_key` order: kind 1 then kind 2,
@@ -205,7 +225,7 @@ def _classified(rank: int) -> Iterator[tuple[int, frozenset[int], LinearModel, l
     def groups():
         for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
             for delta, model in zip(deltas, models):
-                walk = sorted(_mask_walk(model, name, 1), key=lambda step: bit_indices(step[1]))
+                walk = sorted(_mask_walk(model, name, 1), key=_torsion_order)
                 yield kind, delta, model, walk
 
     return groups()
@@ -275,19 +295,17 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
                     f"{sorted(delta)}: {tally[kind, delta]} pairs, {want} tilting modules"
                 )
     for datum in data:
-        parts = (datum.delta,) + datum.residual_partition
-        S = [sorted(p) for p in parts]
-        name = STRONG_ONE if datum.kind == 1 else STRONG_TWO
+        kind, parts = datum.kind, (datum.delta,) + datum.residual_partition
+        name = STRONG_ONE if kind == 1 else STRONG_TWO
         try:
             valid = validate_partition(cycle, PartPartition(parts, name, complete=True))
         except MalformedPartitionError:
             valid = False
-        if not valid:
-            raise ClassificationDefectError(f"partition {S} is not a valid {name} partition of the cycle")
-        residual, tp = datum.residual_quiver, datum.residual_pair
-        check_kind = is_cotilting_induced if datum.kind == 1 else is_tilting_induced
-        if not check_kind(residual, tp):
-            raise ClassificationDefectError(f"partition {S} gives no kind {datum.kind} pair")
+        check_kind = is_cotilting_induced if kind == 1 else is_tilting_induced
+        if not valid or not check_kind(datum.residual_quiver, datum.residual_pair):
+            S = [sorted(p) for p in parts]
+            problem = f"is not a valid {name} partition of the cycle" if not valid else f"gives no kind {kind} pair"
+            raise ClassificationDefectError(f"partition {S} {problem}")
     cap = 2 * rank + 2
     latest: dict[int, int] = {}  # fingerprint hash -> index of the latest pair with it
     before: dict[int, int] = {}  # index -> index of the pair before it with the same hash

@@ -75,6 +75,18 @@ def test_a_path_count_loads_no_heavy_module():
     assert not loaded & HEAVY
 
 
+JSON = {"json", "json.decoder", "json.encoder"}
+
+
+@pytest.mark.parametrize("argv", [("count", "--an", "1"), ("count", "--tube", "2", "--check")])
+def test_a_count_loads_no_json(argv):
+    # the encoder is built on the first encode and the decoder imported
+    # where a certificate is read; a count does neither
+    loaded = _imported("-m", "torsionpairs", *argv)
+    assert "torsionpairs.cli" in loaded
+    assert not loaded & JSON
+
+
 def test_a_pair_verify_loads_no_heavy_module(tmp_path):
     cert = tmp_path / "pair.json"
     cert.write_text(json.dumps({
@@ -83,6 +95,7 @@ def test_a_pair_verify_loads_no_heavy_module(tmp_path):
     }))
     loaded = _imported("-m", "torsionpairs", "verify", str(cert))
     assert {"torsionpairs.jsonio", "torsionpairs.torsion"} <= loaded
+    assert JSON <= loaded
     assert not loaded & HEAVY
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -467,20 +468,23 @@ class TestEveryCheckOnce:
     `partition_to_tube_tp` (input from outside) and in the validity leg of
     `count_tube_tps(check=True)`, once per pair, and nowhere else."""
 
-    def test_count_check_runs_one_pair_check_per_assembly_and_induced_check(self, count_calls):
+    @pytest.mark.parametrize("rank", [4, 6])
+    def test_count_check_runs_one_pair_check_per_assembly_and_induced_check(self, count_calls, rank):
         counts = count_calls(
             "torsion.is_torsion_pair",
             "decompose.assemble",
+            "decompose.decompose",
             "quiver.validate_partition",
             "decompose.is_tilting_induced",
             "decompose.is_cotilting_induced",
         )
-        assert count_tube_tps(4, check=True) == 70
+        pairs = math.comb(2 * rank, rank)
+        assert count_tube_tps(rank, check=True) == pairs
         induced = counts["decompose.is_tilting_induced"] + counts["decompose.is_cotilting_induced"]
         # no pair is assembled: the one pair check left is the induced leg's peeling
         assert counts["decompose.assemble"] == 0
-        assert counts["quiver.validate_partition"] == induced == 70
-        assert counts["torsion.is_torsion_pair"] == induced
+        assert counts["quiver.validate_partition"] == induced == pairs
+        assert counts["torsion.is_torsion_pair"] == counts["decompose.decompose"] == induced
 
     def test_enumerate_prints_the_stored_partitions_without_peeling(self, count_calls, capsys):
         names = (
@@ -494,7 +498,7 @@ class TestEveryCheckOnce:
         capsys.readouterr()
         assert counts == dict.fromkeys(names, 0)
 
-    @pytest.mark.parametrize("rank", [1, 4])
+    @pytest.mark.parametrize("rank", [1, 4, 6])
     def test_each_classified_pair_validates_its_partition_once(self, count_calls, rank):
         counts = count_calls("quiver.validate_partition", "quiver.cyclic_an")
         data = enumerate_tube_tps(rank)
@@ -609,21 +613,126 @@ class TestDefects:
         assert count_tube_tps(3, check=True) == 20
         assert calls == {8: 20 + math.comb(20, 2)}
 
-    def test_each_leg_runs_once_per_pair(self, monkeypatch, count_calls):
+    @pytest.mark.parametrize("rank", [3, 6])
+    def test_each_leg_runs_once_per_pair(self, monkeypatch, count_calls, rank):
         calls = self.count_fingerprints(monkeypatch)
         counts = count_calls(
             "quiver.validate_partition", "decompose.is_cotilting_induced", "decompose.is_tilting_induced"
         )
-        assert count_tube_tps(3, check=True) == 20
-        assert counts["quiver.validate_partition"] == 20
-        assert counts["decompose.is_cotilting_induced"] + counts["decompose.is_tilting_induced"] == 20
-        assert calls == {8: 20}
+        pairs = math.comb(2 * rank, rank)
+        assert count_tube_tps(rank, check=True) == pairs
+        assert counts["quiver.validate_partition"] == pairs
+        assert counts["decompose.is_cotilting_induced"] + counts["decompose.is_tilting_induced"] == pairs
+        assert calls == {2 * rank + 2: pairs}
 
     def test_finite_finite_is_a_defect(self):
         d = enumerate_tube_tps(2)[0]
         broken = TubeTorsionPairLike(d)
         with pytest.raises(ClassificationDefectError):
             check_l_r(broken)
+
+
+def altered_walk(monkeypatch, alter):
+    """Route `enumerate_tube_tps` through a walk whose steps, one (kind name,
+    residual vertices) group at a time, pass through `alter(group, steps)`."""
+    from torsionpairs import tubepairs
+
+    real = tubepairs._mask_walk
+
+    def walk(model, kind, start):
+        return iter(alter((kind, model.quiver.vertices), list(real(model, kind, start))))
+
+    monkeypatch.setattr(tubepairs, "_mask_walk", walk)
+
+
+class TestRankSixMutations:
+    """A walk altered in one tail, at rank 6, is caught by the leg that reads
+    what it altered, after the legs before it have passed."""
+
+    FIRST = (STRONG_ONE, (2, 3, 4, 5, 6))  # kind 1, delta {1}: 42 tails
+    SECOND = (STRONG_TWO, (2, 3, 4, 5, 6))  # kind 2, delta {1}
+
+    def test_a_tail_walked_twice_describes_the_same_pair(self, monkeypatch, count_calls):
+        # the group keeps its size and every tail stays valid and induced, so
+        # the tally, validity and induced legs pass and the fingerprints collide
+        def alter(group, steps):
+            return [steps[0], steps[0]] + steps[2:] if group == self.FIRST else steps
+
+        altered_walk(monkeypatch, alter)
+        counts = count_calls("quiver.validate_partition", "decompose.is_cotilting_induced",
+                             "decompose.is_tilting_induced")
+        with pytest.raises(ClassificationDefectError, match="kind 1 and kind 1 describe the same pair"):
+            count_tube_tps(6, check=True)
+        induced = counts["decompose.is_cotilting_induced"] + counts["decompose.is_tilting_induced"]
+        assert counts["quiver.validate_partition"] == induced == 924
+
+    def test_a_dropped_tail_fails_the_formula(self, monkeypatch):
+        altered_walk(monkeypatch, lambda group, steps: steps[1:] if group == self.FIRST else steps)
+        with pytest.raises(RuntimeError, match="formula 924, classification 923"):
+            count_tube_tps(6, check=True)
+
+    def test_a_dropped_tail_made_up_in_another_group_fails_the_tally(self, monkeypatch):
+        # the total still meets the formula; the tally is kept per group
+        def alter(group, steps):
+            if group == self.FIRST:
+                return steps[1:]
+            return steps + steps[:1] if group == self.SECOND else steps
+
+        altered_walk(monkeypatch, alter)
+        with pytest.raises(RuntimeError, match=r"kind 1, delta \[1\]: 41 pairs, 42 tilting modules"):
+            count_tube_tps(6, check=True)
+
+    def test_a_tail_made_invalid_fails_the_validity_leg(self, monkeypatch):
+        from torsionpairs.quiver import validate_partition
+
+        def alter(group, steps):
+            if group != self.FIRST:
+                return steps
+            k = next(k for k, (tail, _, _) in enumerate(steps) if len(tail) >= 2)
+            tail, torsion, free = steps[k]
+            return steps[:k] + [((tail[1], tail[0]) + tail[2:], torsion, free)] + steps[k + 1:]
+
+        altered_walk(monkeypatch, alter)
+        bad = next(d for d in enumerate_tube_tps(6) if d.kind == 1 and d.delta == {1}
+                   and not validate_partition(cyclic_an(6), PartPartition(
+                       (d.delta,) + d.residual_partition, STRONG_ONE, complete=True)))
+        listed = [sorted(p) for p in (bad.delta,) + bad.residual_partition]
+        with pytest.raises(ClassificationDefectError, match=rf"partition {re.escape(str(listed))} is not a valid"):
+            count_tube_tps(6, check=True)
+
+
+class TestPeelAgreesWithTheWalk:
+    """The induced leg's peeling, against the walk it checks: at rank 6, for
+    every pair of both kinds, `decompose` finds the stored tail after an
+    empty stage 0, and its trace generators are the stage generators whose
+    quotients (submodules) the walk ORed into the stored masks."""
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_every_rank_six_pair(self, kind):
+        from torsionpairs.decompose import PROJECTIVE, _stage_row
+
+        name, side = (STRONG_ONE, "left") if kind == 1 else (STRONG_TWO, "right")
+        data = by_kind(enumerate_tube_tps(6), kind)
+        assert len(data) == 462
+        for d in data:
+            model = model_for(d.residual_quiver)
+            result = decompose(d.residual_quiver, d.residual_pair, side)
+            assert result.partition == PartPartition((frozenset(),) + d.residual_partition, name, complete=True)
+            assert not result.trace[0].vertices and not result.trace[0].generators
+            torsion = free = 0
+            support = d.residual_quiver.vertex_set
+            for stage, part in zip(result.trace[1:], d.residual_partition):
+                projective = stage.side == PROJECTIVE
+                row = _stage_row(model, support, projective)
+                assert stage.vertices == part
+                assert stage.generators == {model.objects[row[v]] for v in part}
+                for X in stage.generators:
+                    if projective:
+                        torsion |= model.quot_masks[model.index[X]]
+                    else:
+                        free |= model.sub_masks[model.index[X]]
+                support -= part
+            assert (torsion, free) == (d._torsion, d._free)
 
 
 class TubeTorsionPairLike:
