@@ -8,15 +8,21 @@ error, as is an `--out` file that cannot be written.  A stderr that is
 closed or cannot be written loses the diagnostic line, not the exit
 code.  Output is deterministic for identical flags.  The tube modules
 are imported only by the commands on a tube.
+
+`_COMMANDS` lists every command's arguments once.  `main` parses argv with
+`_parse_plain`, which reads that table and accepts only the plain form;
+`build_parser` makes the argparse parser of the same table, and argparse,
+imported only then, parses whatever else `main` is given: `--help` and the
+argv the plain parse declines, and writes every help and usage text.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import math
 import os
 import sys
+import types
 from collections.abc import Iterable, Iterator
 
 from . import jsonio
@@ -346,71 +352,113 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a parse error through `_report`, so a stderr that is closed
-    loses the usage line rather than sending it to stdout; the subparsers
-    are made with the same class."""
+# Each command's arguments as argparse keywords, in the order `--help` lists
+# them: `build_parser` passes them on, `_parse_plain` reads them.
+_TARGET = (  # a required, mutually exclusive group
+    ("--an", {"type": int, "metavar": "N", "help": "linear quiver with N vertices"}),
+    ("--tube", {"type": int, "metavar": "N", "help": "tube of rank N"}),
+)
+_SIZE_BOUND = ("--max-n", {"type": int, "default": DEFAULT_MAX_N, "help": "size bound"})
+_CERTIFICATE = ("certificate", {})
+_VERTEX_BOUND = ("--max-n", {"type": int, "default": DEFAULT_CERTIFICATE_MAX_N, "help": "vertex bound"})
+_CAP_BOUND = ("--max-cap", {"type": int, "default": DEFAULT_CAP, "help": "cap bound"})
+_OUT = ("--out", {"help": "write to a file instead of stdout"})
+_COMMANDS = {  # command: handler, help, target group, arguments
+    "enumerate": (cmd_enumerate, "list all torsion pairs", _TARGET, (
+        _SIZE_BOUND, ("--format", {"choices": ("json", "text"), "default": "json"}), _OUT)),
+    "decompose": (cmd_decompose, "peel a torsion pair certificate", (), (
+        _CERTIFICATE, ("--side", {"choices": ("left", "right", "both"), "default": "left"}), _VERTEX_BOUND, _OUT)),
+    "verify": (cmd_verify, "check a certificate", (), (
+        _CERTIFICATE, ("--cap", {"type": int, "default": 6, "help": "tube truncation cap"}), _CAP_BOUND,
+        _VERTEX_BOUND, _OUT)),
+    "count": (cmd_count, "count torsion pairs", _TARGET, (
+        _SIZE_BOUND, ("--check", {"action": "store_true", "default": False, "help": "cross-verify the count"}), _OUT)),
+    "export": (cmd_export, "DOT export of the AR quiver or the lattice", _TARGET, (
+        _SIZE_BOUND, ("--dot", {"choices": ("ar", "lattice"), "required": True}),
+        ("--cap", {"type": int, "default": 4, "help": "tube truncation cap"}), _CAP_BOUND, _OUT)),
+}
 
-    def error(self, message: str):
-        _report(f"{self.format_usage()}{self.prog}: error: {message}")
-        self.exit(EXIT_USAGE)
 
+def build_parser():
+    """The argparse parser of `_COMMANDS`, the only writer of help and
+    usage text.  argparse is imported here, by the commands that need it."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """Reports a parse error through `_report`, so a stderr that is closed
+        loses the usage line rather than sending it to stdout; the subparsers
+        are made with the same class."""
+
+        def error(self, message: str):
+            _report(f"{self.format_usage()}{self.prog}: error: {message}")
+            self.exit(EXIT_USAGE)
+
     parser = _Parser(
         prog="torsionpairs",
         description="Enumerate, verify and decompose torsion pairs on A-type "
         "path algebras and tubes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_target(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--an", type=int, metavar="N", help="linear quiver with N vertices")
-        group.add_argument("--tube", type=int, metavar="N", help="tube of rank N")
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="size bound")
-
-    p = sub.add_parser("enumerate", help="list all torsion pairs")
-    add_target(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("decompose", help="peel a torsion pair certificate")
-    p.add_argument("certificate")
-    p.add_argument("--side", choices=("left", "right", "both"), default="left")
-    p.add_argument("--max-n", type=int, default=DEFAULT_CERTIFICATE_MAX_N, help="vertex bound")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("verify", help="check a certificate")
-    p.add_argument("certificate")
-    p.add_argument("--cap", type=int, default=6, help="tube truncation cap")
-    p.add_argument("--max-cap", type=int, default=DEFAULT_CAP, help="cap bound")
-    p.add_argument("--max-n", type=int, default=DEFAULT_CERTIFICATE_MAX_N, help="vertex bound")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("count", help="count torsion pairs")
-    add_target(p)
-    p.add_argument("--check", action="store_true", help="cross-verify the count")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("export", help="DOT export of the AR quiver or the lattice")
-    add_target(p)
-    p.add_argument("--dot", choices=("ar", "lattice"), required=True)
-    p.add_argument("--cap", type=int, default=4, help="tube truncation cap")
-    p.add_argument("--max-cap", type=int, default=DEFAULT_CAP, help="cap bound")
-    p.set_defaults(func=cmd_export)
-
-    for p in sub.choices.values():  # after each command's own options, as `--help` lists them
-        p.add_argument("--out", help="write to a file instead of stdout")
+    for name, (func, summary, target, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if target:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, keywords in target:
+                group.add_argument(flag, **keywords)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _parse_plain(argv):
+    """What `build_parser().parse_args(argv)` returns, for the plain form:
+    the command, then its positional, flags and exact `--name value` pairs,
+    each once.  Anything else (help, `--`, `--name=value`, an abbreviation, a
+    value starting with `-`, a repeat, a missing or clashing target, an
+    unknown token, a bad choice or integer) is None, for argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, target, arguments = _COMMANDS[argv[0]]
+    table = {name: (name.lstrip("-").replace("-", "_"), keywords) for name, keywords in target + arguments}
+    positional = next((name for name in table if not name.startswith("-")), None)
+    values: dict = {}
+    tokens = iter(argv[1:])
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        for token in tokens:
+            name = token if token.startswith("-") else positional
+            dest, keywords = table[name]
+            if name == positional:
+                value = token
+            elif keywords.get("action") == "store_true":
+                value = True
+            else:
+                value = next(tokens)
+                if value.startswith("-") or "choices" in keywords and value not in keywords["choices"]:
+                    return None
+                value = keywords.get("type", str)(value)
+            if dest in values:
+                return None
+            values[dest] = value
+    except (KeyError, StopIteration, ValueError):
+        return None
+    if target and sum(table[flag][0] in values for flag, _ in target) != 1:
+        return None
+    if any((name == positional or keywords.get("required")) and dest not in values
+           for name, (dest, keywords) in table.items()):
+        return None
+    for dest, keywords in table.values():
+        values.setdefault(dest, keywords.get("default"))
+    return types.SimpleNamespace(command=argv[0], func=func, **values)
+
+
+def main(argv=None) -> int:
+    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
     except CertificateError as exc:

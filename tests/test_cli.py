@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import functools
 import importlib
+import io
 import json
 import math
 import os
@@ -1163,3 +1165,106 @@ def test_numeric_flags_end_in_a_documented_exit_code(capsys, case):
     assert threading.active_count() == threads
     if closed_form:
         assert elapsed < 1, argv
+
+
+# -- the plain parse against argparse ---------------------------------------
+
+_COMMAND_NAMES = list(cli._COMMANDS)
+_FLAGS = sorted({
+    name for _, _, target, arguments in cli._COMMANDS.values() for name, _ in target + arguments
+    if name.startswith("-")
+})
+_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["json", "text", "left", "right", "both", "ar", "lattice", "cert.json", "a=b", "",
+                     "-", "٣", "１２", "1_0", " 7 ", "+4", "0x10", "1e3", "9" * 5000]),
+    st.text(max_size=4),
+)
+_TOKENS = st.one_of(
+    st.sampled_from(_COMMAND_NAMES + _FLAGS + ["-h", "--help", "--", "-", "--bogus"]),
+    st.sampled_from(_FLAGS).flatmap(lambda flag: st.integers(2, len(flag) - 1).map(lambda k: flag[:k])),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS), _VALUES),
+    _VALUES,
+)
+
+
+def _value(draw, keywords):
+    """A value for an argument: one it takes, three times in four."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_VALUES)
+    if "choices" in keywords:
+        return draw(st.sampled_from(keywords["choices"]))
+    return draw(st.integers(0, 12).map(str) if keywords.get("type") is int else st.sampled_from(["x.json", "٣"]))
+
+
+@st.composite
+def _argv(draw):
+    """Mostly a command with one target, its positional, its required
+    options and some of the others from its table, in any order, with any
+    tokens put in now and then; sometimes tokens alone."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(_TOKENS, max_size=6))
+    command = draw(st.sampled_from(_COMMAND_NAMES))
+    _, _, target, arguments = cli._COMMANDS[command]
+    chosen = [draw(st.sampled_from(target))] if target else []
+    chosen += [
+        (name, keywords) for name, keywords in arguments
+        if not name.startswith("-") or keywords.get("required") or draw(st.booleans())
+    ]
+    argv = [command]
+    for name, keywords in draw(st.permutations(chosen)):
+        if keywords.get("action") == "store_true":
+            argv.append(name)
+        else:
+            argv += [name, _value(draw, keywords)] if name.startswith("-") else [_value(draw, keywords)]
+    if draw(st.integers(0, 2)) == 0:
+        for token in draw(st.lists(_TOKENS, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits;
+    its help and usage text is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_same_namespace(argv):
+    plain, parsed = vars(cli._parse_plain(argv)).copy(), _argparse_vars(argv)
+    assert parsed is not None, argv  # argparse accepts what the plain parse accepts
+    assert plain.pop("func") is parsed.pop("func"), argv
+    assert plain == parsed, argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_the_plain_parse_is_argparse_or_declines(argv):
+    if cli._parse_plain(argv) is not None:
+        _assert_same_namespace(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--an", "3"],
+    ["count", "--check", "--max-n", "٣", "--tube", "2", "--out", "a=b"],
+    ["enumerate", "--format", "text", "--an", "+4"],
+    ["decompose", "--side", "both", "cert.json", "--max-n", "1_0"],
+    ["verify", "", "--cap", " 7 ", "--max-cap", "9", "--out", "x"],
+    ["export", "--tube", "3", "--dot", "ar", "--cap", "2", "--max-cap", "4", "--max-n", "5"],
+])
+def test_the_plain_parse_accepts_the_plain_form(argv):
+    _assert_same_namespace(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["count", "-h"], ["count", "--help"], ["count", "--an", "3", "--"],
+    ["count", "--an=3"], ["count", "--a", "3"], ["count", "--an", "-3"], ["count", "--an", "3", "--an", "4"],
+    ["count"], ["count", "--an", "3", "--tube", "3"], ["count", "--an", "3", "extra"], ["count", "--an", "x"],
+    ["count", "--an", "9" * 5000], ["count", "--an"], ["enumerate", "--an", "3", "--format", "xml"],
+    ["export", "--an", "3"], ["verify"], ["verify", "a", "b"], ["verify", "-"], ["count", "--out", "-", "--an", "3"],
+])
+def test_the_plain_parse_declines_everything_else(argv):
+    assert cli._parse_plain(argv) is None

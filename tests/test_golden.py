@@ -2,16 +2,21 @@
 
 The hashes pin the exact bytes the commands print, so a refactor or a
 faster model that changes any output byte fails here.  Every command runs
-in-process through `cli.main`.  WALK_GOLDEN pins, the same way, the
-library outputs of the stage walk that no command prints: `generators`
-and the `trace_ntp` of both peelings.  After an intended output change,
-print the new values with `python tests/test_golden.py` (from the
-repository root, with `src` and `tests` on the path) and paste them into
-GOLDEN and WALK_GOLDEN.
+in-process through `cli.main`.  HELP_GOLDEN pins the help and usage text
+argparse writes, stdout and stderr of fresh processes.  WALK_GOLDEN pins,
+the same way, the library outputs of the stage walk that no command
+prints: `generators` and the `trace_ntp` of both peelings.  After an
+intended output change, print the new values with `python
+tests/test_golden.py` (from the repository root, with `src` and `tests` on
+the path) and paste them into GOLDEN, HELP_GOLDEN and WALK_GOLDEN.
 """
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +189,43 @@ WALK_GOLDEN = {
 }
 
 
+# argv: exit code, SHA-256 of stdout, SHA-256 of stderr.  argparse writes
+# every help and usage text; these pin its bytes, run as `python -m
+# torsionpairs` with COLUMNS=80 so that the wrapping is the same everywhere.
+HELP_GOLDEN = {
+    '--help': (0, '74258462614a43f7fa6851d14129ca92b201dc4e56274e608c6c30ac4ff909b9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'enumerate --help': (0, 'c7efca4989bba95caae118b9ff9727dd9cad256666dd8e3bb856b73b50f2b8c2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'decompose --help': (0, '7e3fb0564434d1c7ab0143af9440d835cefd9c1fe8d65d25b5b857dcfaf3197c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --help': (0, 'ba8e4f00f351941060becd7f9cdbd9cbb9e1c8c8ed5689c76067c416deb46d08', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'count --help': (0, '28dedb0332f9790231bb8ba2a3c765ea8985a41d98a5e6959ef0b0500d6af262', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'export --help': (0, '3ee27e89c0ddcc5eb8b8bc49a3d0d386226b7d2be18ea2e1d4918ebb4b4ec46a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '05036533c9e6d18940f9b6e9614d9937519ec09372db4f8c18689392ec0545e2'),
+    'bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '032627922dc2bdc95beeb7390b8e9a7810fbef6ce98e5a31938ca127e3aad111'),
+    'count': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '22b81c6f82db726dff434fca98cfa97ab770350c18051394dc4e7cb02941327b'),
+    'count --an 3 --tube 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '04fd675ef918414d7d40de3e827ec0acddaad2a2951ae4a7acaa6a9cfc7a2a28'),
+    'count --an x': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '3131e85fae8cee22426420a68837c3c604ac0e67df16b73378169d152c350d90'),
+    'export --an 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '18c161114601dd956fb732e9cf469d439065143ba0a480e7239044bdd1da83ad'),
+}
+# An argparse that wraps its usage by `_get_actions_usage_parts` (3.13)
+# keeps `--dot {ar,lattice}` on one line, which moves export's line break.
+if hasattr(argparse.HelpFormatter, "_get_actions_usage_parts"):
+    HELP_GOLDEN.update({
+        'export --help': (0, '15cb9deb640808e54501a7e7894dcfdcf12e1e840de49ab6c7dc280b1feaad89', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+        'export --an 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '91b107839d5e9b080a71848d9ef50ad29654e35e30749fe09642bce6ee39f1e6'),
+    })
+
+
+def _help_digests(case):
+    """Exit code and the digests of stdout and stderr of a fresh `python -m
+    torsionpairs` on the argv of the case."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionpairs", *case.split()], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+    )
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest()
+
+
 def _walk_digests(quivers):
     """Digests of generators(q, tp) and of both trace_ntp(q, decompose(q, tp,
     side)), over every torsion pair of the quivers in turn."""
@@ -222,6 +264,11 @@ def test_stdout_matches_golden(case, tmp_path, capsys):
     code = main(_argv(case, tmp_path))
     out = capsys.readouterr().out
     assert (code, _digest(out)) == GOLDEN[" ".join(case)]
+
+
+@pytest.mark.parametrize("case", HELP_GOLDEN)
+def test_help_and_usage_match_golden(case):
+    assert _help_digests(case) == HELP_GOLDEN[case]
 
 
 @pytest.mark.parametrize("family", WALK_QUIVERS)
@@ -278,5 +325,7 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
                 code = main(_argv(case, pathlib.Path(tmp)))
             print(f"    {' '.join(case)!r}: ({code}, {_digest(buffer.getvalue())!r}),")
+    for case in HELP_GOLDEN:
+        print(f"    {case!r}: {_help_digests(case)!r},")
     for family, quivers in WALK_QUIVERS.items():
         print(f"    {family!r}: {_walk_digests(quivers)!r},")

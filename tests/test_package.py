@@ -44,23 +44,24 @@ HEAVY = {"dataclasses", "inspect", "fractions", "decimal",
          "torsionpairs.oracle", "torsionpairs.tube", "torsionpairs.tubepairs"}
 
 
-def _run(*argv):
+def _run(*argv, code=0):
     proc = subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
-def _imported(*argv):
-    """The modules a fresh interpreter imports to run argv, less those a
-    bare interpreter imports too (site start-up differs between hosts)."""
+def _imported(*argv, code=0):
+    """The modules a fresh interpreter imports to run argv, which ends with
+    the exit code, less those a bare interpreter imports too (site start-up
+    differs between hosts)."""
 
     def names(stderr):
         return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
 
-    return names(_run("-X", "importtime", *argv).stderr) - names(_run("-X", "importtime", "-c", "pass").stderr)
+    return names(_run("-X", "importtime", *argv, code=code).stderr) - names(_run("-X", "importtime", "-c", "pass").stderr)
 
 
 def test_importing_the_root_loads_no_submodule():
@@ -87,13 +88,17 @@ def test_a_count_loads_no_json(argv):
     assert not loaded & JSON
 
 
-def test_a_pair_verify_loads_no_heavy_module(tmp_path):
+def _pair_certificate(tmp_path):
     cert = tmp_path / "pair.json"
     cert.write_text(json.dumps({
         "schema": "torsion/1", "category": {"shape": "linearA", "n": 2},
         "torsion": [[1, 1], [1, 2], [2, 2]], "free": [],
     }))
-    loaded = _imported("-m", "torsionpairs", "verify", str(cert))
+    return str(cert)
+
+
+def test_a_pair_verify_loads_no_heavy_module(tmp_path):
+    loaded = _imported("-m", "torsionpairs", "verify", _pair_certificate(tmp_path))
     assert {"torsionpairs.jsonio", "torsionpairs.torsion"} <= loaded
     assert JSON <= loaded
     assert not loaded & HEAVY
@@ -125,3 +130,19 @@ def test_a_submodule_is_reachable_as_an_attribute_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         torsionpairs.nonesuch  # noqa: B018
     assert set(torsionpairs.__all__) <= set(dir(torsionpairs))
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [("count", "--an", "1"), ("enumerate", "--tube", "2"), ("verify", "{cert}")])
+def test_a_plain_command_loads_no_argparse(argv, tmp_path):
+    argv = [_pair_certificate(tmp_path) if arg == "{cert}" else arg for arg in argv]
+    loaded = _imported("-m", "torsionpairs", *argv)
+    assert "torsionpairs.cli" in loaded
+    assert not loaded & ARGPARSE
+
+
+@pytest.mark.parametrize("argv,code", [(("count", "--help"), 0), (("count", "--bogus"), 2)])
+def test_help_and_parse_errors_load_argparse(argv, code):
+    assert "argparse" in _imported("-m", "torsionpairs", *argv, code=code)

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from torsionpairs import cli
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACE_CHILD = BENCH / "trace_child.py"
 
@@ -118,3 +120,15 @@ def test_small_commands_keep_every_active_layer_nonzero(workload, tmp_path):
         outcomes.append(RUN.Outcome(0.0, 0.0, True, "", layers=layers))
     metrics = RUN.layer_metrics(outcomes)
     assert [name for name in RUN.ACTIVE[workload] if not metrics[name][0]] == []
+
+
+def test_the_plain_parse_takes_every_benchmarked_argv(tmp_path):
+    # every command the benchmark times is parsed without argparse; one the
+    # plain parse declined would load argparse, gettext and locale again
+    argvs = [inv.argv for inv in WORKLOADS.fixed_invocations()] + [WORKLOADS.SETUP_ARGV]
+    for workload in WORKLOADS.WORKLOADS.values():
+        for seed in range(4):
+            argvs += [inv.argv for inv in workload(random.Random(seed), tmp_path)]
+    declined = [argv for argv in argvs if cli._parse_plain(argv) is None]
+    assert declined == []
+    assert len(argvs) > 100
