@@ -3,17 +3,18 @@
 Morphism spaces are computed from explicit matrix representations: a
 homomorphism is a tuple of vertex-wise linear maps commuting with every
 arrow map, and its dimension is the nullity of the resulting linear
-system, solved in exact rational arithmetic (floating point would make
-ranks unreliable).  Torsion pairs are enumerated by exhausting the
-quotient-closed subsets of indecomposables (one length cap per possible
-top) and filtering by extension closure and the torsion pair axioms.
+system, solved by exact fraction-free elimination over the integers
+(floating point would make ranks unreliable).  Torsion pairs are
+enumerated by exhausting the quotient-closed subsets of indecomposables
+(one length cap per possible top) and filtering by extension closure,
+read from a gluing table, and the torsion pair axioms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import Callable, Iterable
 
 from .intervals import Interval, model_for
@@ -25,7 +26,9 @@ from .tube import TubeModule, TubeSubcatDescriptor, all_tube_modules, norm_verte
 # -- exact linear algebra ---------------------------------------------------
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals by fraction-free elimination: each row r below
+    the pivot row p becomes p[col] * r - r[col] * p, divided by its gcd."""
     rows = [row[:] for row in rows if any(row)]
     rank = 0
     col = 0
@@ -36,18 +39,20 @@ def _rank(rows: list[list[Fraction]]) -> int:
             col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        p = rows[rank]
+        lead = p[col]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col]
+            if factor != 0:
+                row = [lead * x - factor * y for x, y in zip(rows[r], p)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         rank += 1
         col += 1
     return rank
 
 
-def _nullity(rows: list[list[Fraction]], nvars: int) -> int:
+def _nullity(rows: list[list[int]], nvars: int) -> int:
     return nvars - _rank(rows)
 
 
@@ -60,10 +65,12 @@ def _interval_rep(q: Quiver, X: Interval):
     dims = {v: (1 if v in supp else 0) for v in q.vertices}
     mats = {}
     for s, t in q.arrows:
-        mats[s, t] = [[Fraction(1)]] if s in supp and t in supp else []
+        mats[s, t] = [[1]] if s in supp and t in supp else []
     return dims, mats
 
 
+# read-only once built, so every pair a module is in shares its rep
+@lru_cache(maxsize=256)
 def _tube_rep(X: TubeModule):
     """Nilpotent representation of the cycle with basis z_1..z_l from the top.
 
@@ -78,11 +85,11 @@ def _tube_rep(X: TubeModule):
     dims = {v: len(basis_at[v]) for v in q.vertices}
     mats = {}
     for s, t in q.arrows:
-        mat = [[Fraction(0)] * dims[s] for _ in range(dims[t])]
+        mat = [[0] * dims[s] for _ in range(dims[t])]
         for col, k in enumerate(basis_at[s]):
             if k + 1 < X.length and vertex_of[k + 1] == t:
                 row = basis_at[t].index(k + 1)
-                mat[row][col] = Fraction(1)
+                mat[row][col] = 1
         mats[s, t] = mat
     return q, dims, mats
 
@@ -100,12 +107,12 @@ def _hom_system(q: Quiver, repX, repY) -> int:
     def var(v: int, row: int, col: int) -> int:
         return offsets[v] + row * dimsX[v] + col
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for s, t in q.arrows:
         AX, AY = matsX[s, t], matsY[s, t]
         for i in range(dimsY[t]):
             for j in range(dimsX[s]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 # (f_t A_X)_{ij} = sum_k f_t[i,k] AX[k,j]
                 for k in range(dimsX[t]):
                     row[var(t, i, k)] += AX[k][j]
@@ -199,12 +206,17 @@ def _quotient_closed_subsets(q: Quiver):
         yield frozenset().union(*chosen)
 
 
-def _is_extension_closed(q: Quiver, T: frozenset) -> bool:
-    model = model_for(q)
+def _gluing_table(model) -> dict:
+    """Per top, the (bottom, glued) pairs with model.glue(bottom, top) = glued."""
+    return {top: [(bottom, glued) for bottom in model.objects
+                  if (glued := model.glue(bottom, top)) is not None] for top in model.objects}
+
+
+def _is_extension_closed(table: dict, T: frozenset) -> bool:
+    """Whether every gluing of two members of T lies in T."""
     for top in T:
-        for bottom in T:
-            glued = model.glue(bottom, top)
-            if glued is not None and glued not in T:
+        for bottom, glued in table[top]:
+            if bottom in T and glued not in T:
                 return False
     return True
 
@@ -212,13 +224,14 @@ def _is_extension_closed(q: Quiver, T: frozenset) -> bool:
 def bruteforce_torsion_pairs(q: Quiver) -> list[TorsionPair]:
     """All torsion pairs on the interval modules of q, deterministically ordered."""
     model = model_for(q)
+    table = _gluing_table(model)
+    # into[Y]: the X with Hom(X, Y) != 0; Y is in T's right perp iff it misses T
+    into = {Y: frozenset(X for X in model.objects if model.hom(X, Y)) for Y in model.objects}
     found = []
     for T in _quotient_closed_subsets(q):
-        if not _is_extension_closed(q, T):
+        if not _is_extension_closed(table, T):
             continue
-        F = frozenset(
-            Y for Y in model.objects if all(model.hom(X, Y) == 0 for X in T)
-        )
+        F = frozenset(Y for Y in model.objects if into[Y].isdisjoint(T))
         if is_torsion_pair(model, T, F):
             found.append(TorsionPair(T, F))
     found.sort(key=lambda tp: tuple(sorted((X.a, X.b) for X in tp.torsion)))

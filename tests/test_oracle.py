@@ -1,3 +1,7 @@
+import hashlib
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,15 +9,20 @@ from hypothesis import strategies as st
 from torsionpairs.intervals import Interval, indecomposables
 from torsionpairs.oracle import (
     BoundExceededError,
+    _gluing_table,
+    _is_extension_closed,
+    _quotient_closed_subsets,
+    _rank,
+    bruteforce_torsion_pairs,
     check_tube_tp_truncated,
     enumerate_torsion_pairs_bruteforce,
     euler_form,
     hom_dim_matrix,
 )
-from torsionpairs.quiver import cyclic_an, linear_an
+from torsionpairs.quiver import cyclic_an, linear_an, subquiver
 from torsionpairs.torsion import TorsionPair, perp_left, perp_right
 from torsionpairs.intervals import model_for
-from torsionpairs.tube import TubeModule, coray, ray
+from torsionpairs.tube import TubeModule, all_tube_modules, coray, hom_dim_tube, ray
 
 A2 = linear_an(2)
 
@@ -143,3 +152,125 @@ def test_matrix_hom_is_symmetric_under_relabel(n, data):
         return TubeModule((U.socle + shift - 1) % n + 1, U.length, n)
 
     assert hom_dim_matrix(X, Y) == hom_dim_matrix(rot(X), rot(Y))
+
+
+# -- integer elimination --------------------------------------------------
+
+
+def _rank_by_fractions(rows):
+    """Gauss-Jordan elimination over the rationals: the reference for _rank."""
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    col = 0
+    ncols = len(rows[0]) if rows else 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 8 rows of up to 10 entries in -2..2, then zero rows, repeats
+    and integer combinations of two rows (whose entries may leave -2..2),
+    shuffled so the dependent rows are not always last."""
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    while len(rows) < 8 and draw(st.booleans()):
+        kind = draw(st.sampled_from(("zero", "repeat", "combination")))
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(entry), draw(entry)
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@given(_integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_integer_rank_matches_rational_elimination(rows):
+    before = [row[:] for row in rows]
+    assert _rank(rows) == _rank_by_fractions(rows)
+    assert rows == before
+
+
+@pytest.mark.parametrize("rows,rank", [
+    ([], 0),
+    ([[0, 0], [0, 0]], 0),
+    ([[2, 4], [1, 2]], 1),
+    ([[0, 2, -1], [2, -1, 0], [2, 1, -1]], 2),
+    ([[2, 1], [1, 2]], 2),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 3),
+])
+def test_integer_rank_examples(rows, rank):
+    assert _rank(rows) == rank
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_matrix_hom_matches_the_closed_form_on_the_capped_tube(rank):
+    # lengths up to 2 * rank + 1 reach dim Hom = 3, so the matrix systems
+    # have nullity up to 3
+    mods = all_tube_modules(rank, 2 * rank + 1)
+    dims = Counter()
+    for X in mods:
+        for Y in mods:
+            dim = hom_dim_matrix(X, Y)
+            assert dim == hom_dim_tube(X, Y), (X, Y)
+            dims[dim] += 1
+    assert sum(dims.values()) == len(mods) ** 2
+    assert max(dims) == 3
+
+
+# -- exhaustive search ----------------------------------------------------
+
+
+def _closed_by_every_pair(model, T):
+    glued = (model.glue(bottom, top) for top in T for bottom in T)
+    return all(X is None or X in T for X in glued)
+
+
+@pytest.mark.parametrize("q", [linear_an(5), subquiver(linear_an(7), {1, 2, 3, 4, 6, 7})],
+                         ids=["A5", "A4+A2"])
+def test_gluing_table_agrees_with_every_pair(q):
+    model = model_for(q)
+    table = _gluing_table(model)
+    verdicts = Counter()
+    for T in _quotient_closed_subsets(q):
+        closed = _is_extension_closed(table, T)
+        assert closed == _closed_by_every_pair(model, T), sorted(T)
+        verdicts[closed] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+# SHA-256 of repr([(sorted(T), sorted(F)) for each pair]), recorded from
+# the search when it still called model.glue and model.hom per pair
+BRUTEFORCE_SHA256 = {
+    1: "88353c553b3ee0ad3c197e342a629982e8eaef8e94233bc4e3a48434c590521b",
+    2: "ee71501a3d68e7df47ef5489f6b80b5d2c3cf0ba1a027156459b3d6a863dc7a8",
+    3: "1a4a53c6f228e1a0dd9a94260b5ee2e95f4d2b08ff88ef3c24b47af83b876675",
+    4: "1c3e60ea9ca95495c86d75a013e4d1cb1e3c701f1ad775ed70565cc5b91f4012",
+    5: "907678292916f6c99cdcc872ab752f2948d84b87adc16babf0a22d89469c42cb",
+    6: "10716a5b14b298c1b90c82ae69244a21a822d52ac473041211d37b75f082dca4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BRUTEFORCE_SHA256))
+def test_search_returns_the_recorded_pairs_in_order(n):
+    pairs = bruteforce_torsion_pairs(linear_an(n))
+    text = repr([(sorted(tp.torsion), sorted(tp.free)) for tp in pairs])
+    assert hashlib.sha256(text.encode()).hexdigest() == BRUTEFORCE_SHA256[n]

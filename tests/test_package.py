@@ -104,6 +104,23 @@ def test_a_pair_verify_loads_no_heavy_module(tmp_path):
     assert not loaded & HEAVY
 
 
+def _tube_certificate(tmp_path):
+    cert = tmp_path / "tube.json"
+    cert.write_text(json.dumps({
+        "schema": "torsion/1", "rank": 3, "kind": 2, "delta": [2, 3], "residual_partition": [[1]],
+    }))
+    return str(cert)
+
+
+@pytest.mark.parametrize("argv", [("count", "--an", "6", "--check"), ("verify", "{cert}", "--cap", "6")])
+def test_the_oracle_loads_no_fractions(argv, tmp_path):
+    # both oracles eliminate over the integers
+    argv = [_tube_certificate(tmp_path) if arg == "{cert}" else arg for arg in argv]
+    loaded = _imported("-m", "torsionpairs", *argv)
+    assert "torsionpairs.oracle" in loaded
+    assert not loaded & {"fractions", "decimal"}
+
+
 def test_every_name_is_the_object_of_its_defining_module():
     # in a fresh interpreter, so no earlier test has touched the root
     script = (
