@@ -115,14 +115,6 @@ def _stage_row(model: LinearModel, support: frozenset[int], projective: bool) ->
     return out
 
 
-def _stage_generators(
-    model: LinearModel, support: frozenset[int], vertices: frozenset[int], projective: bool
-) -> dict[int, int]:
-    """The `_stage_row` entries of `vertices`, in a dict of their own."""
-    row = _stage_row(model, support, projective)
-    return dict(row) if vertices is support else {v: row[v] for v in vertices}
-
-
 def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionResult:
     """Peel a torsion pair into a complete part partition.
 
@@ -149,7 +141,7 @@ def decompose(q: Quiver, tp: TorsionPair, side: str = "left") -> DecompositionRe
         # a stage generator lies inside the support, so the classes need
         # no restriction before the membership test
         members = tp.torsion if projective else tp.free
-        gens = _stage_generators(full, support, support, projective)
+        gens = _stage_row(full, support, projective)
         found = frozenset(v for v, i in gens.items() if objects[i] in members)
         if stage > 0 and not found:
             break
@@ -194,7 +186,7 @@ def _stage_masks(model: LinearModel, partition: PartPartition) -> tuple[int, int
     torsion = free = 0
     for j, part in enumerate(partition.parts):
         projective = projective_stage(partition.kind, j)
-        for i in _stage_generators(model, support, part, projective).values():
+        for i in map(_stage_row(model, support, projective).__getitem__, part):
             if projective:
                 torsion |= model.quot_masks[i]
             else:

@@ -13,9 +13,9 @@ nonzero exactly when the map "quotient then include" exists (c <= a <= d
 Ext^1(X, Y) = Hom(Y, tau X), which also covers the overlap extensions
 whose middle terms decompose.  Both are closed forms in the positions of
 the interval ends, evaluated on every call; the one Hom table kept is a
-bitmask row per object, filled from the same rule.  The test suite checks
-hom and ext against explicit matrix representations and against the
-Euler form, and the rows against hom.
+bitmask row per object, which `ChainModel` derives from the chains.  The
+test suite checks hom and ext against explicit matrix representations
+and against the Euler form, and the rows against hom.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ class Interval(Record):
 class LinearModel(ChainModel):
     """Finite category model of the interval modules over an A-type quiver.
 
-    Objects are the N intervals in sorted order, and the tables of
+    Objects are the N intervals in sorted order, and the chains it gives
     `ChainModel` take O(N n) ints in all for n vertices.  `end_chains`
     holds two dicts: per vertex v, the quotient chain of the projective
     [v, sink] and the submodule chain of the injective [source, v], from
     which the stage walk reads its generators.  hom and ext are O(1)
-    closed forms in the vertex positions, and `hom_rows` is filled from
-    the hom rule in O(N n) without calling them.  All values are
-    immutable, so one model may be shared freely.
+    closed forms in the vertex positions; the base derives `hom_rows`
+    from the chains without calling them.  All values are immutable, so
+    one model may be shared freely.
     """
 
     def __init__(self, q: Quiver):
@@ -91,19 +91,14 @@ class LinearModel(ChainModel):
         self._projectives = tuple(sorted(row[-1] for g in grid for row in g))  # [v, sink]
         self._injectives = tuple(sorted(X for g in grid for X in g[0]))  # [source, v]
         n_obj = len(flat)
-        subs, quots, homs = [()] * n_obj, [()] * n_obj, [0] * n_obj
+        subs, quots = [()] * n_obj, [()] * n_obj
         before, same_socle = [None] * n_obj, [0] * n_obj
         end_quots, end_subs = {}, {}
         grid_at = iter(at)
         for comp, g in zip(q.components, grid):
             rows = [[next(grid_at) for _ in row] for row in g]
             for p, row in enumerate(rows):
-                hom = 0
                 for k, i in enumerate(row):
-                    # Hom([a, b], [c, d]) != 0 iff c <= a <= d <= b: the row of
-                    # [a, b] is that of [a, b-1] plus every [c, b] with c <= a
-                    hom |= sum(1 << rows[c][p + k - c] for c in range(p + 1))
-                    homs[i] = hom
                     quots[i] = tuple(row[: k + 1])
                     subs[i] = tuple(rows[p + k - m][m] for m in range(k + 1))
                     # [0, p-1] and [0, p+k] by offsets
@@ -116,7 +111,6 @@ class LinearModel(ChainModel):
         self.end_chains = (end_quots, end_subs)
         super().__init__(
             tuple(map(flat.__getitem__, order)),
-            tuple(homs),
             tuple(subs),
             tuple(quots),
             (tuple(before), tuple(same_socle)),
@@ -220,30 +214,28 @@ def indecomposables(q: Quiver) -> tuple[Interval, ...]:
     return model_for(q).objects
 
 
-def hom_dim(q: Quiver, X: Interval, Y: Interval) -> int:
+def _checked(q: Quiver, *modules: Interval) -> LinearModel:
+    """The model of q, once each module is checked to be an interval on q."""
     m = model_for(q)
-    m.check_interval(X)
-    m.check_interval(Y)
-    return m.hom(X, Y)
+    for X in modules:
+        m.check_interval(X)
+    return m
+
+
+def hom_dim(q: Quiver, X: Interval, Y: Interval) -> int:
+    return _checked(q, X, Y).hom(X, Y)
 
 
 def ext_dim(q: Quiver, X: Interval, Y: Interval) -> int:
-    m = model_for(q)
-    m.check_interval(X)
-    m.check_interval(Y)
-    return m.ext(X, Y)
+    return _checked(q, X, Y).ext(X, Y)
 
 
 def quotients(q: Quiver, X: Interval) -> tuple[Interval, ...]:
-    m = model_for(q)
-    m.check_interval(X)
-    return m.quotients(X)
+    return _checked(q, X).quotients(X)
 
 
 def submodules(q: Quiver, X: Interval) -> tuple[Interval, ...]:
-    m = model_for(q)
-    m.check_interval(X)
-    return m.submodules(X)
+    return _checked(q, X).submodules(X)
 
 
 def projectives(q: Quiver) -> tuple[Interval, ...]:
@@ -256,16 +248,12 @@ def injectives(q: Quiver) -> tuple[Interval, ...]:
 
 def tau(q: Quiver, X: Interval) -> Interval | None:
     """AR translate, absent on projectives."""
-    m = model_for(q)
-    m.check_interval(X)
-    return m.tau(X)
+    return _checked(q, X).tau(X)
 
 
 def tau_inv(q: Quiver, X: Interval) -> Interval | None:
     """Inverse AR translate, absent on injectives."""
-    m = model_for(q)
-    m.check_interval(X)
-    return m.tau_inv(X)
+    return _checked(q, X).tau_inv(X)
 
 
 def dim_vector(q: Quiver, X: Interval) -> tuple[int, ...]:

@@ -63,10 +63,8 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def quiver_to_obj(q: Quiver) -> dict:
-    if q.shape == LINEAR:
-        return {"shape": LINEAR, "n": len(q.vertices)}
-    if q.shape == CYCLIC:
-        return {"shape": CYCLIC, "n": len(q.vertices)}
+    if q.shape in (LINEAR, CYCLIC):
+        return {"shape": q.shape, "n": len(q.vertices)}
     return {"shape": LINEAR_UNION, "components": [list(c) for c in q.components]}
 
 

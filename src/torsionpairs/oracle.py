@@ -52,10 +52,6 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _nullity(rows: list[list[int]], nvars: int) -> int:
-    return nvars - _rank(rows)
-
-
 # -- explicit representations ----------------------------------------------
 
 
@@ -122,7 +118,7 @@ def _hom_system(q: Quiver, repX, repY) -> int:
                 rows.append(row)
     if nvars == 0:
         return 0
-    return _nullity(rows, nvars)
+    return nvars - _rank(rows)
 
 
 # holds every pair of a length-capped tube of up to 90 modules (cap 15 at rank 6)
@@ -192,16 +188,15 @@ def _tube_dim_vector(X: TubeModule) -> tuple[int, ...]:
 
 
 def _quotient_closed_subsets(q: Quiver):
-    """Quotient-closed interval sets: a length cap (possibly none) per top."""
+    """Quotient-closed interval sets: a length cap (possibly none) per top.
+    The sets hold the model's own objects, so its tables hit by identity."""
+    model = model_for(q)
     per_top = []
     for comp in q.components:
-        for i, v in enumerate(comp):
-            options = [frozenset()]
-            acc = []
-            for j in range(i, len(comp)):
-                acc.append(Interval(v, comp[j]))
-                options.append(frozenset(acc))
-            per_top.append(options)
+        for v in comp:
+            # [v, v] up to [v, sink]: the quotient chain of the projective of v
+            chain = [model.objects[i] for i in model.end_chains[0][v]]
+            per_top.append([frozenset(chain[:k]) for k in range(len(chain) + 1)])
     for chosen in product(*per_top):
         yield frozenset().union(*chosen)
 

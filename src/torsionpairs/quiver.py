@@ -174,7 +174,6 @@ class Quiver(Record):
                 v = self.succ[v]
                 comp.append(v)
             comps.append(tuple(comp))
-        comps.sort(key=lambda c: c[0])
         return tuple(comps)
 
     @cached_property
@@ -241,24 +240,18 @@ def _proper_subquiver(q: Quiver, keep: frozenset[int]) -> Quiver:
 
 
 def path_exists(q: Quiver, sources: Iterable[int], targets: Iterable[int]) -> bool:
-    """Directed path of length >= 0 from some source vertex to some target."""
-    src = set(sources) & set(q.vertices)
-    dst = set(targets) & set(q.vertices)
-    if not src or not dst:
-        return False
-    seen = set(src)
-    frontier = list(src)
-    while frontier:
-        if seen & dst:
-            return True
-        nxt = []
-        for v in frontier:
-            w = q.succ.get(v)
-            if w is not None and w not in seen:
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return bool(seen & dst)
+    """Directed path of length >= 0 from some source vertex to some target.
+
+    With at most one arrow out of a vertex, the paths from a vertex are its
+    walk along `succ`, searched up to a vertex an earlier walk has seen."""
+    dst, seen = q.vertex_set.intersection(targets), set()
+    for v in sources:
+        while v is not None and v not in seen:
+            if v in dst:
+                return True
+            seen.add(v)
+            v = q.succ.get(v)
+    return False
 
 
 class PartPartition(Record):

@@ -1,23 +1,21 @@
 """Torsion pair calculus over a finite category model.
 
-A model is a `ChainModel`: a tuple `objects` of uniserial
-indecomposables with, per object in that order,
-  - `hom_rows` (an int with bit j set iff Hom(X, objects[j]) != 0);
-  - `sub_chains` and `quot_chains` (the indices of the nonzero
-    submodules and quotients, shortest first, so entry h - 1 has
-    length h), and `sub_masks` and `quot_masks` (the same sets as
-    bitmasks);
-  - `glue_chains` (two such tuples: the indices of the longest objects
-    ending right before the top of X, None where there is no such
-    vertex, and ending at its socle);
-and with `index` (each object's position), `object_set` (the objects as
-a frozenset, the default ambient), `length(X)`, `submodules(X)` and
-`quotients(X)`, all derived by the base.  A subclass adds `hom(X, Y)`,
-`ext(X, Y)`, `slice(X, lo, hi)` (the subquotient between two socle
-heights) and `glue(bottom, top)` (the indecomposable middle term of a
-nonsplit extension, if any: it can only exist when the vertex after the
-socle of `top` is the top vertex of `bottom`).  The interval model and
-the truncated tube model are both `ChainModel`s.
+A model is a `ChainModel`.  A subclass supplies a tuple `objects` of
+uniserial indecomposables and, per object in that order, `sub_chains`
+and `quot_chains` (the indices of the nonzero submodules and quotients,
+shortest first, so entry h - 1 has length h) and `glue_chains` (two
+such tuples: the indices of the longest objects ending right before the
+top of X, None where there is no such vertex, and ending at its socle).
+The base derives the masks and the Hom rows from the chains: `sub_masks`
+and `quot_masks` (the chains as bitmasks), `hom_rows` (an int with bit
+j set iff Hom(X, objects[j]) != 0), `index` (each object's position),
+`object_set` (the objects as a frozenset, the default ambient), and
+`length(X)`, `submodules(X)` and `quotients(X)`.  A subclass adds
+`hom(X, Y)`, `ext(X, Y)`, `slice(X, lo, hi)` (the subquotient between
+two socle heights) and `glue(bottom, top)` (the indecomposable middle
+term of a nonsplit extension, if any: it can only exist when the vertex
+after the socle of `top` is the top vertex of `bottom`).  The interval
+model and the truncated tube model are both `ChainModel`s.
 
 Subcategories are frozensets of indecomposables; additive closure is
 implicit and the zero module is handled out of band (no object encodes
@@ -121,14 +119,26 @@ class Filtration(Record):
 
 
 class ChainModel:
-    """The model protocol of this module: a subclass computes the tables
-    `hom_rows`, `sub_chains`, `quot_chains` and `glue_chains`, and the
-    base derives the rest from them."""
+    """The model protocol of this module: a subclass supplies its objects,
+    their chains `sub_chains` and `quot_chains` and their `glue_chains`,
+    and the base derives the masks, the Hom rows and the rest from them."""
 
-    def __init__(self, objects, hom_rows, sub_chains, quot_chains, glue_chains):
+    def __init__(self, objects, sub_chains, quot_chains, glue_chains):
         self.objects: tuple = objects
         self.index: dict = {X: i for i, X in enumerate(objects)}
-        self.hom_rows: tuple[int, ...] = hom_rows
+        # a nonzero map of uniserials factors through its image, so Hom(X, Y)
+        # != 0 iff a quotient of X is a submodule of Y.  A chain less its last
+        # entry is the chain of entry -2: longest first, rows[z] gathers the
+        # objects with submodule z; shortest first, row X ORs those over X's quotients
+        by_length = sorted(range(len(objects)), key=lambda i: len(sub_chains[i]))
+        rows = [1 << i for i in range(len(objects))]
+        for i in reversed(by_length):
+            if len(sub_chains[i]) > 1:
+                rows[sub_chains[i][-2]] |= rows[i]
+        for i in by_length:
+            if len(quot_chains[i]) > 1:
+                rows[i] |= rows[quot_chains[i][-2]]
+        self.hom_rows: tuple[int, ...] = tuple(rows)
         self.sub_chains: tuple[tuple[int, ...], ...] = sub_chains
         self.quot_chains: tuple[tuple[int, ...], ...] = quot_chains
         self.sub_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in sub_chains)

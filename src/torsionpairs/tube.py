@@ -102,7 +102,6 @@ def tau_inv_tube(X: TubeModule) -> TubeModule:
 
 def ext_dim_tube(X: TubeModule, Y: TubeModule) -> int:
     """dim Ext^1(X, Y) via AR duality in a category without projectives."""
-    _same_rank(X, Y)
     return hom_dim_tube(Y, tau_tube(X))
 
 
@@ -237,8 +236,8 @@ class TubeModel(ChainModel):
     A `ChainModel` like the interval model, so the torsion pair calculus
     can run on it; gluings that would leave the truncation are reported
     as absent.  U(s, l) sits at `module_index(s, l, rank)` of `objects`,
-    and the per-object tables are built from that arithmetic, `hom_rows`
-    from `hom_dim_tube`.
+    and the chains are built from that arithmetic; the base derives
+    `hom_rows` from them, and `hom_dim_tube` serves `hom`.
     """
 
     def __init__(self, rank: int, cap: int):
@@ -251,9 +250,6 @@ class TubeModel(ChainModel):
         def at(socle: int, length: int) -> int:
             return module_index(socle, length, rank)
 
-        hom_rows = tuple(
-            sum(1 << j for j, Y in enumerate(objs) if hom_dim_tube(X, Y)) for X in objs
-        )
         # submodules keep the socle; the length-h quotient has socle s - (l - h)
         sub_chains = tuple(
             tuple(at(X.socle, h) for h in range(1, X.length + 1)) for X in objs
@@ -266,7 +262,7 @@ class TubeModel(ChainModel):
             tuple(at(X.socle - X.length, cap) for X in objs),
             tuple(at(X.socle, cap) for X in objs),
         )
-        super().__init__(objs, hom_rows, sub_chains, quot_chains, glue_chains)
+        super().__init__(objs, sub_chains, quot_chains, glue_chains)
 
     def hom(self, X: TubeModule, Y: TubeModule) -> int:
         return hom_dim_tube(X, Y)

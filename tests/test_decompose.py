@@ -7,8 +7,8 @@ from test_intervals import CYCLE_RESIDUALS, MODEL_QUIVERS, linear_union, model_i
 from torsionpairs.decompose import (
     DecompositionResult,
     _mask_walk,
-    _stage_generators,
     _stage_masks,
+    _stage_row,
     assemble,
     catalan,
     count_torsion_pairs,
@@ -179,13 +179,13 @@ class TestResiduals:
         # vertex left; the peeling reports it instead of a residual pair
         module = importlib.import_module("torsionpairs.decompose")
 
-        def drop_last_injective(model, support, vertices, projective):
-            out = _stage_generators(model, support, vertices, projective)
+        def drop_last_injective(model, support, projective):
+            out = dict(_stage_row(model, support, projective))  # the row is shared
             if not projective:
                 out.pop(max(out), None)
             return out
 
-        monkeypatch.setattr(module, "_stage_generators", drop_last_injective)
+        monkeypatch.setattr(module, "_stage_row", drop_last_injective)
         everything_free = TorsionPair(frozenset(), model_for(A3).object_set)
         with pytest.raises(RuntimeError, match=r"^peeling left vertices \[3\]; model defect$"):
             decompose(A3, everything_free, "left")
@@ -535,10 +535,12 @@ class TestStageWalk:
                 full = model_for(q)
                 home = full.index
                 for part in (support, frozenset(sorted(support)[::2])):
-                    assert _stage_generators(full, support, part, True) == {
+                    row = _stage_row(full, support, True)
+                    assert {v: row[v] for v in part} == {
                         P.a: home[P] for P in model.projectives() if P.a in part
                     }, (support, part)
-                    assert _stage_generators(full, support, part, False) == {
+                    row = _stage_row(full, support, False)
+                    assert {v: row[v] for v in part} == {
                         I.b: home[I] for I in model.injectives() if I.b in part
                     }, (support, part)
                 assert stage_ends(q, support, True) == sub.sources, support

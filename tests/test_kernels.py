@@ -10,7 +10,9 @@ per-object tables (`hom_rows`, the chains and their masks, the vertex
 masks, `glue_chains`) are checked against the methods they encode.  The
 models are the paths with at most six vertices, every proper support
 subquiver of the cycles of rank at most five, two shuffled-label unions
-and the truncated tubes of rank at most three and cap at most five.
+and the truncated tubes of rank at most three and cap at most five; the
+Hom rows are also checked on the tubes of rank at most five and cap at
+most 3 * rank + 1, where Hom reaches dimension four.
 """
 
 import importlib
@@ -291,10 +293,16 @@ def bits(mask):
     return {j for j in range(mask.bit_length()) if mask >> j & 1}
 
 
+# past cap = rank a tube has Hom spaces of dimension 2 or more, where a row
+# still reads a plain nonzero; at cap = 3 * rank + 1 they reach dimension 4
+DEEP_TUBES = [(r, c) for r in range(1, 6) for c in range(1, 3 * r + 2) if (r, c) not in TUBES]
+
+
 @pytest.mark.parametrize(
     "make",
     KERNEL_MODELS
-    + [pytest.param(lambda q=q: model_for(q), id=model_id(q)) for q in CERTIFICATE_QUIVERS],
+    + [pytest.param(lambda q=q: model_for(q), id=model_id(q)) for q in CERTIFICATE_QUIVERS]
+    + [pytest.param(lambda r=r, c=c: TubeModel(r, c), id=f"tube{r}-cap{c}") for r, c in DEEP_TUBES],
 )
 def test_hom_rows_match_the_served_hom(make):
     model = make()

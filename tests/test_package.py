@@ -1,5 +1,6 @@
 """The package root re-exports the library's names and no submodule."""
 
+import ast
 import json
 import os
 import subprocess
@@ -163,3 +164,24 @@ def test_a_plain_command_loads_no_argparse(argv, tmp_path):
 @pytest.mark.parametrize("argv,code", [(("count", "--help"), 0), (("count", "--bogus"), 2)])
 def test_help_and_parse_errors_load_argparse(argv, code):
     assert "argparse" in _imported("-m", "torsionpairs", *argv, code=code)
+
+
+# -- imports ----------------------------------------------------------------
+
+
+def test_every_name_a_module_imports_is_used_in_it():
+    # a deletion takes its imports along; a name read only in a docstring
+    # or a comment does not count as used
+    for path in sorted(Path(torsionpairs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name}: unused imports (line, name) {unused}"

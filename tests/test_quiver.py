@@ -157,6 +157,51 @@ class TestPathExists:
     def test_around_the_cycle(self):
         assert path_exists(cyclic_an(3), {3}, {2})
 
+    @staticmethod
+    def bfs(q, sources, targets):
+        """Breadth-first search along every arrow, assuming nothing of their shape."""
+        seen = set(sources) & set(q.vertices)
+        frontier = seen
+        while frontier:
+            frontier = {t for s, t in q.arrows if s in frontier} - seen
+            seen |= frontier
+        return bool(seen & set(targets))
+
+    @staticmethod
+    def random_quivers(rng):
+        """The cycles of rank 1 to 5 (rank 1 is a loop), and random unions of
+        paths on shuffled labels, each with a random subquiver of it."""
+        quivers = [cyclic_an(n) for n in range(1, 6)]
+        for _ in range(40):
+            labels = rng.sample(range(1, 13), rng.randint(1, 8))
+            cuts = sorted(rng.sample(range(1, len(labels)), rng.randint(0, len(labels) - 1)))
+            comps = [labels[i:j] for i, j in zip([0] + cuts, cuts + [len(labels)])]
+            vertices = tuple(sorted(labels))
+            arrows = tuple((c[i], c[i + 1]) for c in comps for i in range(len(c) - 1))
+            quivers.append(Quiver(vertices, arrows, LINEAR_UNION))
+        return quivers + [subquiver(q, rng.sample(q.vertices, rng.randint(0, len(q.vertices))))
+                          for q in quivers]
+
+    def test_matches_breadth_first_search(self):
+        rng = random.Random(7)
+        for q in self.random_quivers(rng):
+            outside = [0, max(q.vertices, default=0) + 1]
+            for _ in range(30):
+                # random vertex sets, empty ones and vertices off q included
+                sources = set(rng.sample(q.vertices, rng.randint(0, len(q.vertices))))
+                targets = set(rng.sample(q.vertices, rng.randint(0, len(q.vertices))))
+                sources |= set(rng.sample(outside, rng.randint(0, 2)))
+                targets |= set(rng.sample(outside, rng.randint(0, 2)))
+                assert path_exists(q, sources, targets) == self.bfs(q, sources, targets), (q, sources, targets)
+
+    def test_the_loop_of_rank_one(self):
+        loop = cyclic_an(1)
+        assert loop.arrows == ((1, 1),)
+        assert path_exists(loop, {1}, {1})
+        assert not path_exists(loop, {1}, {2})
+        assert not path_exists(loop, set(), {1})
+        assert not path_exists(loop, {1}, set())
+
 
 class TestValidatePartition:
     def test_simple_strong_one(self):
