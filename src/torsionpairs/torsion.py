@@ -129,20 +129,24 @@ class ChainModel:
         # a nonzero map of uniserials factors through its image, so Hom(X, Y)
         # != 0 iff a quotient of X is a submodule of Y.  A chain less its last
         # entry is the chain of entry -2: longest first, rows[z] gathers the
-        # objects with submodule z; shortest first, row X ORs those over X's quotients
+        # objects with submodule z; shortest first, row X ORs those over X's
+        # quotients, and each chain mask is entry -2's with X's own bit
         by_length = sorted(range(len(objects)), key=lambda i: len(sub_chains[i]))
         rows = [1 << i for i in range(len(objects))]
+        subs, quots = rows[:], rows[:]
         for i in reversed(by_length):
             if len(sub_chains[i]) > 1:
                 rows[sub_chains[i][-2]] |= rows[i]
         for i in by_length:
             if len(quot_chains[i]) > 1:
                 rows[i] |= rows[quot_chains[i][-2]]
+                subs[i] |= subs[sub_chains[i][-2]]
+                quots[i] |= quots[quot_chains[i][-2]]
         self.hom_rows: tuple[int, ...] = tuple(rows)
         self.sub_chains: tuple[tuple[int, ...], ...] = sub_chains
         self.quot_chains: tuple[tuple[int, ...], ...] = quot_chains
-        self.sub_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in sub_chains)
-        self.quot_masks: tuple[int, ...] = tuple(sum(1 << j for j in c) for c in quot_chains)
+        self.sub_masks: tuple[int, ...] = tuple(subs)
+        self.quot_masks: tuple[int, ...] = tuple(quots)
         self.glue_chains: tuple[tuple, tuple] = glue_chains
 
     @cached_property
@@ -198,16 +202,10 @@ def _ambient(model, ambient) -> tuple[frozenset, int]:
     return amb, mask_of(model, amb)
 
 
-@lru_cache(maxsize=1)
-def _bits(model) -> dict:
-    """Each object of the latest model with its bit, `1 << index`."""
-    return {X: 1 << i for i, X in enumerate(model.objects)}
-
-
 def _mask_within(model, objs: frozenset, within: int) -> int | None:
     """Bitmask of a set of objects, or None if one lies outside `within`."""
     try:
-        mask = sum(map(_bits(model).__getitem__, objs))  # a set holds no object twice
+        mask = mask_of(model, objs)
     except KeyError:
         return None
     return None if mask & ~within else mask

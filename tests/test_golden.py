@@ -2,13 +2,16 @@
 
 The hashes pin the exact bytes the commands print, so a refactor or a
 faster model that changes any output byte fails here.  Every command runs
-in-process through `cli.main`.  HELP_GOLDEN pins the help and usage text
-argparse writes, stdout and stderr of fresh processes.  WALK_GOLDEN pins,
-the same way, the library outputs of the stage walk that no command
-prints: `generators` and the `trace_ntp` of both peelings.  After an
-intended output change, print the new values with `python
-tests/test_golden.py` (from the repository root, with `src` and `tests` on
-the path) and paste them into GOLDEN, HELP_GOLDEN and WALK_GOLDEN.
+in-process through `cli.main`.  The certificates include T_S pairs on the
+40- and 80-vertex paths, valid and broken by each corruption move of the
+benchmark, so each FAIL line is pinned with its witness.  HELP_GOLDEN
+pins the help and usage text argparse writes, stdout and stderr of fresh
+processes.  WALK_GOLDEN pins, the same way, the library outputs of the
+stage walk that no command prints: `generators` and the `trace_ntp` of
+both peelings.  After an intended output change, print the new values
+with `python tests/test_golden.py` (from the repository root, with `src`
+and `tests` on the path) and paste them into GOLDEN, HELP_GOLDEN and
+WALK_GOLDEN.
 """
 
 import argparse
@@ -52,6 +55,36 @@ CERTIFICATES = {
 }
 
 
+def ts_pair(n, move=None):
+    """(T_S, F_S) on the n-vertex path, T_S = {[a,b] : a in S} and F_S the
+    intervals that avoid S, for the odd vertices S; or, for S = {1, 4, 7,
+    ...}, broken by one of the four moves of `bench/workloads.py`'s
+    `_corrupt_pair`: X = [1, n // 3] dropped from T or moved to F, or the
+    non-simple Y = [2, 3] of F dropped from F or moved to T."""
+    S = set(range(1, n + 1, 2 if move is None else 3))
+    intervals = [[a, b] for a in range(1, n + 1) for b in range(a, n + 1)]
+    torsion = [X for X in intervals if X[0] in S]
+    free = [X for X in intervals if not S.intersection(range(X[0], X[1] + 1))]
+    X, Y = [1, n // 3], [2, 3]
+    if move in ("drop_t", "t_to_f"):
+        torsion.remove(X)
+    if move in ("drop_f", "f_to_t"):
+        free.remove(Y)
+    if move == "t_to_f":
+        free.append(X)
+    if move == "f_to_t":
+        torsion.append(Y)
+    return {"schema": "torsion/1", "category": {"shape": "linearA", "n": n}, "torsion": torsion, "free": free}
+
+
+TS_MOVES = ("drop_t", "t_to_f", "drop_f", "f_to_t")
+TS_CERTIFICATES = {
+    f"ts{n}" + (f"-{move}" if move else ""): ts_pair(n, move)
+    for n in (40, 80)
+    for move in (None, *TS_MOVES)
+}
+
+
 def _cases():
     cases = []
     for n in range(1, 7):
@@ -85,6 +118,9 @@ def _cases():
     for name in CERTIFICATES:
         cases.append(("verify", f"@{name}"))
         cases.append(("decompose", f"@{name}", "--side", "both"))
+    for name in TS_CERTIFICATES:
+        cases.append(("verify", f"@{name}", "--max-n", "80"))
+    cases.append(("decompose", "@ts40", "--side", "both"))
     return cases
 
 
@@ -158,6 +194,17 @@ GOLDEN = {
     'decompose @union-pair --side both': (0, '3482a35144ee83f67f4e101e3ee7d0aec13cbf6f21b9498428323092793abd99'),
     'verify @a3-bad': (1, 'd22cf84babac9968209d276129b34a809beb2c3c32055018ac8bbdf2fa258e58'),
     'decompose @a3-bad --side both': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify @ts40 --max-n 80': (0, 'c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431'),
+    'verify @ts40-drop_t --max-n 80': (1, '95f3a4d1d9e3791562a54154c1b368db77d8a63a1304fbd07fa2dfc7d3c6a75b'),
+    'verify @ts40-t_to_f --max-n 80': (1, '4b72cb56692f45a8cecd040ba0feaff278f2324936dba4cc4c9599b18c90c30d'),
+    'verify @ts40-drop_f --max-n 80': (1, 'fb0f316e8ff2a7c89ea7d7f0b130759a79d6a16ef71453a605957120db3b1465'),
+    'verify @ts40-f_to_t --max-n 80': (1, '175c6a2e70ee19836b876c44b56f850a018bd0370327be3c5f2b172258b4f4f5'),
+    'verify @ts80 --max-n 80': (0, 'c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431'),
+    'verify @ts80-drop_t --max-n 80': (1, '62e928b4c4a63267cf44f668426f9222b5c343032582de74165ed9d4d3fe40dd'),
+    'verify @ts80-t_to_f --max-n 80': (1, '6659e8a024e2a5870bee66472230ff74a4bdd922daf423b687aa27975a9a7edc'),
+    'verify @ts80-drop_f --max-n 80': (1, 'fb0f316e8ff2a7c89ea7d7f0b130759a79d6a16ef71453a605957120db3b1465'),
+    'verify @ts80-f_to_t --max-n 80': (1, '175c6a2e70ee19836b876c44b56f850a018bd0370327be3c5f2b172258b4f4f5'),
+    'decompose @ts40 --side both': (0, 'cdd585874020bf8f9a8394611f4c34334dbeefa1df04ed3cb546798304523276'),
 }
 
 
@@ -249,7 +296,7 @@ def _argv(case, directory):
     for arg in case:
         if arg.startswith("@"):
             path = directory / f"{arg[1:]}.json"
-            path.write_text(json.dumps(CERTIFICATES[arg[1:]]))
+            path.write_text(json.dumps({**CERTIFICATES, **TS_CERTIFICATES}[arg[1:]]))
             arg = str(path)
         argv.append(arg)
     return argv
@@ -264,6 +311,14 @@ def test_stdout_matches_golden(case, tmp_path, capsys):
     code = main(_argv(case, tmp_path))
     out = capsys.readouterr().out
     assert (code, _digest(out)) == GOLDEN[" ".join(case)]
+
+
+@pytest.mark.parametrize("name", [f"ts{n}-{move}" for n in (40, 80) for move in TS_MOVES])
+def test_every_corruption_fails_with_its_witness(name, tmp_path, capsys):
+    code = main(_argv(("verify", f"@{name}", "--max-n", "80"), tmp_path))
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL: ") and "(witness: " in out and out.endswith(")\n"), out
 
 
 @pytest.mark.parametrize("case", HELP_GOLDEN)

@@ -11,8 +11,9 @@ masks, `glue_chains`) are checked against the methods they encode.  The
 models are the paths with at most six vertices, every proper support
 subquiver of the cycles of rank at most five, two shuffled-label unions
 and the truncated tubes of rank at most three and cap at most five; the
-Hom rows are also checked on the tubes of rank at most five and cap at
-most 3 * rank + 1, where Hom reaches dimension four.
+Hom rows, the chains and their masks are also checked on the
+certificate-sized paths and shuffled unions and on the tubes of rank at
+most five and cap at most 3 * rank + 1, where Hom reaches dimension four.
 """
 
 import importlib
@@ -298,12 +299,14 @@ def bits(mask):
 DEEP_TUBES = [(r, c) for r in range(1, 6) for c in range(1, 3 * r + 2) if (r, c) not in TUBES]
 
 
-@pytest.mark.parametrize(
-    "make",
+TABLE_MODELS = (
     KERNEL_MODELS
     + [pytest.param(lambda q=q: model_for(q), id=model_id(q)) for q in CERTIFICATE_QUIVERS]
-    + [pytest.param(lambda r=r, c=c: TubeModel(r, c), id=f"tube{r}-cap{c}") for r, c in DEEP_TUBES],
+    + [pytest.param(lambda r=r, c=c: TubeModel(r, c), id=f"tube{r}-cap{c}") for r, c in DEEP_TUBES]
 )
+
+
+@pytest.mark.parametrize("make", TABLE_MODELS)
 def test_hom_rows_match_the_served_hom(make):
     model = make()
     assert [model.index[X] for X in model.objects] == list(range(len(model.objects)))
@@ -313,7 +316,7 @@ def test_hom_rows_match_the_served_hom(make):
         }, X
 
 
-@pytest.mark.parametrize("make", KERNEL_MODELS)
+@pytest.mark.parametrize("make", TABLE_MODELS)
 def test_index_chains_and_masks_match_the_objects(make):
     model = make()
     assert isinstance(model, ChainModel)
