@@ -17,10 +17,10 @@ predicate; explicit sets are always truncations by length.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .quiver import Record, _set
-from .torsion import ChainModel
+from .torsion import ChainModel, bit_indices
 
 FINITE = "finite"
 CORAY_FINITE = "coray+finite"
@@ -142,8 +142,6 @@ class TubeSubcatDescriptor(Record):
             return True
         return X in self.finite_part
 
-    __call__ = contains
-
 
 def ray(delta: Iterable[int], rank: int) -> TubeSubcatDescriptor:
     """All modules with socle in delta."""
@@ -187,47 +185,37 @@ def all_tube_modules(rank: int, cap: int) -> tuple[TubeModule, ...]:
 
 
 @lru_cache(maxsize=256)
-def _families(rank: int, cap: int) -> tuple[tuple[frozenset[TubeModule], ...], ...]:
-    """Modules of length at most cap with top v (the coray families) and
-    with socle v (the ray families), each indexed by v - 1."""
-    members = all_tube_modules(rank, cap)
-    vertices = range(1, rank + 1)
-    by_top = tuple(frozenset(X for X in members if X.top == v) for v in vertices)
-    by_socle = tuple(frozenset(X for X in members if X.socle == v) for v in vertices)
-    return by_top, by_socle
+def _families(rank: int, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks over `all_tube_modules(rank, cap)` of the modules with top v
+    (the coray families) and with socle v (the ray families), each indexed
+    by v - 1."""
+    by_top, by_socle = [0] * rank, [0] * rank
+    for i, X in enumerate(all_tube_modules(rank, cap)):
+        by_top[X.top - 1] |= 1 << i
+        by_socle[X.socle - 1] |= 1 << i
+    return tuple(by_top), tuple(by_socle)
 
 
-@lru_cache(maxsize=1)
-def _infinite_part(rank: int, cap: int, kind: str, delta: frozenset[int]) -> frozenset[TubeModule]:
-    """Modules of length at most cap in the coray (ray) families of delta
-    for a "coray+finite" ("ray+finite") descriptor; a "finite" one has no delta.
-    Only the latest is kept: the classification's groups come one by one."""
+def _infinite_part(rank: int, cap: int, kind: str, delta: frozenset[int]) -> int:
+    """Mask over `all_tube_modules(rank, cap)` of the coray (ray) families
+    of delta for a "coray+finite" ("ray+finite") descriptor; a "finite"
+    one has no delta."""
     by_top, by_socle = _families(rank, cap)
     family = by_top if kind == CORAY_FINITE else by_socle
-    return frozenset().union(*(family[v - 1] for v in delta))
+    return sum(family[v - 1] for v in delta)  # disjoint families: the sum is the union
 
 
-def truncate(
-    desc: TubeSubcatDescriptor | Callable[[TubeModule], bool],
-    cap: int,
-    rank: int | None = None,
-) -> tuple[TubeModule, ...]:
-    """Members of the descriptor (or raw predicate) with length <= cap,
-    ordered by (length, socle).
-
-    A descriptor is read directly: the coray or ray families of its delta
-    plus the short modules of its finite part.  A raw predicate is tested
-    on every module of length <= cap.
-    """
+def truncate(desc: TubeSubcatDescriptor, cap: int) -> tuple[TubeModule, ...]:
+    """Members of the descriptor with length <= cap, ordered by (length, socle):
+    the coray or ray families of its delta plus the short modules of its
+    finite part, read from one mask over `all_tube_modules(rank, cap)`."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if isinstance(desc, TubeSubcatDescriptor):
-        members = {X for X in desc.finite_part if X.length <= cap}
-        members |= _infinite_part(desc.rank, cap, desc.kind, desc.delta)
-        return tuple(sorted(members, key=TubeModule.sort_key))
-    if rank is None:
-        raise ValueError("a raw predicate needs an explicit rank")
-    return tuple(X for X in all_tube_modules(rank, cap) if desc(X))
+    mask = _infinite_part(desc.rank, cap, desc.kind, desc.delta)
+    for X in desc.finite_part:
+        if X.length <= cap:
+            mask |= 1 << module_index(X.socle, X.length, desc.rank)
+    return tuple(map(all_tube_modules(desc.rank, cap).__getitem__, bit_indices(mask)))
 
 
 class TubeModel(ChainModel):

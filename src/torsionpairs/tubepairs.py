@@ -21,7 +21,10 @@ classification from its tails' stage masks unchecked, one (kind, delta)
 group at a time, in `TubeTorsionPair.sort_key` order; the walked
 partitions are validated by `count_tube_tps(check=True)`.  Partitions
 from outside (certificates) go through `partition_to_tube_tp`, which
-validates them and builds the residual pair with the checked `assemble`.
+validates them on the cycle and then builds the pair from the tail's
+stage masks, as the classification does.  Within the tube route a
+truncated class is a mask over `all_tube_modules(rank, cap)`; module
+sets appear only in the descriptors.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .decompose import (
     _mask_walk,
-    assemble,
+    _stage_masks,
     catalan,
     decompose,
     is_cotilting_induced,
     is_tilting_induced,
 )
-from .intervals import Interval, LinearModel, model_for
+from .intervals import LinearModel, model_for
 from .quiver import (
     STRONG_ONE,
     STRONG_TWO,
@@ -75,23 +78,14 @@ class ClassificationDefectError(RuntimeError):
     """A classified pair violates a structural law (collision, empty L and R)."""
 
 
-def _interval_to_tube(rank: int, X: Interval) -> TubeModule:
-    """Reread an interval [a, b] on a residual segment as a tube module.
-
-    A residual segment is shorter than the cycle, so the interval runs
-    (b - a) % rank + 1 vertices along it and the module is one of
-    `all_tube_modules(rank, rank)`; the shared instance is returned, since
-    the classified pairs keep their descriptors.
-    """
-    return all_tube_modules(rank, rank)[module_index(X.b, (X.b - X.a) % rank + 1, rank)]
-
-
 @lru_cache(maxsize=1)
-def _tube_table(rank: int, model: LinearModel) -> tuple[tuple[TubeModule, ...], tuple[int, ...]]:
-    """A residual model's intervals as tube modules, and their lengths.  Only
-    the latest is kept: the classification's groups come one by one."""
-    modules = tuple(_interval_to_tube(rank, X) for X in model.objects)
-    return modules, tuple(Y.length for Y in modules)
+def _tube_table(rank: int, model: LinearModel) -> tuple[int, ...]:
+    """Each residual interval's bit over `all_tube_modules(rank, cap)`, for
+    every cap of at least rank.  A residual segment is shorter than the
+    cycle, so [a, b] runs (b - a) % rank + 1 vertices along it and is the
+    module of that length with socle b.  Only the latest table is kept:
+    the classification's groups come one by one."""
+    return tuple(module_index(X.b, (X.b - X.a) % rank + 1, rank) for X in model.objects)
 
 
 class TubeTorsionPair(Record):
@@ -126,25 +120,26 @@ class TubeTorsionPair(Record):
     def residual_quiver(self) -> Quiver:
         return self._model.quiver
 
-    def _finite_side(self, mask: int, cap: int, base: frozenset = frozenset()) -> frozenset[TubeModule]:
-        """`base` and the residual intervals of the mask, as tube modules of
-        length at most `cap`; a cap of `rank` keeps them all."""
-        modules, lengths = _tube_table(self.rank, self._model)
-        bits = bit_indices(mask)
-        if cap < self.rank:
-            bits = [i for i in bits if lengths[i] <= cap]
-        return base.union(map(modules.__getitem__, bits))
+    def _tube_mask(self, mask: int) -> int:
+        """The residual intervals of the mask as a mask over the tube modules."""
+        bits = _tube_table(self.rank, self._model)
+        return sum(1 << bits[i] for i in bit_indices(mask))
+
+    def _finite_part(self, mask: int) -> frozenset[TubeModule]:
+        """The residual intervals of the mask as tube modules."""
+        modules, bits = all_tube_modules(self.rank, self.rank), _tube_table(self.rank, self._model)
+        return frozenset(modules[bits[i]] for i in bit_indices(mask))
 
     @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:
-        finite = self._finite_side(self._torsion, self.rank)
+        finite = self._finite_part(self._torsion)
         if self.kind == 1:
             return TubeSubcatDescriptor(CORAY_FINITE, self.rank, self.delta, finite)
         return TubeSubcatDescriptor(FINITE, self.rank, frozenset(), finite)
 
     @cached_property
     def free_descriptor(self) -> TubeSubcatDescriptor:
-        finite = self._finite_side(self._free, self.rank)
+        finite = self._finite_part(self._free)
         if self.kind == 2:
             return TubeSubcatDescriptor(RAY_FINITE, self.rank, self.delta, finite)
         return TubeSubcatDescriptor(FINITE, self.rank, frozenset(), finite)
@@ -160,15 +155,17 @@ class TubeTorsionPair(Record):
             return FREE
         return NEITHER
 
-    def fingerprint(self, cap: int) -> tuple[frozenset, frozenset]:
-        """The two classes truncated at `cap`, as `truncate` reads them from
-        the descriptors, made from the residual masks and delta's families."""
-        rank, torsion, free = self.rank, self._torsion, self._free
+    def fingerprint(self, cap: int) -> tuple[int, int]:
+        """The two classes truncated at `cap`, as (torsion, free) masks over
+        `all_tube_modules(rank, cap)`: `truncate` of the descriptors, made
+        from the residual masks and delta's families.  The bits run in
+        (length, socle) order, so the low `rank * cap` bits are the
+        modules of length at most cap."""
+        low = (1 << self.rank * cap) - 1
+        torsion, free = self._tube_mask(self._torsion) & low, self._tube_mask(self._free) & low
         if self.kind == 1:
-            coray = _infinite_part(rank, cap, CORAY_FINITE, self.delta)
-            return self._finite_side(torsion, cap, coray), self._finite_side(free, cap)
-        ray = _infinite_part(rank, cap, RAY_FINITE, self.delta)
-        return self._finite_side(torsion, cap), self._finite_side(free, cap, ray)
+            return torsion | _infinite_part(self.rank, cap, CORAY_FINITE, self.delta), free
+        return torsion, free | _infinite_part(self.rank, cap, RAY_FINITE, self.delta)
 
     def sort_key(self) -> tuple:
         """Kind, sorted delta, then the torsion class's bits: the residual
@@ -270,10 +267,9 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
       - fingerprint: no two pairs share a membership fingerprint truncated
         at 2 rank + 2.  Kind collisions are impossible (finite versus
         infinite torsion class), so any collision is a defect.  The
-        fingerprints are made from the residual masks, not the
-        descriptors, and keyed by hash, so the scan keeps one int per pair
-        and no module sets; a shared hash is settled by making each
-        earlier fingerprint with it again.
+        fingerprints are two masks made from the residual masks, not the
+        descriptors, packed into one int that keys a dict of the pairs
+        seen, so the scan keeps no module sets.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -307,19 +303,13 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
             problem = f"is not a valid {name} partition of the cycle" if not valid else f"gives no kind {kind} pair"
             raise ClassificationDefectError(f"partition {S} {problem}")
     cap = 2 * rank + 2
-    latest: dict[int, int] = {}  # fingerprint hash -> index of the latest pair with it
-    before: dict[int, int] = {}  # index -> index of the pair before it with the same hash
-    for i, datum in enumerate(data):
-        fp = datum.fingerprint(cap)
-        j = latest.get(key := hash(fp))
-        latest[key] = i
-        if j is not None:
-            before[i] = j
-        while j is not None:
-            earlier = data[j]
-            if earlier.fingerprint(cap) == fp:
-                raise ClassificationDefectError(f"kind {earlier.kind} and kind {datum.kind} describe the same pair")
-            j = before.get(j)
+    shift = len(all_tube_modules(rank, cap))
+    seen: dict[int, TubeTorsionPair] = {}  # packed fingerprint -> the pair with it
+    for datum in data:
+        torsion, free = datum.fingerprint(cap)
+        earlier = seen.setdefault(torsion | free << shift, datum)
+        if earlier is not datum:
+            raise ClassificationDefectError(f"kind {earlier.kind} and kind {datum.kind} describe the same pair")
     return value
 
 
@@ -332,8 +322,10 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     stage, is a partition of the residual segments whose pair is
     cotilting-induced.  Kind 2 is the mirror.  The cycle has `rank`
     vertices, by default as many as the partition covers; the partition
-    must cover exactly 1..rank and is validated on the cycle; `assemble`
-    then builds the residual pair from the tail, checking it again.
+    must cover exactly 1..rank and is validated on the cycle.  A tail
+    valid there is valid on the residual (the same stage ends, the same
+    parity), so the pair is built from its stage masks unchecked, as
+    `enumerate_tube_tps` builds it.
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
@@ -352,9 +344,9 @@ def partition_to_tube_tp(S: PartPartition, kind: int, rank: int | None = None) -
     cycle = cyclic_an(rank)
     if not validate_partition(cycle, S):
         raise ValueError(f"invalid partition {S}")
-    residual = subquiver(cycle, cycle.vertex_set - S.parts[0])
-    tail = PartPartition((frozenset(),) + S.parts[1:], S.kind, complete=True)
-    return TubeTorsionPair(rank, kind, S.parts[0], residual, assemble(residual, tail), S.parts[1:])
+    model = model_for(subquiver(cycle, cycle.vertex_set - S.parts[0]))
+    masks = _stage_masks(model, PartPartition((frozenset(),) + S.parts[1:], S.kind, complete=True))
+    return _fill(object.__new__(TubeTorsionPair), rank, kind, S.parts[0], model, *masks, S.parts[1:])
 
 
 def tube_tp_to_partition(data: TubeTorsionPair) -> PartPartition:

@@ -401,7 +401,12 @@ def test_criterion_09_tube_classification():
         data = enumerate_tube_tps(rank)
         for cap in (4, 5, 6):
             brute = _truncated_bruteforce(rank, cap)
-            classified = {d.fingerprint(cap) for d in data}
+            # the fingerprints are masks over the same modules; read them as sets
+            members = all_tube_modules(rank, cap)
+            classified = {
+                tuple(frozenset(X for i, X in enumerate(members) if mask >> i & 1) for mask in d.fingerprint(cap))
+                for d in data
+            }
             assert len(brute) == len(data)
             assert {(T, F) for T, F in brute} == classified
     elapsed = time.monotonic() - start

@@ -117,12 +117,6 @@ class TestRayCoray:
         with pytest.raises(ValueError):
             truncate(full, 0)
 
-    def test_truncate_raw_predicate(self):
-        got = truncate(lambda X: X.length == 2, 3, rank=2)
-        assert got == (U(1, 2, 2), U(2, 2, 2))
-        with pytest.raises(ValueError):
-            truncate(lambda X: True, 3)
-
     def test_l_r_sets(self):
         assert l_r_sets(coray({1}, 2)) == ({1}, frozenset())
         assert l_r_sets(ray({1, 2}, 2)) == (frozenset(), {1, 2})

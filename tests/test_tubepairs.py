@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from collections import Counter
@@ -52,11 +53,19 @@ def by_kind(data, kind):
     return [d for d in data if d.kind == kind]
 
 
+def decoded(rank, cap, fingerprint):
+    """A fingerprint's two masks read as module sets through `all_tube_modules(rank, cap)`,
+    which must hold every set bit."""
+    members = all_tube_modules(rank, cap)
+    assert all(mask >> len(members) == 0 for mask in fingerprint), "a bit past the cap"
+    return tuple(frozenset(X for i, X in enumerate(members) if mask >> i & 1) for mask in fingerprint)
+
+
 class TestEnumerate:
     def test_rank_one(self):
         data = enumerate_tube_tps(1)
         assert len(data) == 2
-        fingerprints = {d.fingerprint(4) for d in data}
+        fingerprints = {decoded(1, 4, d.fingerprint(4)) for d in data}
         everything = frozenset(U(1, l, 1) for l in range(1, 5))
         assert fingerprints == {(everything, frozenset()), (frozenset(), everything)}
 
@@ -245,16 +254,19 @@ class TestMembership:
 
     @pytest.mark.parametrize("rank", range(2, 8))
     def test_residual_intervals_read_as_tube_modules(self, rank):
-        # the closed-form length is the residual model's, on every interval
-        from torsionpairs.intervals import model_for
-        from torsionpairs.tubepairs import _interval_to_tube
+        # the closed-form bit is the tube module of the residual model's
+        # length and socle, on every interval
+        from torsionpairs.tubepairs import _tube_table
 
         cycle = cyclic_an(rank)
+        modules = all_tube_modules(rank, rank)
         for k in range(1, rank):
             for delta in combinations(cycle.vertices, k):
                 model = model_for(subquiver(cycle, cycle.vertex_set - set(delta)))
-                for X in model.objects:
-                    assert _interval_to_tube(rank, X) == U(X.b, model.length(X), rank)
+                bits = _tube_table(rank, model)
+                assert len(bits) == len(model.objects)
+                for X, bit in zip(model.objects, bits):
+                    assert modules[bit] == U(X.b, model.length(X), rank)
 
     def test_rank_mismatch(self):
         d = enumerate_tube_tps(1)[0]
@@ -267,7 +279,7 @@ class TestCachedDescriptors:
     def test_membership_agrees_with_the_fingerprint(self, rank):
         cap = 2 * rank + 2
         for d in enumerate_tube_tps(rank):
-            torsion, free = d.fingerprint(cap)
+            torsion, free = decoded(rank, cap, d.fingerprint(cap))
             for X in all_tube_modules(rank, cap):
                 want = "torsion" if X in torsion else "free" if X in free else "neither"
                 assert d.membership(X) == want, (d, X)
@@ -288,7 +300,7 @@ class TestCachedDescriptors:
         # all, and cap 2 rank + 2 is the one the check uses
         caps = (1, rank, 2 * rank + 2)
         for d in enumerate_tube_tps(rank):
-            printed = [d.fingerprint(cap) for cap in caps]
+            printed = [decoded(rank, cap, d.fingerprint(cap)) for cap in caps]
             # the fingerprint is made without the descriptors, which stay unbuilt
             assert "torsion_descriptor" not in vars(d) and "free_descriptor" not in vars(d)
             want = [(frozenset(truncate(d.torsion_descriptor, cap)), frozenset(truncate(d.free_descriptor, cap)))
@@ -506,6 +518,25 @@ class TestEveryCheckOnce:
         assert count_tube_tps(rank, check=True) == len(data) == math.comb(2 * rank, rank)
         assert counts["quiver.validate_partition"] == len(data)
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_certificates_are_built_without_assembling(self, count_calls, capsys, tmp_path, rank):
+        # validated on the cycle once, then built from the tail's stage
+        # masks: no `assemble` re-checks the tail on the residual
+        assert cli.main(["enumerate", "--tube", str(rank)]) == 0
+        records = json.loads(capsys.readouterr().out)
+        counts = count_calls("decompose.assemble", "quiver.validate_partition")
+        for i, record in enumerate(records):
+            path = tmp_path / f"t{i}.json"
+            path.write_text(json.dumps(record))
+            assert cli.main(["verify", str(path)]) == 0
+            assert capsys.readouterr().out.startswith("PASS")
+        assert counts == {"decompose.assemble": 0, "quiver.validate_partition": len(records)}
+        for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
+            for S in enumerate_partitions(cyclic_an(rank), name, complete=True):
+                if S.parts[0]:
+                    partition_to_tube_tp(S, kind)
+        assert counts == {"decompose.assemble": 0, "quiver.validate_partition": 2 * len(records)}
+
     @pytest.mark.parametrize("kind,name", [(1, STRONG_ONE), (2, STRONG_TWO)])
     def test_a_part_overlapping_delta_is_rejected_by_the_tail_check(self, kind, name):
         # validated on the cycle, where part 1 meets delta
@@ -571,14 +602,13 @@ class TestDefects:
             count_tube_tps(3, check=True)
 
     def test_fingerprint_collision_is_a_defect(self, monkeypatch):
-        monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: ())
+        monkeypatch.setattr(TubeTorsionPair, "fingerprint", lambda self, cap: (0, 0))
         with pytest.raises(ClassificationDefectError, match="same pair"):
             count_tube_tps(2, check=True)
 
     def test_collision_with_an_earlier_group_is_a_defect(self, monkeypatch):
         # the last pair, of the last (kind, delta) group, claims the first
-        # pair's fingerprint: the scan makes the first one's again, long
-        # after the families cache has moved on to other groups
+        # pair's fingerprint, long after the first group's table is gone
         data = enumerate_tube_tps(3)
         first, last = data[0], data[-1]
         assert (first.kind, first.delta) != (last.kind, last.delta)
@@ -591,6 +621,21 @@ class TestDefects:
         with pytest.raises(ClassificationDefectError, match="kind 1 and kind 2 describe the same pair"):
             count_tube_tps(3, check=True)
 
+    def test_torsion_and_free_masks_are_packed_apart(self, monkeypatch):
+        # the first half of the pairs claims one torsion module each and the
+        # second half the same modules as free: the masks OR'ed unshifted
+        # would collide, the packed key keeps them apart
+        data = enumerate_tube_tps(3)
+        half = len(data) // 2
+        index = {d: i for i, d in enumerate(data)}
+
+        def fingerprint(self, cap):
+            i = index[self]
+            return (1 << i, 0) if i < half else (0, 1 << (i - half))
+
+        monkeypatch.setattr(TubeTorsionPair, "fingerprint", fingerprint)
+        assert count_tube_tps(3, check=True) == len(data) == 20
+
     @staticmethod
     def count_fingerprints(monkeypatch):
         calls = Counter()
@@ -602,16 +647,6 @@ class TestDefects:
 
         monkeypatch.setattr(TubeTorsionPair, "fingerprint", fingerprint)
         return calls
-
-    def test_equal_hashes_of_different_fingerprints_are_no_defect(self, monkeypatch):
-        # the scan keys by hash; one shared by every pair makes each pair
-        # meet every earlier one, whose fingerprint is recomputed and differs
-        from torsionpairs import tubepairs
-
-        calls = self.count_fingerprints(monkeypatch)
-        monkeypatch.setattr(tubepairs, "hash", lambda fp: 0, raising=False)
-        assert count_tube_tps(3, check=True) == 20
-        assert calls == {8: 20 + math.comb(20, 2)}
 
     @pytest.mark.parametrize("rank", [3, 6])
     def test_each_leg_runs_once_per_pair(self, monkeypatch, count_calls, rank):
