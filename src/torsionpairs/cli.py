@@ -291,11 +291,17 @@ def _dot_lattice(q) -> Iterator[str]:
     """Hasse diagram of the torsion classes of the path, ordered by size
     and then by their sorted intervals, with its edges in that order.
 
-    Every brick B of a torsion class T gives the smaller torsion class
-    T & perp(B), perp(B) being the objects with no map to B, and every
-    lower cover of T is one of these, labelled by its brick
-    (Demonet-Iyama-Reading-Reiten-Thomas).  Every interval is a brick, so
-    the lower covers of T are the maximal classes T & perp(B), B in T.
+    Each lower cover of a torsion class T is T & perp(B) for one brick B
+    of T, its label (Demonet-Iyama-Reading-Reiten-Thomas).  B = [a, c]
+    labels a cover iff every nonzero map from T to B is onto with its
+    kernel in T ("minimal co-extending", after Barnard-Carroll-Zhu):
+    - no proper submodule [x, c] of B is in T.  Then only the [a, d] in T
+      with d >= c (`onto`) map to B, as an [x, d] in T with a < x <= c
+      <= d would put its quotient [x, c] in T; the cover is T less them;
+    - the kernel [c+1, D] of the longest [a, D] in T is in T; the other
+      kernels are its quotients.  T is closed under quotients, so its
+      [a, d] in `onto` run from c to D and its [c+1, d] (`kernels`) up to
+      some E, and the test D <= E is a comparison of the two counts.
 
     The classes, their covers and their labels are made before the first
     line and the lines one at a time, so the run holds the labels but
@@ -309,18 +315,17 @@ def _dot_lattice(q) -> Iterator[str]:
         key=lambda T: (T.bit_count(), bit_indices(T)),
     )
     position = {T: k for k, T in enumerate(classes)}
-    rows = model.hom_rows
-    perp = [~sum(1 << i for i, row in enumerate(rows) if row >> b & 1) for b in range(len(rows))]
+    subs, quots = model.sub_masks, model.quot_masks
+    # tops[v]: every [v, d], the quotients of the projective [v, sink]
+    tops = {v: quots[chain[-1]] for v, chain in model.end_chains[0].items()}
+    onto = [tops[X.a] & ~quots[b] | 1 << b for b, X in enumerate(model.objects)]
+    kernels = [tops[q.succ[X.b]] if X.b in q.succ else 0 for X in model.objects]
     # the upper covers of each class, each list in increasing order
     uppers: list[list[int]] = [[] for _ in classes]
     for k, T in enumerate(classes):
-        # a candidate inside another lies inside a maximal one, found earlier
-        maxima: list[int] = []
-        for low in sorted({T & perp[b] for b in bit_indices(T)}, key=int.bit_count, reverse=True):
-            if all(low & high != low for high in maxima):
-                maxima.append(low)
-        for low in maxima:
-            uppers[position[low]].append(k)
+        for b in bit_indices(T):
+            if T & subs[b] == 1 << b and (T & onto[b]).bit_count() <= (T & kernels[b]).bit_count() + 1:
+                uppers[position[T & ~onto[b]]].append(k)
     labels = ['"{' + records.join(T) + '}"' for T in classes]
     yield "digraph lattice {\n"
     for label in labels:

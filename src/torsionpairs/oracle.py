@@ -121,23 +121,17 @@ def _hom_system(q: Quiver, repX, repY) -> int:
     return nvars - _rank(rows)
 
 
-# holds every pair of a length-capped tube of up to 90 modules (cap 15 at rank 6)
-@lru_cache(maxsize=8192)
-def _hom_dim_matrix_cached(q: Quiver | None, X, Y) -> int:
+def hom_dim_matrix(X, Y, quiver: Quiver | None = None) -> int:
+    """dim Hom(X, Y) from explicit representations (intervals or tube modules)."""
     if isinstance(X, TubeModule):
         if X.rank != Y.rank:
             raise ValueError("modules live on cycles of different rank")
         qc, dimsX, matsX = _tube_rep(X)
         _, dimsY, matsY = _tube_rep(Y)
         return _hom_system(qc, (dimsX, matsX), (dimsY, matsY))
-    if q is None:
+    if quiver is None:
         raise ValueError("interval modules need their home quiver")
-    return _hom_system(q, _interval_rep(q, X), _interval_rep(q, Y))
-
-
-def hom_dim_matrix(X, Y, quiver: Quiver | None = None) -> int:
-    """dim Hom(X, Y) from explicit representations (intervals or tube modules)."""
-    return _hom_dim_matrix_cached(quiver, X, Y)
+    return _hom_system(quiver, _interval_rep(quiver, X), _interval_rep(quiver, Y))
 
 
 def euler_form(d: Iterable[int], e: Iterable[int], q: Quiver) -> int:

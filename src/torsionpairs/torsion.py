@@ -31,14 +31,14 @@ of objects of the model) and then work on bits: orthogonality is
 `hom_rows[i] & mask`, a torsion submodule is a bit test along a
 submodule chain, and the middle terms of the extensions of one class by
 another come from `glue_chains`.  Only once a test has failed do they
-walk the caller's sets, in the caller's own iteration order and in
-`_witness_order`, so a failure returns the same witness as an
-object-by-object search.
+walk the caller's sets, in the caller's own iteration order or sorted
+by `repr`, so a failure returns the same witness as an object-by-object
+search.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -211,12 +211,6 @@ def _mask_within(model, objs: frozenset, within: int) -> int | None:
     return None if mask & ~within else mask
 
 
-@lru_cache(maxsize=256)
-def _witness_order(amb: frozenset) -> tuple:
-    """Ambient objects in the order checks search them for a witness."""
-    return tuple(sorted(amb, key=repr))
-
-
 def _hom_witness(model, earlier: Iterable, later: Iterable):
     """First (X, Y) in the sets' own iteration order with Hom(X, Y) != 0."""
     rows, index = model.hom_rows, model.index
@@ -229,9 +223,9 @@ def _hom_witness(model, earlier: Iterable, later: Iterable):
 
 
 def _first_uncovered(model, amb: frozenset, covered: int) -> object:
-    """First ambient object, in witness order, whose bit is not in `covered`."""
+    """First ambient object, in `repr` order, whose bit is not in `covered`."""
     index = model.index
-    return next(X for X in _witness_order(amb) if not covered >> index[X] & 1)
+    return next(X for X in sorted(amb, key=repr) if not covered >> index[X] & 1)
 
 
 # -- perpendicular categories --------------------------------------------

@@ -111,6 +111,7 @@ def _cases():
     cases.append(("export", "--an", "6", "--dot", "lattice"))
     cases.append(("export", "--an", "7", "--max-n", "7", "--dot", "lattice"))
     cases.append(("export", "--an", "8", "--max-n", "8", "--dot", "lattice"))
+    cases.append(("export", "--an", "9", "--max-n", "9", "--dot", "lattice"))
     cases.append(("export", "--tube", "3", "--dot", "ar"))
     for cap in range(1, 9):
         cases.append(("export", "--tube", "3", "--dot", "ar", "--cap", str(cap)))
@@ -178,6 +179,7 @@ GOLDEN = {
     'export --an 6 --dot lattice': (0, '88bf18a1b520db3842eaa65a03fdd7dddd5ba259711d5b44e968ab40f4885f5a'),
     'export --an 7 --max-n 7 --dot lattice': (0, '42f92c0b19ac0e8d46d5874029eabc2e6ab5296a3f7019ab97baa5a3122ef25b'),
     'export --an 8 --max-n 8 --dot lattice': (0, 'ff79c98156155b4b5cb1fb4f28bb108959d233cee63262db061eb3b735dd4555'),
+    'export --an 9 --max-n 9 --dot lattice': (0, '308a99bf539d1900bcb09018016c3d87c091edc558e39bd79d367a27ab725d89'),
     'export --tube 3 --dot ar': (0, '02c4a98afa490f3c59f92a594acf565f292e1547cd9d6365e553f159449a7bb4'),
     'export --tube 3 --dot ar --cap 1': (0, 'e8bf8408e68e70baf01dc4041728eed560315b2cc2c83b53aa5f63b9c80d11bc'),
     'export --tube 3 --dot ar --cap 2': (0, '5f951db78d165858a017bce3d6093c55aae17698664f31ec2722a367a0badae8'),
