@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from test_golden import CERTIFICATES as GOLDEN_CERTIFICATES
 import torsionpairs
-from torsionpairs import cli, jsonio, tube, tubepairs
+from torsionpairs import cli, intervals, jsonio, tube, tubepairs
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
 from torsionpairs.intervals import model_for
@@ -398,24 +398,55 @@ class TestCount:
         assert "more than 4300 digits" in capsys.readouterr().err
 
 
-def lattice_by_search(n):
-    """The lattice export by a search for covers: low -> high when low is
-    strictly inside high and no class lies strictly between them, over the
-    classes sorted by size and then by their sorted intervals."""
-    classes = sorted(
+def lattice_classes(n):
+    """The torsion classes of the path, sorted by size and then by their
+    sorted intervals, as the lattice export orders them."""
+    return sorted(
         (tp.torsion for tp in enumerate_torsion_pairs(linear_an(n))),
         key=lambda T: (len(T), tuple(sorted((X.a, X.b) for X in T))),
     )
 
-    def label(T):
-        return "{" + ",".join(f"[{a},{b}]" for a, b in jsonio.intervals_to_obj(T)) + "}"
 
+def lattice_label(T):
+    return "{" + ",".join(f"[{a},{b}]" for a, b in jsonio.intervals_to_obj(T)) + "}"
+
+
+def lattice_by_search(n):
+    """The lattice export by a search for covers: low -> high when low is
+    strictly inside high and no class lies strictly between them, over the
+    classes sorted by size and then by their sorted intervals."""
+    classes = lattice_classes(n)
     lines = ["digraph lattice {"]
-    lines += [f'  "{label(T)}";' for T in classes]
+    lines += [f'  "{lattice_label(T)}";' for T in classes]
     for low in classes:
         for high in classes:
             if low < high and not any(low < mid < high for mid in classes):
-                lines.append(f'  "{label(low)}" -> "{label(high)}";')
+                lines.append(f'  "{lattice_label(low)}" -> "{lattice_label(high)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def lattice_by_perps(n):
+    """The lattice export with the lower covers of each class T taken as
+    the maximal classes T & perp(B), B a brick of T, perp(B) the intervals
+    with no map to B (Demonet-Iyama-Reading-Reiten-Thomas); Hom is asked
+    of `intervals.hom_dim`, so no mask of the model is shared."""
+    q = linear_an(n)
+    classes = lattice_classes(n)
+    position = {T: k for k, T in enumerate(classes)}
+    objs = intervals.indecomposables(q)
+    perp = {B: frozenset(X for X in objs if intervals.hom_dim(q, X, B) == 0) for B in objs}
+    uppers = [[] for _ in classes]
+    for k, T in enumerate(classes):
+        candidates = {T & perp[B] for B in T}
+        for low in candidates:
+            if not any(low < other for other in candidates):
+                uppers[position[low]].append(k)
+    lines = ["digraph lattice {"]
+    lines += [f'  "{lattice_label(T)}";' for T in classes]
+    for low, highs in zip(classes, uppers):
+        for k in highs:
+            lines.append(f'  "{lattice_label(low)}" -> "{lattice_label(classes[k])}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -430,6 +461,12 @@ class TestExport:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lattice_matches_the_search_for_covers(self, capsys, n):
         assert run(capsys, "export", "--an", str(n), "--dot", "lattice") == (0, lattice_by_search(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lattice_covers_are_the_maximal_brick_perps(self, capsys, n):
+        # reaches n = 7, 8, where the search for covers is too slow
+        code, out = run(capsys, "export", "--an", str(n), "--max-n", str(n), "--dot", "lattice")
+        assert (code, out) == (0, lattice_by_perps(n))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_lattice_is_the_tamari_lattice(self, capsys, n):
