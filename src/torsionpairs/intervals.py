@@ -12,10 +12,10 @@ nonzero exactly when the map "quotient then include" exists (c <= a <= d
 <= b for [a,b] -> [c,d]); Ext is computed by AR duality,
 Ext^1(X, Y) = Hom(Y, tau X), which also covers the overlap extensions
 whose middle terms decompose.  Both are closed forms in the positions of
-the interval ends, evaluated on every call; the one Hom table kept is a
-bitmask row per object, which `ChainModel` derives from the chains.  The
-test suite checks hom and ext against explicit matrix representations
-and against the Euler form, and the rows against hom.
+the interval ends, evaluated on every call; no Hom table is kept, as
+the checks read Hom off the chain masks by `ChainModel`'s image rule.
+The test suite checks hom and ext against explicit matrix
+representations and against the Euler form, and the rule against hom.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterable
 
 from .quiver import Quiver, Record, _set
-from .torsion import ChainModel, extension_closure as _closure, objects_of
+from .torsion import ChainModel, _union, extension_closure as _closure, mask_of, objects_of
 
 
 @total_ordering
@@ -70,8 +70,7 @@ class LinearModel(ChainModel):
     holds two dicts: per vertex v, the quotient chain of the projective
     [v, sink] and the submodule chain of the injective [source, v], from
     which the stage walk reads its generators.  hom and ext are O(1)
-    closed forms in the vertex positions; the base derives `hom_rows`
-    from the chains without calling them.  All values are immutable, so
+    closed forms in the vertex positions.  All values are immutable, so
     one model may be shared freely.
     """
 
@@ -263,19 +262,13 @@ def dim_vector(q: Quiver, X: Interval) -> tuple[int, ...]:
 def gen_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:
     """Closure under quotients: all top-preserving shortenings of members."""
     m = model_for(q)
-    out = 0
-    for i in map(m.index.__getitem__, modules):
-        out |= m.quot_masks[i]
-    return objects_of(m, out)
+    return objects_of(m, _union(m.quot_masks, mask_of(m, modules)))
 
 
 def cogen_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:
     """Closure under submodules: all socle-preserving shortenings of members."""
     m = model_for(q)
-    out = 0
-    for i in map(m.index.__getitem__, modules):
-        out |= m.sub_masks[i]
-    return objects_of(m, out)
+    return objects_of(m, _union(m.sub_masks, mask_of(m, modules)))
 
 
 def extension_closure(q: Quiver, modules: Iterable[Interval]) -> frozenset[Interval]:

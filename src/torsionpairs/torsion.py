@@ -6,10 +6,8 @@ and `quot_chains` (the indices of the nonzero submodules and quotients,
 shortest first, so entry h - 1 has length h) and `glue_chains` (two
 such tuples: the indices of the longest objects ending right before the
 top of X, None where there is no such vertex, and ending at its socle).
-The base derives the masks and the Hom rows from the chains: `sub_masks`
-and `quot_masks` (the chains as bitmasks), `hom_rows` (an int with bit
-j set iff Hom(X, objects[j]) != 0), `index` (each object's position),
-`object_set` (the objects as a frozenset, the default ambient), and
+The base derives `index` (each object's position) and the chains as
+bitmasks, `sub_masks` and `quot_masks`, and serves `object_set`,
 `length(X)`, `submodules(X)` and `quotients(X)`.  A subclass adds
 `hom(X, Y)`, `ext(X, Y)`, `slice(X, lo, hi)` (the subquotient between
 two socle heights) and `glue(bottom, top)` (the indecomposable middle
@@ -27,8 +25,8 @@ between the two presentations.
 
 The checks, closures and perpendiculars convert their arguments once to
 bitmasks over `objects` (bit i for objects[i]; an ambient must consist
-of objects of the model) and then work on bits: orthogonality is
-`hom_rows[i] & mask`, a torsion submodule is a bit test along a
+of objects of the model) and then work on bits: orthogonality is the
+image rule of `ChainModel`, a torsion submodule is a bit test along a
 submodule chain, and the middle terms of the extensions of one class by
 another come from `glue_chains`.  Only once a test has failed do they
 walk the caller's sets, in the caller's own iteration order or sorted
@@ -121,28 +119,25 @@ class Filtration(Record):
 class ChainModel:
     """The model protocol of this module: a subclass supplies its objects,
     their chains `sub_chains` and `quot_chains` and their `glue_chains`,
-    and the base derives the masks, the Hom rows and the rest from them."""
+    and the base derives the chain masks from them.
+
+    A nonzero map of uniserials factors through its image, a quotient of
+    X and a submodule of Y, so Hom(X, Y) != 0 exactly when
+    `quot_masks[x] & sub_masks[y]` is nonzero: every orthogonality test
+    of this module reads Hom off that rule.
+    """
 
     def __init__(self, objects, sub_chains, quot_chains, glue_chains):
         self.objects: tuple = objects
         self.index: dict = {X: i for i, X in enumerate(objects)}
-        # a nonzero map of uniserials factors through its image, so Hom(X, Y)
-        # != 0 iff a quotient of X is a submodule of Y.  A chain less its last
-        # entry is the chain of entry -2: longest first, rows[z] gathers the
-        # objects with submodule z; shortest first, row X ORs those over X's
-        # quotients, and each chain mask is entry -2's with X's own bit
-        by_length = sorted(range(len(objects)), key=lambda i: len(sub_chains[i]))
-        rows = [1 << i for i in range(len(objects))]
-        subs, quots = rows[:], rows[:]
-        for i in reversed(by_length):
+        # a chain less its last entry is the chain of entry -2: shortest
+        # first, each chain mask is entry -2's with X's own bit
+        subs = [1 << i for i in range(len(objects))]
+        quots = subs[:]
+        for i in sorted(range(len(objects)), key=lambda i: len(sub_chains[i])):
             if len(sub_chains[i]) > 1:
-                rows[sub_chains[i][-2]] |= rows[i]
-        for i in by_length:
-            if len(quot_chains[i]) > 1:
-                rows[i] |= rows[quot_chains[i][-2]]
                 subs[i] |= subs[sub_chains[i][-2]]
                 quots[i] |= quots[quot_chains[i][-2]]
-        self.hom_rows: tuple[int, ...] = tuple(rows)
         self.sub_chains: tuple[tuple[int, ...], ...] = sub_chains
         self.quot_chains: tuple[tuple[int, ...], ...] = quot_chains
         self.sub_masks: tuple[int, ...] = tuple(subs)
@@ -151,7 +146,7 @@ class ChainModel:
 
     @cached_property
     def object_set(self) -> frozenset:
-        """The objects as a frozenset, built on first use (witness searches)."""
+        """The objects as a frozenset, built on first use; the checks never need it."""
         return frozenset(self.objects)
 
     def length(self, X) -> int:
@@ -195,11 +190,18 @@ def objects_of(model, mask: int) -> frozenset:
     return frozenset(set(map(model.objects.__getitem__, bit_indices(mask))))
 
 
-def _ambient(model, ambient) -> tuple[frozenset, int]:
+def _union(table: Sequence[int], mask: int) -> int:
+    """OR of `table[i]` over the set bits i of the mask."""
+    out = 0
+    for i in bit_indices(mask):
+        out |= table[i]
+    return out
+
+
+def _ambient(model, ambient) -> int:
     if ambient is None:
-        return model.object_set, (1 << len(model.objects)) - 1
-    amb = frozenset(ambient)
-    return amb, mask_of(model, amb)
+        return (1 << len(model.objects)) - 1
+    return mask_of(model, ambient)
 
 
 def _mask_within(model, objs: frozenset, within: int) -> int | None:
@@ -212,20 +214,22 @@ def _mask_within(model, objs: frozenset, within: int) -> int | None:
 
 
 def _hom_witness(model, earlier: Iterable, later: Iterable):
-    """First (X, Y) in the sets' own iteration order with Hom(X, Y) != 0."""
-    rows, index = model.hom_rows, model.index
+    """First (X, Y) in the sets' own iteration order with Hom(X, Y) != 0;
+    an X none of whose quotients is a submodule of a later one is skipped."""
+    quots, subs, index = model.quot_masks, model.sub_masks, model.index
+    reach = _union(subs, mask_of(model, later))
     for X in earlier:
-        row = rows[index[X]]
-        for Y in later:
-            if row >> index[Y] & 1:
-                return X, Y
+        quot = quots[index[X]]
+        if quot & reach:
+            for Y in later:
+                if quot & subs[index[Y]]:
+                    return X, Y
     return None
 
 
-def _first_uncovered(model, amb: frozenset, covered: int) -> object:
-    """First ambient object, in `repr` order, whose bit is not in `covered`."""
-    index = model.index
-    return next(X for X in sorted(amb, key=repr) if not covered >> index[X] & 1)
+def _first_uncovered(model, uncovered: int) -> object:
+    """The object of the mask first in `repr` order."""
+    return min(objects_of(model, uncovered), key=repr)
 
 
 # -- perpendicular categories --------------------------------------------
@@ -233,22 +237,22 @@ def _first_uncovered(model, amb: frozenset, covered: int) -> object:
 
 def perp_left(model, D: Iterable, ambient=None) -> frozenset:
     """{X : Hom(X, d) = 0 for all d in D}, within the ambient objects."""
-    _, am = _ambient(model, ambient)
-    dm, rows = mask_of(model, D), model.hom_rows
+    quots, reach = model.quot_masks, _union(model.sub_masks, mask_of(model, D))
     out = 0
-    for i in bit_indices(am):
-        if not rows[i] & dm:
+    for i in bit_indices(_ambient(model, ambient)):
+        if not quots[i] & reach:
             out |= 1 << i
     return objects_of(model, out)
 
 
 def perp_right(model, D: Iterable, ambient=None) -> frozenset:
     """{Y : Hom(d, Y) = 0 for all d in D}, within the ambient objects."""
-    _, am = _ambient(model, ambient)
-    rows, hit = model.hom_rows, 0
-    for d in bit_indices(mask_of(model, D)):
-        hit |= rows[d]
-    return objects_of(model, am & ~hit)
+    subs, reach = model.sub_masks, _union(model.quot_masks, mask_of(model, D))
+    out = 0
+    for i in bit_indices(_ambient(model, ambient)):
+        if not subs[i] & reach:
+            out |= 1 << i
+    return objects_of(model, out)
 
 
 def _gluings(model, bottoms: int, tops: int) -> int:
@@ -321,18 +325,16 @@ def is_torsion_pair(model, torsion: Iterable, free: Iterable, ambient=None) -> C
     in T or in F or is a gluing of a member of F on top of a member of T.
     """
     T, F = frozenset(torsion), frozenset(free)
-    amb, am = _ambient(model, ambient)
+    am = _ambient(model, ambient)
     tm, fm = _mask_within(model, T, am), _mask_within(model, F, am)
     if tm is None or fm is None:
         return CheckResult(False, None, "classes leave the ambient subcategory")
-    rows = model.hom_rows
-    for i in bit_indices(tm):
-        if rows[i] & fm:
-            X, Y = _hom_witness(model, T, F)
-            return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0")
+    if _union(model.quot_masks, tm) & _union(model.sub_masks, fm):
+        X, Y = _hom_witness(model, T, F)
+        return CheckResult(False, (X, Y), f"Hom({X},{Y}) != 0")
     covered = tm | fm | _gluings(model, tm, fm)
     if am & ~covered:
-        X = _first_uncovered(model, amb, covered)
+        X = _first_uncovered(model, am & ~covered)
         return CheckResult(False, X, f"no canonical sequence for {X}")
     return _HOLDS
 
@@ -383,15 +385,16 @@ def ntp_to_series(model, ntp: NTorsionPair, ambient=None) -> TorsionPairSeries:
 def is_ntp(model, parts: Sequence[frozenset], ambient=None) -> CheckResult:
     """Pairwise Hom-orthogonality plus a factor-in-order filtration for all objects."""
     parts = tuple(frozenset(p) for p in parts)
-    amb, am = _ambient(model, ambient)
+    am = _ambient(model, ambient)
     pms = [_mask_within(model, p, am) for p in parts]
     if None in pms:
         return CheckResult(False, None, "a part leaves the ambient subcategory")
-    rows, suffix = model.hom_rows, [0] * (len(parts) + 1)
+    # suffix[k]: the submodules of the members of parts k, k + 1, ...
+    suffix = [0] * (len(parts) + 1)
     for k in range(len(parts) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | pms[k]
+        suffix[k] = suffix[k + 1] | _union(model.sub_masks, pms[k])
     for k in range(len(parts)):
-        if any(rows[i] & suffix[k + 1] for i in bit_indices(pms[k])):
+        if _union(model.quot_masks, pms[k]) & suffix[k + 1]:
             for j in range(k + 1, len(parts)):
                 witness = _hom_witness(model, parts[k], parts[j])
                 if witness is not None:
@@ -403,7 +406,7 @@ def is_ntp(model, parts: Sequence[frozenset], ambient=None) -> CheckResult:
     for pm in pms:
         reach |= pm | _gluings(model, reach, pm)
     if am & ~reach:
-        X = _first_uncovered(model, amb, reach)
+        X = _first_uncovered(model, am & ~reach)
         return CheckResult(False, X, f"no ordered filtration for {X}")
     return _HOLDS
 
@@ -478,7 +481,7 @@ def complete_defect(model, parts: Sequence[frozenset], ambient=None) -> NTorsion
     this is the only n-torsion pair containing the parts.
     """
     parts = tuple(frozenset(p) for p in parts)
-    amb, _ = _ambient(model, ambient)
+    amb = frozenset(model.objects if ambient is None else ambient)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             witness = _hom_witness(model, parts[i], parts[j])

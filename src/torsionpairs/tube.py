@@ -224,8 +224,7 @@ class TubeModel(ChainModel):
     A `ChainModel` like the interval model, so the torsion pair calculus
     can run on it; gluings that would leave the truncation are reported
     as absent.  U(s, l) sits at `module_index(s, l, rank)` of `objects`,
-    and the chains are built from that arithmetic; the base derives
-    `hom_rows` from them, and `hom_dim_tube` serves `hom`.
+    the chains are built from that arithmetic, and `hom_dim_tube` serves `hom`.
     """
 
     def __init__(self, rank: int, cap: int):

@@ -6,14 +6,17 @@ replaced are kept here as references, written against `hom`, `slice`,
 `glue` and the two ends `glue_ends` reads off an object only, so they
 share no table with the kernels; the rescan-every-pair fixpoint is the
 closure's second reference.  The
-per-object tables (`hom_rows`, the chains and their masks, the vertex
-masks, `glue_chains`) are checked against the methods they encode.  The
-models are the paths with at most six vertices, every proper support
-subquiver of the cycles of rank at most five, two shuffled-label unions
-and the truncated tubes of rank at most three and cap at most five; the
-Hom rows, the chains and their masks are also checked on the
-certificate-sized paths and shuffled unions and on the tubes of rank at
-most five and cap at most 3 * rank + 1, where Hom reaches dimension four.
+per-object tables (the chains and their masks, the vertex masks,
+`glue_chains`) are checked against the methods they encode, and the
+image rule the kernels read Hom off (Hom(X, Y) != 0 iff a quotient of X
+is a submodule of Y) against `hom`.  The models are the paths with at
+most six vertices, every proper support subquiver of the cycles of rank
+at most five, two shuffled-label unions and the truncated tubes of rank
+at most three and cap at most five; the image rule, the chains and their
+masks are also checked on the certificate-sized paths and shuffled
+unions and on the tubes of rank at most five and cap at most
+3 * rank + 1, where Hom reaches dimension four, and the checks and
+perpendiculars on the deepest of those tubes, cap = 3 * rank + 1.
 """
 
 import importlib
@@ -26,7 +29,7 @@ import pytest
 
 from test_intervals import CERTIFICATE_QUIVERS, MODEL_QUIVERS, model_id
 from torsionpairs import intervals, tube
-from torsionpairs.intervals import model_for
+from torsionpairs.intervals import LinearModel, model_for
 from torsionpairs.quiver import cyclic_an, linear_an, subquiver
 from torsionpairs.torsion import (
     ChainModel,
@@ -294,8 +297,9 @@ def bits(mask):
     return {j for j in range(mask.bit_length()) if mask >> j & 1}
 
 
-# past cap = rank a tube has Hom spaces of dimension 2 or more, where a row
-# still reads a plain nonzero; at cap = 3 * rank + 1 they reach dimension 4
+# past cap = rank a tube has Hom spaces of dimension 2 or more, where the
+# image rule still reads a plain nonzero; at cap = 3 * rank + 1 they reach
+# dimension 4
 DEEP_TUBES = [(r, c) for r in range(1, 6) for c in range(1, 3 * r + 2) if (r, c) not in TUBES]
 
 
@@ -306,12 +310,22 @@ TABLE_MODELS = (
 )
 
 
+# the kernels' models and the deepest tube of each rank
+CHECK_MODELS = KERNEL_MODELS + [
+    pytest.param(lambda r=r: TubeModel(r, 3 * r + 1), id=f"tube{r}-cap{3 * r + 1}")
+    for r in range(1, 6)
+    if (r, 3 * r + 1) not in TUBES
+]
+
+
 @pytest.mark.parametrize("make", TABLE_MODELS)
-def test_hom_rows_match_the_served_hom(make):
+def test_image_rule_matches_the_served_hom(make):
+    """Hom(X, Y) != 0 iff a quotient of X is a submodule of Y."""
     model = make()
     assert [model.index[X] for X in model.objects] == list(range(len(model.objects)))
+    quots, subs = model.quot_masks, model.sub_masks
     for i, X in enumerate(model.objects):
-        assert bits(model.hom_rows[i]) == {
+        assert {j for j in range(len(model.objects)) if quots[i] & subs[j]} == {
             j for j, Y in enumerate(model.objects) if model.hom(X, Y) != 0
         }, X
 
@@ -391,7 +405,7 @@ def candidate_tuples(model, seed, count=20):
     return out
 
 
-@pytest.mark.parametrize("make", KERNEL_MODELS)
+@pytest.mark.parametrize("make", CHECK_MODELS)
 def test_is_torsion_pair_matches_the_reference(make):
     model = make()
     verdicts = set()
@@ -404,7 +418,7 @@ def test_is_torsion_pair_matches_the_reference(make):
     assert verdicts == {"ok", "classes", "Hom", "no"} or len(model.objects) < 3
 
 
-@pytest.mark.parametrize("make", KERNEL_MODELS)
+@pytest.mark.parametrize("make", CHECK_MODELS)
 def test_is_ntp_matches_the_reference(make):
     model = make()
     verdicts = set()
@@ -417,7 +431,7 @@ def test_is_ntp_matches_the_reference(make):
     assert {"ok", "Hom", "no"} <= verdicts or len(model.objects) < 3
 
 
-@pytest.mark.parametrize("make", KERNEL_MODELS)
+@pytest.mark.parametrize("make", CHECK_MODELS)
 def test_closures_and_perpendiculars_match_the_references(make):
     model = make()
     rng = random.Random(len(model.objects) + 2)
@@ -438,6 +452,19 @@ def test_torsion_parts_of_objects_match_the_references(make):
         assert decompose_along(model, tp, D) == ref_decompose_along(model, tp, D)
         for X in D:
             assert torsion_submodule(model, T, X) == ref_torsion_submodule(model, T, X)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: LinearModel(linear_an(6)), lambda: TubeModel(3, 6)], ids=["linear6", "tube3-cap6"]
+)
+def test_passing_checks_build_no_object_set(make):
+    """The checks work on masks: a pass leaves the lazy frozenset unbuilt."""
+    model = make()
+    T = extension_closure(model, model.quotients(model.objects[-1]))
+    F = frozenset(Y for Y in model.objects if all(model.hom(X, Y) == 0 for X in T))
+    assert is_torsion_pair(model, T, F)
+    assert is_ntp(model, (T, F))
+    assert "object_set" not in vars(model)
 
 
 def package_caches():
