@@ -1,13 +1,13 @@
 """Command line surface: enumerate, decompose, verify, count, export.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 malformed
-certificate, 4 resource bound exceeded.  A reader that closes stdout
-early (`| head`) ends the command quietly with exit 0; a stdout that
-cannot be written (a full device, or closed from the start) is a usage
-error, as is an `--out` file that cannot be written.  A stderr that is
-closed or cannot be written loses the diagnostic line, not the exit
-code.  Output is deterministic for identical flags.  The tube modules
-are imported only by the commands on a tube.
+certificate, 4 resource bound exceeded, memory included.  A reader that
+closes stdout early (`| head`) ends the command quietly with exit 0; a
+stdout that cannot be written (a full device, or closed from the start)
+is a usage error, as is an `--out` file that cannot be written.  A
+stderr that is closed or cannot be written loses the diagnostic line,
+not the exit code.  Output is deterministic for identical flags.  The
+tube modules are imported only by the commands on a tube.
 
 `_COMMANDS` lists every command's arguments once.  `main` parses argv with
 `_parse_plain`, which reads that table and accepts only the plain form;
@@ -469,8 +469,8 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         _report(f"certificate error: {exc}")
         return EXIT_CERTIFICATE
-    except BoundExceededError as exc:
-        _report(f"bound exceeded: {exc}")
+    except (BoundExceededError, MemoryError) as exc:
+        _report(f"bound exceeded: {str(exc) or 'out of memory'}")
         return EXIT_BOUND
     except ValueError as exc:
         _report(f"usage error: {exc}")

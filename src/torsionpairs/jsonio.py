@@ -18,7 +18,6 @@ from .quiver import (
     CYCLIC,
     LINEAR,
     LINEAR_UNION,
-    PARTITION_KINDS,
     STRONG_ONE,
     STRONG_TWO,
     PartPartition,
@@ -29,7 +28,6 @@ from .quiver import (
 from .torsion import NTorsionPair, TorsionPair
 
 if TYPE_CHECKING:
-    from .tube import TubeModule, TubeSubcatDescriptor
     from .tubepairs import TubeTorsionPair
 
 SCHEMA = "torsion/1"
@@ -96,21 +94,6 @@ def partition_to_obj(p: PartPartition) -> dict:
         "kind": p.kind,
         "complete": p.complete,
     }
-
-
-def partition_from_obj(obj: Any) -> PartPartition:
-    try:
-        kind = obj["kind"]
-        if kind not in PARTITION_KINDS:
-            raise CertificateError(f"unknown partition kind {kind!r}")
-        complete = obj["complete"]
-        if type(complete) is not bool:
-            raise TypeError(f"complete must be true or false, not {complete!r}")
-        return PartPartition(tuple(frozenset(map(json_int, part)) for part in obj["parts"]), kind, complete)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CertificateError):
-            raise
-        raise CertificateError(f"bad partition object: {exc}") from exc
 
 
 _ENDS = attrgetter("a", "b")
@@ -264,26 +247,6 @@ def ntp_from_obj(obj: Any) -> tuple[Quiver, NTorsionPair]:
     if not parts:
         raise CertificateError("an n-torsion pair needs at least one part")
     return q, NTorsionPair(parts)
-
-
-# -- tube modules and descriptors ---------------------------------------------
-
-
-def tube_module_to_obj(X: TubeModule) -> dict:
-    return {"socle": X.socle, "length": X.length}
-
-
-def descriptor_to_obj(desc: TubeSubcatDescriptor) -> dict:
-    from .tube import TubeModule
-
-    return {
-        "kind": desc.kind,
-        "delta": sorted(desc.delta),
-        "finite": [
-            tube_module_to_obj(X)
-            for X in sorted(desc.finite_part, key=TubeModule.sort_key)
-        ],
-    }
 
 
 # -- decomposition results -----------------------------------------------------

@@ -7,12 +7,12 @@ shortest first, so entry h - 1 has length h) and `glue_chains` (two
 such tuples: the indices of the longest objects ending right before the
 top of X, None where there is no such vertex, and ending at its socle).
 The base derives `index` (each object's position) and the chains as
-bitmasks, `sub_masks` and `quot_masks`, and serves `object_set`,
-`length(X)`, `submodules(X)` and `quotients(X)`.  A subclass adds
-`hom(X, Y)`, `ext(X, Y)`, `slice(X, lo, hi)` (the subquotient between
-two socle heights) and `glue(bottom, top)` (the indecomposable middle
-term of a nonsplit extension, if any: it can only exist when the vertex
-after the socle of `top` is the top vertex of `bottom`).  The interval
+bitmasks, `sub_masks` and `quot_masks`, and serves `length(X)`,
+`submodules(X)` and `quotients(X)`.  A subclass adds `hom(X, Y)`,
+`ext(X, Y)`, `slice(X, lo, hi)` (the subquotient between two socle
+heights) and `glue(bottom, top)` (the indecomposable middle term of a
+nonsplit extension, if any: it can only exist when the vertex after the
+socle of `top` is the top vertex of `bottom`).  The interval
 model and the truncated tube model are both `ChainModel`s.
 
 Subcategories are frozensets of indecomposables; additive closure is
@@ -36,7 +36,6 @@ search.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -143,11 +142,6 @@ class ChainModel:
         self.sub_masks: tuple[int, ...] = tuple(subs)
         self.quot_masks: tuple[int, ...] = tuple(quots)
         self.glue_chains: tuple[tuple, tuple] = glue_chains
-
-    @cached_property
-    def object_set(self) -> frozenset:
-        """The objects as a frozenset, built on first use; the checks never need it."""
-        return frozenset(self.objects)
 
     def length(self, X) -> int:
         return len(self.sub_chains[self.index[X]])
@@ -274,11 +268,16 @@ def _gluings(model, bottoms: int, tops: int) -> int:
 
 
 def _closure_mask(model, mask: int) -> int:
-    """Gluing closure on masks; each round glues only the pairs with a new member."""
+    """Gluing closure on masks; each round glues every top on the new members.
+
+    A member outside `mask` is a generator glued on top of its submodule
+    one generator shorter, which is a generator or was new in some round;
+    the round after glues every top on it, so one direction is enough.
+    """
     new = _gluings(model, mask, mask) & ~mask
     while new:
         mask |= new
-        new = (_gluings(model, new, mask) | _gluings(model, mask, new)) & ~mask
+        new = _gluings(model, new, mask) & ~mask
     return mask
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .decompose import (
     _mask_walk,
@@ -384,14 +384,6 @@ class CombinedTorsionPair(Record):
 def combine_components(per_component: Sequence) -> CombinedTorsionPair:
     """Direct-sum torsion pair from one torsion pair per component."""
     return CombinedTorsionPair(tuple(per_component))
-
-
-def count_combinations(per_component_choices: Iterable[Sequence]) -> int:
-    """Number of torsion pairs on the direct sum: the product of the counts."""
-    total = 1
-    for choices in per_component_choices:
-        total *= len(choices)
-    return total
 
 
 def truncated_check(data: TubeTorsionPair, cap: int):

@@ -12,7 +12,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,7 @@ from torsionpairs import cli, intervals, jsonio, tube, tubepairs
 from torsionpairs.cli import main
 from torsionpairs.decompose import enumerate_torsion_pairs
 from torsionpairs.intervals import model_for
-from torsionpairs.quiver import linear_an
+from torsionpairs.quiver import PartPartition, linear_an
 from torsionpairs.torsion import TorsionPair
 from torsionpairs.tubepairs import enumerate_tube_tps
 
@@ -317,7 +316,6 @@ class TestDecompose:
 
     def test_round_trip_through_files(self, tmp_path, capsys):
         from torsionpairs.decompose import assemble
-        from torsionpairs.jsonio import partition_from_obj
         from torsionpairs.torsion import TorsionPair
         from torsionpairs.jsonio import intervals_from_obj
 
@@ -326,7 +324,7 @@ class TestDecompose:
             path = write_cert(tmp_path, jsonio.pair_certificate(q, tp), f"r{i}.json")
             code, out = run(capsys, "decompose", path)
             payload = json.loads(out)
-            partition = partition_from_obj(payload["partition"])
+            partition = PartPartition(**payload["partition"])
             residual = TorsionPair(
                 intervals_from_obj(payload["residual"]["torsion"]),
                 intervals_from_obj(payload["residual"]["free"]),
@@ -896,6 +894,36 @@ class TestProcessEnd:
         assert proc.stderr.endswith("\ntorsionpairs count: error: one of the arguments --an --tube is required\n")
         proc = self.cli_redirected("2>&-", "count", "--bogus")
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
+
+    def test_running_out_of_memory_is_a_bound(self, tmp_path):
+        # the address-space limit is set in the child only: a small command
+        # runs under it, and verify of the T_S pair on the 160-vertex path
+        # (about 63 MB peak RSS) runs out of memory
+        import resource
+
+        limit = 48 << 20
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "torsionpairs", *argv], capture_output=True, text=True,
+                env=TestClosedPipe.env(False), timeout=120,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+
+        proc = cli("count", "--an", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+        n = 160
+        S = range(1, n + 1, 2)
+        intervals = [[a, b] for a in range(1, n + 1) for b in range(a, n + 1)]
+        path = write_cert(tmp_path, {
+            "schema": "torsion/1",
+            "category": {"shape": "linearA", "n": n},
+            "torsion": [X for X in intervals if X[0] in S],
+            "free": [X for X in intervals if not any(X[0] <= v <= X[1] for v in S)],
+        })
+        proc = cli("verify", path, "--max-n", str(n))
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "bound exceeded: out of memory\n")
 
 
 class TestNumbersPastTheFloatRange:

@@ -186,7 +186,7 @@ class TestResiduals:
             return out
 
         monkeypatch.setattr(module, "_stage_row", drop_last_injective)
-        everything_free = TorsionPair(frozenset(), model_for(A3).object_set)
+        everything_free = TorsionPair(frozenset(), frozenset(model_for(A3).objects))
         with pytest.raises(RuntimeError, match=r"^peeling left vertices \[3\]; model defect$"):
             decompose(A3, everything_free, "left")
 
@@ -399,7 +399,7 @@ class TestTiltingCotilting:
 
         monkeypatch.setattr(module, "decompose", peel_missing_an_end)
         q = linear_union((3, 1), (2,))
-        everything = model_for(q).object_set
+        everything = frozenset(model_for(q).objects)
         tp = TorsionPair(everything, frozenset()) if side == "left" else TorsionPair(frozenset(), everything)
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             check(q, tp)

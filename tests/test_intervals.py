@@ -202,7 +202,7 @@ class TestProjectivesInjectives:
         )
         assert m.projectives() is m.projectives()
         assert m.injectives() is m.injectives()
-        assert all(P in m.object_set for P in m.projectives() + m.injectives())
+        assert all(P in m.index for P in m.projectives() + m.injectives())
 
 
 class TestTau:

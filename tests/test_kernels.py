@@ -16,7 +16,11 @@ at most three and cap at most five; the image rule, the chains and their
 masks are also checked on the certificate-sized paths and shuffled
 unions and on the tubes of rank at most five and cap at most
 3 * rank + 1, where Hom reaches dimension four, and the checks and
-perpendiculars on the deepest of those tubes, cap = 3 * rank + 1.
+perpendiculars on the deepest of those tubes, cap = 3 * rank + 1.  The
+closures of the simples and of sparse subsets, which take several
+rounds, are checked against the rescan on the paths with six to nine
+vertices and on the tubes of rank at most five and cap at most
+3 * rank + 1.
 """
 
 import importlib
@@ -29,7 +33,7 @@ import pytest
 
 from test_intervals import CERTIFICATE_QUIVERS, MODEL_QUIVERS, model_id
 from torsionpairs import intervals, tube
-from torsionpairs.intervals import LinearModel, model_for
+from torsionpairs.intervals import model_for
 from torsionpairs.quiver import cyclic_an, linear_an, subquiver
 from torsionpairs.torsion import (
     ChainModel,
@@ -71,7 +75,7 @@ KERNEL_MODELS = (
 
 
 def ref_ambient(model, ambient):
-    return model.object_set if ambient is None else frozenset(ambient)
+    return frozenset(model.objects if ambient is None else ambient)
 
 
 def ref_witness_order(amb):
@@ -258,7 +262,6 @@ def test_every_gluing_is_found_through_the_end_indexes(make):
 @pytest.mark.parametrize("make", ALL_MODELS)
 def test_chains_match_slices(make):
     model = make()
-    assert model.object_set == frozenset(model.objects)
     for X in model.objects:
         n = model.length(X)
         subs, quots = model.submodules(X), model.quotients(X)
@@ -271,7 +274,7 @@ def test_chains_match_slices(make):
 def test_interval_chains_reuse_the_model_objects():
     model = model_for(linear_an(4))
     for X in model.objects:
-        assert all(S in model.object_set for S in model.submodules(X) + model.quotients(X))
+        assert all(S in model.index for S in model.submodules(X) + model.quotients(X))
 
 
 class TestSubquiverMemo:
@@ -316,6 +319,28 @@ CHECK_MODELS = KERNEL_MODELS + [
     for r in range(1, 6)
     if (r, 3 * r + 1) not in TUBES
 ]
+
+
+def check_sparse_closures(model, seed):
+    """The closures of the simples and of seeded subsets of density at most
+    1/3 against the rescan: the closures take several rounds."""
+    rng = random.Random(seed)
+    subsets = [[X for X in model.objects if model.length(X) == 1]]
+    for _ in range(40):
+        density = rng.random() / 3
+        subsets.append([X for X in model.objects if rng.random() < density])
+    for subset in subsets:
+        assert extension_closure(model, subset) == rescan_closure(model, subset), subset
+
+
+@pytest.mark.parametrize("q", [linear_an(n) for n in range(6, 10)], ids=repr)
+def test_closure_matches_rescan_on_sparse_subsets_of_longer_paths(q):
+    check_sparse_closures(model_for(q), seed=len(q.vertices))
+
+
+@pytest.mark.parametrize("rank,cap", DEEP_TUBES)
+def test_closure_matches_rescan_on_sparse_subsets_of_deep_tubes(rank, cap):
+    check_sparse_closures(TubeModel(rank, cap), seed=100 * rank + cap)
 
 
 @pytest.mark.parametrize("make", TABLE_MODELS)
@@ -452,19 +477,6 @@ def test_torsion_parts_of_objects_match_the_references(make):
         assert decompose_along(model, tp, D) == ref_decompose_along(model, tp, D)
         for X in D:
             assert torsion_submodule(model, T, X) == ref_torsion_submodule(model, T, X)
-
-
-@pytest.mark.parametrize(
-    "make", [lambda: LinearModel(linear_an(6)), lambda: TubeModel(3, 6)], ids=["linear6", "tube3-cap6"]
-)
-def test_passing_checks_build_no_object_set(make):
-    """The checks work on masks: a pass leaves the lazy frozenset unbuilt."""
-    model = make()
-    T = extension_closure(model, model.quotients(model.objects[-1]))
-    F = frozenset(Y for Y in model.objects if all(model.hom(X, Y) == 0 for X in T))
-    assert is_torsion_pair(model, T, F)
-    assert is_ntp(model, (T, F))
-    assert "object_set" not in vars(model)
 
 
 def package_caches():

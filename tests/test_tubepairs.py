@@ -31,7 +31,6 @@ from torsionpairs.tubepairs import (
     TubeTorsionPair,
     check_l_r,
     combine_components,
-    count_combinations,
     count_tube_tps,
     enumerate_tube_tps,
     partition_to_tube_tp,
@@ -459,11 +458,6 @@ class TestCombine:
         combined = combine_components([torsion_side, free_side])
         assert combined.membership(0, U(1, 2, 1)) == "torsion"
         assert combined.membership(1, U(1, 2, 1)) == "free"
-
-    def test_counts_multiply(self):
-        per_tube = [enumerate_tube_tps(1), enumerate_tube_tps(1)]
-        assert count_combinations(per_tube) == 4
-        assert count_combinations([enumerate_tube_tps(2), enumerate_tube_tps(1)]) == 12
 
     def test_interval_component(self):
         from torsionpairs.quiver import linear_an
