@@ -36,7 +36,7 @@ from .decompose import (
 from .intervals import model_for
 from .jsonio import CertificateError
 from .quiver import LINEAR_UNION, STRONG_ONE, BoundExceededError, linear_an
-from .torsion import bit_indices, is_ntp, is_torsion_pair, mask_of
+from .torsion import bit_indices, bit_order, is_ntp, is_torsion_pair, mask_of
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -312,7 +312,7 @@ def _dot_lattice(q) -> Iterator[str]:
     # the model lists its objects in (a, b) order, so bit order is interval order
     classes = sorted(
         (mask_of(model, tp.torsion) for tp in iter_torsion_pairs(q)),
-        key=lambda T: (T.bit_count(), bit_indices(T)),
+        key=lambda T: (T.bit_count(), bit_order(T)),
     )
     position = {T: k for k, T in enumerate(classes)}
     subs, quots = model.sub_masks, model.quot_masks

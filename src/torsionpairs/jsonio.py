@@ -75,6 +75,8 @@ def quiver_from_obj(obj: Any) -> Quiver:
             return cyclic_an(json_int(obj["n"]))
         if shape == LINEAR_UNION:
             comps = [tuple(map(json_int, c)) for c in obj["components"]]
+            if not all(comps):
+                raise ValueError("a component has no vertices")
             vertices = tuple(sorted(v for c in comps for v in c))
             arrows = tuple((c[i], c[i + 1]) for c in comps for i in range(len(c) - 1))
             return Quiver(vertices, arrows, LINEAR_UNION)

@@ -340,15 +340,11 @@ def validate_partition(q: Quiver, partition: PartPartition) -> bool:
     strong = partition.kind in (STRONG_ONE, STRONG_TWO)
     support, projective = q.vertex_set, projective_stage(partition.kind, 0)
     for j, part in enumerate(partition.parts):
-        rest = support - part
-        # the stage ends of `support` lie in `part`: no vertex left has its
-        # predecessor (successor) outside `support`, as `stage_ends` reads it
-        step = q.pred if projective else q.succ
-        if j >= 1 and strong and not all(step.get(v) in support for v in rest):
+        if j >= 1 and strong and not stage_ends(q, support, projective) <= part:
             return False
         if j >= 2 and not strong and _linked(q, partition.parts[j - 1], support, part, projective) != part:
             return False
-        support, projective = rest, not projective
+        support, projective = support - part, not projective
     return True
 
 

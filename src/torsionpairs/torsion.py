@@ -176,6 +176,15 @@ def bit_indices(mask: int) -> list[int]:
     return list(compress(range(len(digits)), digits))
 
 
+_FLIP = str.maketrans("01", "10")
+
+
+def bit_order(mask: int) -> str:
+    """A sort key of a nonnegative mask: its bits from the lowest up, a set
+    bit read "0", so the keys compare as the `bit_indices` lists do."""
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
+
+
 def objects_of(model, mask: int) -> frozenset:
     """The objects whose bits are set in the mask."""
     # copied from a set: on the classes of the path route this allocates

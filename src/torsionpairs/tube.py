@@ -66,9 +66,6 @@ class TubeModule(Record):
     def __repr__(self) -> str:
         return f"U({self.socle},{self.length})"
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.length, self.socle)
-
 
 def _same_rank(X: TubeModule, Y: TubeModule) -> int:
     if X.rank != Y.rank:

@@ -56,7 +56,7 @@ from .quiver import (
     subquiver,
     validate_partition,
 )
-from .torsion import TorsionPair, bit_indices, mask_of, objects_of
+from .torsion import TorsionPair, bit_indices, bit_order, mask_of, objects_of
 from .tube import (
     CORAY_FINITE,
     FINITE,
@@ -127,8 +127,7 @@ class TubeTorsionPair(Record):
 
     def _finite_part(self, mask: int) -> frozenset[TubeModule]:
         """The residual intervals of the mask as tube modules."""
-        modules, bits = all_tube_modules(self.rank, self.rank), _tube_table(self.rank, self._model)
-        return frozenset(modules[bits[i]] for i in bit_indices(mask))
+        return frozenset(map(all_tube_modules(self.rank, self.rank).__getitem__, bit_indices(self._tube_mask(mask))))
 
     @cached_property
     def torsion_descriptor(self) -> TubeSubcatDescriptor:
@@ -197,15 +196,6 @@ def check_l_r(data: TubeTorsionPair) -> tuple[frozenset[int], frozenset[int]]:
     return l_t, r_f
 
 
-_FLIP = str.maketrans("01", "10")
-
-
-def _torsion_order(step: tuple) -> str:
-    """A walk step's torsion bits from the lowest up, a set bit read "0": the
-    strings compare as the lists of set bits do, in `sort_key` order."""
-    return bin(step[1])[:1:-1].translate(_FLIP) if step[1] else ""
-
-
 def _classified(rank: int) -> Iterator[tuple[int, frozenset[int], LinearModel, list]]:
     """The classification one group at a time, as (kind, delta, residual
     model, walk), in `TubeTorsionPair.sort_key` order: kind 1 then kind 2,
@@ -222,7 +212,7 @@ def _classified(rank: int) -> Iterator[tuple[int, frozenset[int], LinearModel, l
     def groups():
         for kind, name in ((1, STRONG_ONE), (2, STRONG_TWO)):
             for delta, model in zip(deltas, models):
-                walk = sorted(_mask_walk(model, name, 1), key=_torsion_order)
+                walk = sorted(_mask_walk(model, name, 1), key=lambda step: bit_order(step[1]))
                 yield kind, delta, model, walk
 
     return groups()

@@ -673,6 +673,17 @@ class TestCertificateBoundary:
         assert code == 3
         assert err.startswith("certificate error:")
 
+    @pytest.mark.parametrize("argv", [("verify",), ("decompose", "--side", "both")], ids=["verify", "decompose"])
+    def test_empty_union_component_is_exit_3(self, tmp_path, argv):
+        # as linearA rejects n = 0; "components": [] is the empty quiver, and valid
+        category = {"shape": "linearUnion", "components": [[]]}
+        union = {"schema": "torsion/1", "category": category, "torsion": [], "free": []}
+        code, out, err = self.cli(argv[0], write_cert(tmp_path, union), *argv[1:])
+        assert (code, out, err) == (3, "", "certificate error: bad quiver object: a component has no vertices\n")
+        category["components"] = []
+        code, _, err = self.cli(argv[0], write_cert(tmp_path, union), *argv[1:])
+        assert (code, err) == (0, "")
+
     def test_cyclic_category_on_a_pair_is_exit_3(self, tmp_path):
         cert = {
             "schema": "torsion/1",

@@ -545,3 +545,10 @@ class TestStageWalk:
                     }, (support, part)
                 assert stage_ends(q, support, True) == sub.sources, support
                 assert stage_ends(q, support, False) == sub.sinks, support
+
+
+@pytest.mark.parametrize("side", ["both", "Left", ""])
+def test_decompose_rejects_a_side_it_does_not_peel(side):
+    q = linear_an(2)
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+        decompose(q, enumerate_torsion_pairs(q)[0], side)

@@ -266,3 +266,9 @@ def test_tau_shifts_and_inverts(n, data):
     t = tau(q, X)
     assert t == Interval(X.a + 1, X.b + 1)
     assert tau_inv(q, t) == X
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 1), (1, 1), (2, 1), (0, 3)])
+def test_slice_rejects_heights_outside_the_module(lo, hi):
+    with pytest.raises(ValueError, match="^slice heights out of range$"):
+        model_for(A3).slice(Interval(1, 2), lo, hi)

@@ -17,6 +17,7 @@ from torsionpairs.oracle import (
     check_tube_tp_truncated,
     enumerate_torsion_pairs_bruteforce,
     euler_form,
+    ext_dim_matrix,
     hom_dim_matrix,
 )
 from torsionpairs.quiver import cyclic_an, linear_an, subquiver
@@ -274,3 +275,14 @@ def test_search_returns_the_recorded_pairs_in_order(n):
     pairs = bruteforce_torsion_pairs(linear_an(n))
     text = repr([(sorted(tp.torsion), sorted(tp.free)) for tp in pairs])
     assert hashlib.sha256(text.encode()).hexdigest() == BRUTEFORCE_SHA256[n]
+
+
+@pytest.mark.parametrize("oracle_dim,X,Y,message", [
+    pytest.param(hom_dim_matrix, TubeModule(1, 1, 2), TubeModule(1, 1, 3),
+                 "modules live on cycles of different rank", id="hom-ranks"),
+    pytest.param(hom_dim_matrix, iv(1, 1), iv(1, 2), "interval modules need their home quiver", id="hom-quiver"),
+    pytest.param(ext_dim_matrix, iv(1, 1), iv(1, 2), "interval modules need their home quiver", id="ext-quiver"),
+])
+def test_matrix_oracles_check_their_arguments(oracle_dim, X, Y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle_dim(X, Y)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,8 @@ from torsionpairs.quiver import (
     STRONG_ONE,
     STRONG_TWO,
     PARTITION_KINDS,
+    CYCLIC,
+    LINEAR,
     LINEAR_UNION,
     MalformedPartitionError,
     PartPartition,
@@ -362,3 +365,22 @@ def test_partition_insensitive_to_element_order(perm):
     S = PartPartition((frozenset(perm[:1]), frozenset(perm[1:])), STRONG_ONE, complete=True)
     T = PartPartition((frozenset(perm[:1]), frozenset(reversed(perm[1:]))), STRONG_ONE, complete=True)
     assert S == T
+
+
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda: Quiver((1, 2), ((1, 3),), LINEAR_UNION), ValueError,
+                 "arrow (1,3) leaves the vertex set", id="arrow-off-the-vertices"),
+    pytest.param(lambda: Quiver((1, 2, 3), ((1, 2), (1, 3)), LINEAR_UNION), ValueError,
+                 "a vertex carries two arrows in the same direction", id="two-arrows-out"),
+    pytest.param(lambda: Quiver((1, 2), ((2, 1),), LINEAR), ValueError,
+                 "linear quiver must be 1 -> 2 -> ... -> n", id="reversed-linear"),
+    pytest.param(lambda: Quiver((1, 2), ((1, 2),), CYCLIC), ValueError,
+                 "cyclic quiver must be the oriented n-cycle", id="open-cycle"),
+    pytest.param(lambda: validate_partition(linear_an(2), PartPartition([{3}], STRONG_ONE, complete=True)),
+                 MalformedPartitionError, "part 0 is not a subset of the vertices", id="part-off-the-vertices"),
+    pytest.param(lambda: validate_partition(linear_an(2), PartPartition([], STRONG_ONE, complete=True)),
+                 MalformedPartitionError, "a partition needs at least the part Delta_0", id="no-parts"),
+])
+def test_malformed_quivers_and_partitions_are_rejected(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

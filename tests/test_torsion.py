@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from torsionpairs.torsion import (
     NTorsionPair,
     TorsionPair,
     TorsionPairSeries,
+    bit_indices,
+    bit_order,
     complete_defect,
     decompose_along,
     ext_injectives_in,
@@ -422,3 +426,47 @@ def test_random_subset_triple_perp(n, data):
     D = frozenset(data.draw(st.sets(st.sampled_from(model.objects))))
     left = perp_left(model, D)
     assert perp_left(model, perp_right(model, left)) == left
+
+
+SHUFFLED2 = NTorsionPair((fs((1, 1)), fs((2, 2)), frozenset()))  # [1,2] has no filtration in this order
+ONE_PAIR = TorsionPairSeries((TorsionPair(fs((2, 2)), fs((1, 1))),))
+UP_TO_22 = TorsionPairSeries((TorsionPair(frozenset(), ALL2), TorsionPair(fs((2, 2)), fs((1, 1)))))
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda: ntp_to_series(M2, NTorsionPair((ALL2,))), "a one-part tuple has an empty series",
+                 id="series-of-one-part"),
+    pytest.param(lambda: ntp_to_series(M2, NTorsionPair((fs((2, 2)), fs((1, 1)), frozenset())), fs((2, 2))),
+                 "not an n-torsion pair: a part leaves the ambient subcategory", id="series-off-the-ambient"),
+    pytest.param(lambda: refine(M2, NTorsionPair((ALL2,)), 2, NTorsionPair((ALL2,))), "part index out of range",
+                 id="refine-index"),
+    pytest.param(lambda: refine(M2, NTorsionPair((ALL2,)), 1, NTorsionPair((fs((1, 1)), fs((2, 2)), fs((1, 2))))),
+                 "refinement is not an n-torsion pair on the part: ", id="refine-bad-refinement"),
+    pytest.param(lambda: refine(M2, SHUFFLED2, 1, NTorsionPair((fs((1, 1)),))), "spliced tuple fails: ",
+                 id="refine-bad-splice"),
+    pytest.param(lambda: complete_defect(M2, [fs((1, 2)), fs((1, 1))]), "parts are not orthogonal at ([1,2],[1,1])",
+                 id="defect-not-orthogonal"),
+    pytest.param(lambda: interval_bijection_f(M2, ONE_PAIR, TorsionPair(ALL2, frozenset())),
+                 "a 2-series is required", id="f-one-pair"),
+    pytest.param(lambda: interval_bijection_f(M2, UP_TO_22, TorsionPair(fs((1, 1)), frozenset())),
+                 "inner pair does not live on F_1 & T_2", id="f-off-the-interval"),
+    pytest.param(lambda: interval_bijection_f(M2, UP_TO_22, TorsionPair(frozenset(), frozenset())),
+                 "inner pair fails on the interval: ", id="f-not-a-pair"),
+    pytest.param(lambda: interval_bijection_g(M2, ONE_PAIR, TorsionPair(ALL2, frozenset())),
+                 "a 2-series is required", id="g-one-pair"),
+])
+def test_bad_tuples_and_series_are_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        make()
+
+
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 70) - 1), min_size=1, max_size=6))
+def test_bit_order_compares_masks_as_their_bit_lists(drawn):
+    masks = [0]
+    for m in drawn:
+        # m; its bit list less the last entry, a prefix of m's; and two masks of m's bit count
+        masks += [m, m & ~(1 << m.bit_length() - 1), m << 1, m << m.bit_length()]
+    for a in masks:
+        for b in masks:
+            assert (bit_order(a) < bit_order(b)) == (bit_indices(a) < bit_indices(b)), (a, b)
+            assert (bit_order(a) == bit_order(b)) == (a == b), (a, b)

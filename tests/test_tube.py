@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,3 +171,16 @@ def test_ar_duality_random(rank, data):
 def test_top_and_socle_are_length_compatible(rank, length):
     X = TubeModule(1, length, rank)
     assert (X.socle - X.top) % rank == (length - 1) % rank
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda: TubeModel(0, 1), "rank and cap must be positive", id="model-rank"),
+    pytest.param(lambda: TubeModel(1, 0), "rank and cap must be positive", id="model-cap"),
+    pytest.param(lambda: TubeModel(2, 3).slice(U(1, 2, 2), 0, 3), "slice heights out of range", id="slice-past-top"),
+    pytest.param(lambda: TubeModel(2, 3).slice(U(1, 2, 2), 1, 1), "slice heights out of range", id="slice-empty"),
+    pytest.param(lambda: ray({1}, 2).contains(U(1, 1, 3)), "module rank does not match the descriptor",
+                 id="contains-rank"),
+])
+def test_bad_tube_arguments_are_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

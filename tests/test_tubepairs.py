@@ -772,3 +772,15 @@ class TubeTorsionPairLike:
 
         self.torsion_descriptor = TubeSubcatDescriptor(FINITE, real.rank)
         self.free_descriptor = TubeSubcatDescriptor(FINITE, real.rank)
+
+
+@pytest.mark.parametrize("S,kind,message", [
+    pytest.param(PartPartition([{1}, {2}], STRONG_ONE, complete=True), 3, "kind must be 1 or 2", id="kind"),
+    pytest.param(PartPartition([{1}], STRONG_ONE, complete=False), 1, "the partition must be complete",
+                 id="incomplete"),
+    pytest.param(PartPartition([{1}, {2}, {3}], STRONG_ONE, complete=True), 1,
+                 "invalid partition PartPartition([{1}, {2}, {3}], strong1)", id="stage-end-left-out"),
+])
+def test_partition_to_tube_tp_rejects_bad_input(S, kind, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partition_to_tube_tp(S, kind)
