@@ -207,7 +207,9 @@ def _mask_walk(model: LinearModel, kind: str, start: int) -> Iterator[tuple[tupl
     quotients (submodules) ORed together, which the walk ORs into the
     parent's torsion (free) mask, so partitions sharing a prefix share its
     masks.  The offers depend only on the stage parity and the vertices
-    left, so each is computed once per walk, with one copy of each vertex set.
+    left, so each is computed once per walk, and the table holds one copy
+    of each vertex set: parts and sets left recur across nodes, and with a
+    copy each `enumerate --an 11` peaked at 48.3 MB, not 20.8, on CPython 3.11.
     """
     q = model.quiver
     if not q.vertices:
@@ -340,39 +342,16 @@ def generators(q: Quiver, tp: TorsionPair) -> tuple[frozenset[Interval], frozens
     return frozenset().union(*t_gen), frozenset().union(*f_cog)
 
 
-def _induced(q: Quiver, tp: TorsionPair, side: str) -> bool:
-    """The tilting (side "left") or cotilting (side "right") criterion,
-    read from the classes and from stage zero of the peeling; the two
-    must agree.  The one `decompose` call checks that tp is a torsion pair."""
-    model = model_for(q)
-    if side == "left":
-        name, modules, members, ends = "tilting", model.injectives(), tp.torsion, q.sources
-    else:
-        name, modules, members, ends = "cotilting", model.projectives(), tp.free, q.sinks
-    direct = members.issuperset(modules)
-    if direct != (ends <= decompose(q, tp, side).partition.parts[0]):
-        raise RuntimeError(f"{name} criteria disagree; model defect")
-    return direct
-
-
 def is_tilting_induced(q: Quiver, tp: TorsionPair) -> bool:
-    """True when the torsion class contains every injective.
-
-    Equivalently the 1-type partition's stage zero contains every source
-    vertex; both characterizations are computed and must agree.  A pair
-    that is not a torsion pair raises ValueError from `decompose`.
-    """
-    return _induced(q, tp, "left")
+    """True when stage zero of the 1-type peeling holds every source: the torsion class holds
+    every injective, as the tests check.  A pair that is not a torsion pair raises ValueError."""
+    return q.sources <= decompose(q, tp, "left").partition.parts[0]
 
 
 def is_cotilting_induced(q: Quiver, tp: TorsionPair) -> bool:
-    """True when the free class contains every projective.
-
-    Equivalently the 2-type partition's stage zero contains every sink
-    vertex; both characterizations are computed and must agree.  A pair
-    that is not a torsion pair raises ValueError from `decompose`.
-    """
-    return _induced(q, tp, "right")
+    """True when stage zero of the 2-type peeling holds every sink: the free class holds every
+    projective, as the tests check.  A pair that is not a torsion pair raises ValueError."""
+    return q.sinks <= decompose(q, tp, "right").partition.parts[0]
 
 
 def trace_ntp(q: Quiver, result: DecompositionResult) -> NTorsionPair:

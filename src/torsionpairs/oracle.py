@@ -227,10 +227,13 @@ def bruteforce_torsion_pairs(q: Quiver) -> list[TorsionPair]:
     return found
 
 
-def enumerate_torsion_pairs_bruteforce(n: int, bound: int = 6) -> list[TorsionPair]:
+EXHAUSTIVE_BOUND = 6  # the largest n `enumerate_torsion_pairs_bruteforce` takes
+
+
+def enumerate_torsion_pairs_bruteforce(n: int) -> list[TorsionPair]:
     """Exhaustive torsion pair search on the linear quiver with n vertices."""
-    if n > bound:
-        raise BoundExceededError(f"n = {n} exceeds the exhaustive-search bound {bound}")
+    if n > EXHAUSTIVE_BOUND:
+        raise BoundExceededError(f"n = {n} exceeds the exhaustive-search bound {EXHAUSTIVE_BOUND}")
     return bruteforce_torsion_pairs(linear_an(n))
 
 

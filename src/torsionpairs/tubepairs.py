@@ -105,6 +105,9 @@ class TubeTorsionPair(Record):
             raise ValueError("kind must be 1 or 2")
         if not delta:
             raise ValueError("delta must be nonempty")
+        cycle = cyclic_an(rank)
+        if not delta <= cycle.vertex_set or residual_quiver != subquiver(cycle, cycle.vertex_set - delta):
+            raise ValueError(f"the residual quiver must be the cycle of rank {rank} less delta")
         model = model_for(residual_quiver)
         try:
             masks = [mask_of(model, side) for side in (residual_pair.torsion, residual_pair.free)]
@@ -252,8 +255,8 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
         partition of the cycle of its kind, which the walk promised and
         `enumerate_tube_tps` trusted;
       - induced: each residual pair is a torsion pair of its kind, kind 1
-        cotilting-induced and kind 2 tilting-induced, each computed two
-        ways and compared;
+        cotilting-induced and kind 2 tilting-induced, by both criteria:
+        the predicate's peeling and the definition over the residual model;
       - fingerprint: no two pairs share a membership fingerprint truncated
         at 2 rank + 2.  Kind collisions are impossible (finite versus
         infinite torsion class), so any collision is a defect.  The
@@ -287,11 +290,14 @@ def count_tube_tps(rank: int, check: bool = False) -> int:
             valid = validate_partition(cycle, PartPartition(parts, name, complete=True))
         except MalformedPartitionError:
             valid = False
-        check_kind = is_cotilting_induced if kind == 1 else is_tilting_induced
-        if not valid or not check_kind(datum.residual_quiver, datum.residual_pair):
-            S = [sorted(p) for p in parts]
+        pair, model = datum.residual_pair, datum._model
+        if kind == 1:
+            induced = valid and is_cotilting_induced(model.quiver, pair) and pair.free.issuperset(model.projectives())
+        else:
+            induced = valid and is_tilting_induced(model.quiver, pair) and pair.torsion.issuperset(model.injectives())
+        if not induced:
             problem = f"is not a valid {name} partition of the cycle" if not valid else f"gives no kind {kind} pair"
-            raise ClassificationDefectError(f"partition {S} {problem}")
+            raise ClassificationDefectError(f"partition {[sorted(p) for p in parts]} {problem}")
     cap = 2 * rank + 2
     shift = len(all_tube_modules(rank, cap))
     seen: dict[int, TubeTorsionPair] = {}  # packed fingerprint -> the pair with it

@@ -58,6 +58,7 @@ from torsionpairs.torsion import (
     mask_of,
     objects_of,
 )
+from torsionpairs.tubepairs import ClassificationDefectError, count_tube_tps
 
 A2 = linear_an(2)
 A3 = linear_an(3)
@@ -323,6 +324,21 @@ class TestMaskWalk:
         assert objects_of(model, torsion) == fs((1, 1), (1, 2), (1, 3), (2, 2))
         assert objects_of(model, free) == fs((2, 3), (3, 3))
 
+    @pytest.mark.parametrize(
+        "q,kinds,start",
+        [
+            (linear_an(7), (STRONG_ONE,), 0),
+            (subquiver(cyclic_an(8), {1, 2, 3, 5, 6, 7, 8}), (STRONG_ONE, STRONG_TWO), 1),
+        ],
+    )
+    def test_the_walk_yields_one_copy_of_each_vertex_set(self, q, kinds, start):
+        # the offers table keeps every part it hands out, so equal parts
+        # must be one object
+        model = model_for(q)
+        for kind in kinds:
+            held = {id(part): part for tail, _, _ in _mask_walk(model, kind, start) for part in tail}
+            assert len(held) == len(set(held.values())), kind
+
 
 class TestCounts:
     def test_values(self):
@@ -376,33 +392,41 @@ class TestTiltingCotilting:
         assert not is_tilting_induced(A2, middle)
         assert not is_cotilting_induced(A2, middle)
 
-    @pytest.mark.parametrize(
-        "check,side,message",
-        [
-            (is_tilting_induced, "left", "tilting criteria disagree; model defect"),
-            (is_cotilting_induced, "right", "cotilting criteria disagree; model defect"),
-        ],
-    )
-    def test_a_peel_whose_stage_zero_misses_an_end_is_a_model_defect(self, monkeypatch, check, side, message):
+    @pytest.mark.parametrize("check,side,kind", [(is_tilting_induced, "left", 2), (is_cotilting_induced, "right", 1)])
+    def test_a_peel_whose_stage_zero_misses_an_end_is_a_model_defect(self, monkeypatch, check, side, kind):
         # stage zero of a peeling of the pair with every object on the
-        # criterion's side must hold every source (sink); drop one
+        # criterion's side must hold every source (sink); drop one on that
+        # side.  The predicate follows the peel, and the induced leg of the
+        # tube check, which also reads the definition, calls it a defect
         module = importlib.import_module("torsionpairs.decompose")
         real = module.decompose
 
-        def peel_missing_an_end(q, tp, side="left"):
-            result = real(q, tp, side)
+        def peel_missing_an_end(q, tp, peel_side="left"):
+            result = real(q, tp, peel_side)
+            if peel_side != side:
+                return result
             ends = q.sources if side == "left" else q.sinks
-            stage_zero = result.partition.parts[0] - {min(ends)}
             p = result.partition
-            partition = PartPartition((stage_zero,) + p.parts[1:], p.kind, p.complete)
+            partition = PartPartition((p.parts[0] - {min(ends)},) + p.parts[1:], p.kind, p.complete)
             return DecompositionResult(partition, result.residual, result.residual_quiver, result.trace)
 
         monkeypatch.setattr(module, "decompose", peel_missing_an_end)
         q = linear_union((3, 1), (2,))
         everything = frozenset(model_for(q).objects)
         tp = TorsionPair(everything, frozenset()) if side == "left" else TorsionPair(frozenset(), everything)
-        with pytest.raises(RuntimeError, match=f"^{message}$"):
-            check(q, tp)
+        assert not check(q, tp)
+        with pytest.raises(ClassificationDefectError, match=f"gives no kind {kind} pair$"):
+            count_tube_tps(2, check=True)
+
+    @pytest.mark.parametrize(
+        "q", [linear_an(n) for n in range(1, 7)] + CYCLE_RESIDUALS + WALK_QUIVERS[-1:], ids=model_id
+    )
+    def test_each_predicate_is_its_definition(self, q):
+        # the predicates read stage zero of a peeling; the definitions read
+        # the classes: every injective torsion, every projective free
+        for tp in enumerate_torsion_pairs(q):
+            assert is_tilting_induced(q, tp) == (tp.torsion >= set(injectives(q)))
+            assert is_cotilting_induced(q, tp) == (tp.free >= set(projectives(q)))
 
     @pytest.mark.parametrize("check", [is_tilting_induced, is_cotilting_induced])
     def test_a_pair_that_is_not_a_torsion_pair_raises(self, check):

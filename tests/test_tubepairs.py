@@ -21,6 +21,7 @@ from torsionpairs.quiver import (
     PartPartition,
     cyclic_an,
     enumerate_partitions,
+    linear_an,
     subquiver,
 )
 from torsionpairs.torsion import TorsionPair
@@ -407,6 +408,23 @@ class TestMaskBackedRecord:
             with pytest.raises(ValueError, match="is not an interval of the residual quiver"):
                 TubeTorsionPair(3, 1, frozenset({1}), residual, tp, (frozenset({2, 3}),))
 
+    @pytest.mark.parametrize(
+        "delta,residual",
+        [
+            # a residual that overlaps delta
+            (frozenset({1}), linear_an(2)),
+            # a delta with a vertex past the cycle, with the residual of the
+            # cycle less its vertices in range
+            (frozenset({4}), cyclic_an(3)),
+            (frozenset({1, 4}), subquiver(cyclic_an(3), {2, 3})),
+            # the vertices of the cycle less delta, on another quiver
+            (frozenset({3}), linear_an(2)),
+        ],
+    )
+    def test_a_residual_quiver_other_than_the_cycle_less_delta_is_a_value_error(self, delta, residual):
+        with pytest.raises(ValueError, match="^the residual quiver must be the cycle of rank 3 less delta$"):
+            TubeTorsionPair(3, 1, delta, residual, TorsionPair((), ()), (frozenset({1, 2}),))
+
 
 class TestTruncatedChecks:
     @pytest.mark.parametrize("rank", [1, 2])
@@ -573,6 +591,17 @@ class TestDefects:
         monkeypatch.setattr(tubepairs, check, lambda q, tp: False)
         with pytest.raises(ClassificationDefectError, match="gives no kind"):
             count_tube_tps(2, check=True)
+
+    @pytest.mark.parametrize("ends,kind", [("projectives", 1), ("injectives", 2)])
+    def test_pair_the_definition_refuses_is_a_defect(self, monkeypatch, ends, kind):
+        # the predicate still holds; only the definition leg sees every
+        # object counted as a projective (injective), which on a segment of
+        # two vertices some residual pair of the kind misses
+        from torsionpairs.intervals import LinearModel
+
+        monkeypatch.setattr(LinearModel, ends, lambda self: self.objects)
+        with pytest.raises(ClassificationDefectError, match=f"gives no kind {kind} pair$"):
+            count_tube_tps(3, check=True)
 
     def test_invalid_walked_partition_is_a_defect(self, monkeypatch):
         # the walk is trusted on the way; only the validity leg sees a bad one
