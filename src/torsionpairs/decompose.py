@@ -14,18 +14,17 @@ criteria.
 Peeling and assembly share one stage walk: a stage is a vertex set of the
 home quiver, whose projectives or injectives `_stage_row` reads off the
 home quiver's arrows and the home model's `end_chains`, with no subquiver
-or model per stage, and caches.  The mask walk (`_mask_walk`) runs the
-same rule down the tree of complete strong partitions, carrying each
-prefix's class masks to its extensions; `enumerate --an` and the tube
-classification read it.
+or model per stage, and caches.  The mask walk (`_mask_walk`) offers
+`quiver.walk_partitions` each stage's parts with their generator masks,
+so the walk carries each prefix's class masks to its extensions;
+`enumerate --an` and the tube classification read it.
 `generators` and `trace_ntp` read the generators `decompose` records.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Iterator
 
 from .intervals import (
@@ -49,6 +48,7 @@ from .quiver import (
     strong_stage_parts,
     subquiver,
     validate_partition,
+    walk_partitions,
 )
 from .torsion import (
     NTorsionPair,
@@ -177,22 +177,25 @@ def _residual_in_e(q: Quiver, residual: TorsionPair) -> bool:
     )
 
 
+def _part_mask(model: LinearModel, support: frozenset[int], projective: bool, part: frozenset[int]) -> int:
+    """The generator mask over `model` of a part taken from `support`: the OR of its
+    vertices' `_stage_row` quotient (submodule) masks on a projective (injective) stage."""
+    table = model.quot_masks if projective else model.sub_masks
+    row, mask = _stage_row(model, support, projective), 0
+    for v in part:
+        mask |= table[row[v]]
+    return mask
+
+
 def _stage_masks(model: LinearModel, partition: PartPartition) -> tuple[int, int]:
-    """The masks over `model` generating the torsion and the free class of
-    a partition, before extension closure: the quotients (submodules) of
-    the stage projectives (injectives), on the even (odd) stages of a
-    1-type partition and the mirror for 2-type.  Nothing is checked."""
-    support = model.quiver.vertex_set
-    torsion = free = 0
+    """The masks over `model` generating the torsion and the free class of a partition, before
+    extension closure: the OR of its projective (injective) stages' `_part_mask`s; nothing is checked."""
+    support, masks = model.quiver.vertex_set, [0, 0]
     for j, part in enumerate(partition.parts):
         projective = projective_stage(partition.kind, j)
-        for i in map(_stage_row(model, support, projective).__getitem__, part):
-            if projective:
-                torsion |= model.quot_masks[i]
-            else:
-                free |= model.sub_masks[i]
+        masks[not projective] |= _part_mask(model, support, projective, part)
         support -= part
-    return torsion, free
+    return masks[0], masks[1]
 
 
 def _mask_walk(model: LinearModel, kind: str, start: int) -> Iterator[tuple[tuple[frozenset[int], ...], int, int]]:
@@ -201,54 +204,30 @@ def _mask_walk(model: LinearModel, kind: str, start: int) -> Iterator[tuple[tupl
     whose stage 0 is Delta), with its `_stage_masks`, in
     `PartPartition.sort_key` order; nothing is checked.
 
-    One loop walks the partitions depth first over a stack of nodes, a node
-    being a stage and the vertices it has left.  A node offers its parts as
-    `enumerate_partitions` does, each with its vertices' stage generator
-    quotients (submodules) ORed together, which the walk ORs into the
-    parent's torsion (free) mask, so partitions sharing a prefix share its
-    masks.  The offers depend only on the stage parity and the vertices
-    left, so each is computed once per walk, and the table holds one copy
-    of each vertex set: parts and sets left recur across nodes, and with a
-    copy each `enumerate --an 11` peaked at 48.3 MB, not 20.8, on CPython 3.11.
+    The partitions come from `walk_partitions`, each part offered with its
+    `_part_mask`.  The offers depend only on the stage parity and the
+    vertices left, so each is computed once per walk, with one copy of each
+    vertex set: parts and sets left recur across nodes, and with a copy each
+    `enumerate --an 11` peaked at 48.3 MB, not 20.8, on CPython 3.11.
     """
     q = model.quiver
     if not q.vertices:
-        yield (), 0, 0
-        return
-    offers: dict[tuple[bool, frozenset[int]], tuple] = {}
-    shared: dict[frozenset[int], frozenset[int]] = {}
+        return iter([((), 0, 0)])
+    table, shared = {}, {}  # (parity, vertices left) -> its offers; a vertex set -> its one copy
 
-    def node(stage: int, remaining: frozenset[int], parts: tuple, torsion: int, free: int) -> tuple:
-        projective = projective_stage(kind, stage)
+    def offers(stage: int, projective: bool, remaining: frozenset[int], parts: tuple) -> tuple:
         # stage 0 is the one node of its parity with every vertex left
         key = (projective, remaining)
-        if key not in offers:
-            table = model.quot_masks if projective else model.sub_masks
-            gens = {v: table[i] for v, i in _stage_row(model, remaining, projective).items()}
+        found = table.get(key)
+        if found is None:
             found = []
             for part in strong_stage_parts(q, remaining, stage, projective):
-                left = remaining - part
-                grown = reduce(or_, map(gens.__getitem__, part), 0)
-                found.append((shared.setdefault(part, part), grown, shared.setdefault(left, left)))
-            offers[key] = tuple(found)
-        return iter(offers[key]), projective, stage, parts, torsion, free
+                left, mask = remaining - part, _part_mask(model, remaining, projective, part)
+                found.append((shared.setdefault(part, part), mask, shared.setdefault(left, left)))
+            found = table[key] = tuple(found)
+        return found
 
-    stack = [node(start, q.vertex_set, (), 0, 0)]
-    while stack:
-        options, projective, stage, parts, torsion, free = stack[-1]
-        offer = next(options, None)
-        if offer is None:
-            stack.pop()
-            continue
-        part, grown, left = offer
-        if projective:
-            torsion |= grown
-        else:
-            free |= grown
-        if left:
-            stack.append(node(stage + 1, left, parts + (part,), torsion, free))
-        else:
-            yield parts + (part,), torsion, free
+    return walk_partitions(kind, start, q.vertex_set, offers)
 
 
 def assemble(q: Quiver, partition: PartPartition, residual: TorsionPair | None = None) -> TorsionPair:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 LINEAR = "linearA"
 CYCLIC = "cyclicA"
@@ -367,46 +367,60 @@ def strong_stage_parts(q: Quiver, remaining: frozenset[int], stage: int, project
     return sorted((mandatory | extra for extra in extras if mandatory or extra), key=sorted)
 
 
+def walk_partitions(kind: str, start: int, vertices: frozenset[int], offers: Callable[..., Iterable[tuple]],
+                    complete: bool = True) -> Iterator[tuple]:
+    """The complete partitions of `vertices`, or with complete=False all, as
+    (parts, torsion, free), in `PartPartition.sort_key` order, each yielded
+    as the walk reaches it.
+
+    One loop walks them depth first over a stack of nodes, a node being a
+    stage, from `start` on, and the vertices it has left.  A node after the
+    drawn `parts` offers `offers(stage, projective, remaining, parts)`:
+    (part, mask, left) triples ordered by the parts' sorted vertices, with
+    `left` the vertices the part leaves.  A part ORs its mask into the
+    torsion mask on a projective stage of `kind`, else into the free mask,
+    so partitions sharing a prefix share its masks.
+    """
+    projective = projective_stage(kind, start)
+    stack = [(iter(offers(start, projective, vertices, ())), projective, start, (), 0, 0)]
+    while stack:
+        options, projective, stage, parts, torsion, free = stack[-1]
+        offer = next(options, None)
+        if offer is None:
+            stack.pop()
+            continue
+        part, mask, left = offer
+        if projective:
+            torsion |= mask
+        else:
+            free |= mask
+        grown = parts + (part,)
+        if not (complete and left):
+            yield grown, torsion, free
+        if left:
+            stage, projective = stage + 1, not projective  # the stages alternate sides
+            stack.append((iter(offers(stage, projective, left, grown)), projective, stage, grown, torsion, free))
+
+
 def enumerate_partitions(q: Quiver, kind: str, complete: bool = True) -> Iterator[PartPartition]:
     """All valid partitions of the given kind, one at a time, in `sort_key` order.
 
     With complete=True only partitions covering every vertex are produced;
     otherwise every valid partition is yielded, complete ones included.
     An unknown kind raises here, before the first partition is asked for.
-
-    One loop walks them depth first over a stack of (candidate parts,
-    vertices left) per stage; `parts` holds the parts drawn below the top.
-    Each stage offers its candidates ordered by their sorted vertices, so
-    the walk reaches the partitions in `sort_key` order and yields each
-    as it reaches it.
+    The partitions come from `walk_partitions`, with no masks.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"unknown partition kind {kind!r}")
     strong = kind in (STRONG_ONE, STRONG_TWO)
 
-    def candidates(parts: list[frozenset[int]], remaining: frozenset[int]) -> Iterator[frozenset[int]]:
-        j = len(parts)
-        projective = projective_stage(kind, j)
-        if j == 0 or strong:
-            return iter(strong_stage_parts(q, remaining, j, projective))
-        pool = remaining if j == 1 else _linked(q, parts[-1], remaining, remaining, projective)
-        return iter(sorted(_subsets(pool, include_empty=False), key=sorted))
+    def offers(stage: int, projective: bool, remaining: frozenset[int], parts: tuple) -> Iterator[tuple]:
+        if stage == 0 or strong:
+            found = strong_stage_parts(q, remaining, stage, projective)
+        else:
+            pool = remaining if stage == 1 else _linked(q, parts[-1], remaining, remaining, projective)
+            found = sorted(_subsets(pool, include_empty=False), key=sorted)
+        return ((part, 0, remaining - part) for part in found)
 
-    def walk() -> Iterator[PartPartition]:
-        parts: list[frozenset[int]] = []
-        stack = [(candidates(parts, q.vertex_set), q.vertex_set)]
-        while stack:
-            options, remaining = stack[-1]
-            del parts[len(stack) - 1 :]
-            part = next(options, None)
-            if part is None:
-                stack.pop()
-                continue
-            parts.append(part)
-            left = remaining - part
-            if not (complete and left):
-                yield PartPartition(tuple(parts), kind, not left)
-            if left:
-                stack.append((candidates(parts, left), left))
-
-    return walk()
+    walk = walk_partitions(kind, 0, q.vertex_set, offers, complete)
+    return (PartPartition(parts, kind, complete or sum(map(len, parts)) == len(q.vertices)) for parts, _, _ in walk)

@@ -93,7 +93,9 @@ class TubeTorsionPair(Record):
     partition it was built from: `delta`, then `residual_partition`, the tail
     whose stage masks make `residual_pair` on `residual_quiver`.  The pair
     keeps the residual classes as two masks over the residual model and
-    builds `residual_pair`, of the model's own intervals, on each access."""
+    builds `residual_pair`, of the model's own intervals, on each access.
+    The constructor raises ValueError unless `partition_to_tube_tp` makes
+    the same pair of the partition, and keeps that pair's vertex sets."""
 
     _fields = ("rank", "kind", "delta", "residual_quiver", "residual_pair", "residual_partition")
 
@@ -113,7 +115,11 @@ class TubeTorsionPair(Record):
             masks = [mask_of(model, side) for side in (residual_pair.torsion, residual_pair.free)]
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]} is not an interval of the residual quiver") from None
-        _fill(self, rank, kind, delta, model, *masks, residual_partition)
+        name = STRONG_ONE if kind == 1 else STRONG_TWO
+        made = partition_to_tube_tp(PartPartition((delta, *residual_partition), name, complete=True), kind, rank)
+        if [made._torsion, made._free] != masks:
+            raise ValueError("the residual pair is not the one its partition makes")
+        _fill(self, rank, kind, made.delta, model, *masks, made.residual_partition)
 
     @property
     def residual_pair(self) -> TorsionPair:

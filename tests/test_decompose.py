@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from test_intervals import CYCLE_RESIDUALS, MODEL_QUIVERS, linear_union, model_id
+from test_quiver import UNIONS, brute_force_partitions
 from torsionpairs.decompose import (
     DecompositionResult,
     _mask_walk,
@@ -309,6 +310,15 @@ class TestMaskWalk:
                     model = model_for(subquiver(cycle, cycle.vertex_set - delta))
                     want = self.reference(by_lead[delta], model, lead=1)
                     assert list(_mask_walk(model, kind, 1)) == want, (rank, kind, sorted(delta))
+
+    @pytest.mark.parametrize("kind", (STRONG_ONE, STRONG_TWO))
+    @pytest.mark.parametrize("q", UNIONS, ids=repr)
+    def test_from_stage_one_a_union_gives_the_brute_force_tails(self, q, kind):
+        # the shapes and the start stage of the tube route: the brute-force
+        # partitions with an empty leading part, that part dropped
+        model = model_for(q)
+        led = [S for S in brute_force_partitions(q, kind, complete=True) if not S.parts[0]]
+        assert list(_mask_walk(model, kind, 1)) == self.reference(led, model, lead=1)
 
     def test_empty_residual_is_one_empty_tail(self):
         model = model_for(subquiver(cyclic_an(3), ()))

@@ -31,6 +31,33 @@ def part(*parts):
     return tuple(frozenset(p) for p in parts)
 
 
+# linear unions of the shapes the tube route walks: residuals of the cycle,
+# some with an arrow against the label order (5 -> 1), and a gapped path
+UNIONS = [subquiver(cyclic_an(5), keep) for keep in ({1, 2, 3}, {4, 5, 1, 2}, {2, 3, 5, 1}, {5, 1, 3})]
+UNIONS.append(subquiver(linear_an(5), {1, 2, 4, 5}))
+
+
+def brute_force_partitions(q, kind, complete):
+    """The valid `kind` partitions of q, the complete ones or all, in
+    `sort_key` order, apart from the walk: every ordered tuple of disjoint
+    parts with nonempty middle parts, kept when it validates."""
+    def tuples(prefix, left):
+        yield prefix
+        for k in range(1, len(left) + 1):
+            for combo in combinations(sorted(left), k):
+                yield from tuples(prefix + (frozenset(combo),), left - set(combo))
+
+    want = []
+    for k in range(len(q.vertices) + 1):
+        for delta0 in combinations(q.vertices, k):
+            for parts in tuples((frozenset(delta0),), q.vertex_set - set(delta0)):
+                covered = frozenset().union(*parts) == q.vertex_set
+                S = PartPartition(parts, kind, covered)
+                if (covered or not complete) and validate_partition(q, S):
+                    want.append(S)
+    return sorted(want, key=PartPartition.sort_key)
+
+
 class TestConstruction:
     def test_linear_one_vertex(self):
         q = linear_an(1)
@@ -308,27 +335,12 @@ class TestEnumeratePartitions:
 
     @pytest.mark.parametrize("complete", [True, False])
     @pytest.mark.parametrize("kind", PARTITION_KINDS)
-    @pytest.mark.parametrize("q", [linear_an(n) for n in range(1, 5)] + [cyclic_an(n) for n in range(1, 5)], ids=repr)
+    @pytest.mark.parametrize(
+        "q", [linear_an(n) for n in range(1, 5)] + [cyclic_an(n) for n in range(1, 5)] + UNIONS, ids=repr
+    )
     def test_walk_matches_a_brute_force_over_all_tuples(self, q, kind, complete):
-        # the walk trusts its candidate generators; every ordered tuple of
-        # disjoint parts with nonempty middle parts, kept when it
-        # validates, gives the same list
-        def tuples(prefix, left):
-            yield prefix
-            for k in range(1, len(left) + 1):
-                for combo in combinations(sorted(left), k):
-                    yield from tuples(prefix + (frozenset(combo),), left - set(combo))
-
-        want = []
-        for k in range(len(q.vertices) + 1):
-            for delta0 in combinations(q.vertices, k):
-                for parts in tuples((frozenset(delta0),), q.vertex_set - set(delta0)):
-                    covered = frozenset().union(*parts) == q.vertex_set
-                    S = PartPartition(parts, kind, covered)
-                    if (covered or not complete) and validate_partition(q, S):
-                        want.append(S)
-        want.sort(key=PartPartition.sort_key)
-        assert list(enumerate_partitions(q, kind, complete)) == want
+        # the walk trusts its candidate generators
+        assert list(enumerate_partitions(q, kind, complete)) == brute_force_partitions(q, kind, complete)
 
     def test_every_walked_partition_validates(self):
         # `enumerate --an` builds each pair from the walk without checking

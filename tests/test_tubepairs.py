@@ -408,6 +408,33 @@ class TestMaskBackedRecord:
             with pytest.raises(ValueError, match="is not an interval of the residual quiver"):
                 TubeTorsionPair(3, 1, frozenset({1}), residual, tp, (frozenset({2, 3}),))
 
+    def test_a_residual_pair_its_partition_does_not_make_is_a_value_error(self):
+        residual = subquiver(cyclic_an(3), {2, 3})
+        made = TorsionPair(frozenset(), frozenset({Interval(2, 2), Interval(2, 3), Interval(3, 3)}))
+        # the pair the tail ({2, 3}) makes, given as plain sets, keeps its vertex sets frozen
+        d = TubeTorsionPair(3, 1, {1}, residual, made, [{2, 3}])
+        assert d.residual_pair == made and d.delta == frozenset({1}) and d.residual_partition == (frozenset({2, 3}),)
+        assert hash(d) == hash(TubeTorsionPair(3, 1, frozenset({1}), residual, made, (frozenset({2, 3}),)))
+        # the empty pair is no torsion pair on the residual segments
+        with pytest.raises(ValueError, match="^the residual pair is not the one its partition makes$"):
+            TubeTorsionPair(3, 1, frozenset({1}), residual, TorsionPair((), ()), (frozenset({2, 3}),))
+
+    @pytest.mark.parametrize(
+        "kind,tail,message",
+        [
+            # stage 1 misses the sink 3 of the residual segment
+            (1, (frozenset({2}), frozenset({3})), "invalid partition"),
+            # the mirror misses its source 2
+            (2, (frozenset({3}), frozenset({2})), "invalid partition"),
+            (1, (frozenset({2}),), "must cover the vertices 1..3"),
+            (1, (frozenset({2, 3}), frozenset({3})), "overlaps an earlier part"),
+        ],
+    )
+    def test_a_residual_partition_invalid_on_the_cycle_is_a_value_error(self, kind, tail, message):
+        residual = subquiver(cyclic_an(3), {2, 3})
+        with pytest.raises(ValueError, match=message):
+            TubeTorsionPair(3, kind, frozenset({1}), residual, TorsionPair((), ()), tail)
+
     @pytest.mark.parametrize(
         "delta,residual",
         [

@@ -26,6 +26,9 @@ from torsionpairs.tubepairs import CombinedTorsionPair, TubeTorsionPair
 X, Y = Interval(1, 1), Interval(2, 3)
 RESIDUAL = Quiver((2, 3), ((2, 3),), LINEAR_UNION)
 EMPTY = TorsionPair(frozenset(), frozenset())
+# the pair the tail ({2, 3}) of the cycle's partition ({1}, {2, 3}) makes:
+# the submodules of the stage injectives [2, 2] and [2, 3]
+TUBE_RESIDUAL_PAIR = TorsionPair(frozenset(), frozenset({Interval(2, 2), Y, Interval(3, 3)}))
 
 
 def _cases():
@@ -75,11 +78,11 @@ def _cases():
             "finite_part=frozenset({U(2,1)}))",
         ),
         "TubeTorsionPair": (
-            lambda: TubeTorsionPair(3, 1, frozenset({1}), RESIDUAL, EMPTY, (frozenset({2, 3}),)),
+            lambda: TubeTorsionPair(3, 1, frozenset({1}), RESIDUAL, TUBE_RESIDUAL_PAIR, (frozenset({2, 3}),)),
             ("rank", "kind", "delta", "residual_quiver", "residual_pair", "residual_partition"),
             "TubeTorsionPair(rank=3, kind=1, delta=frozenset({1}), "
             "residual_quiver=Quiver(linearUnion, components=((2, 3),)), "
-            "residual_pair=TorsionPair(torsion=frozenset(), free=frozenset()), "
+            "residual_pair=TorsionPair(torsion=frozenset(), free=frozenset({[2,3], [3,3], [2,2]})), "
             "residual_partition=(frozenset({2, 3}),))",
         ),
         "CombinedTorsionPair": (
